@@ -98,7 +98,7 @@ def _add_fit_flags(p, blocks: bool = True):
     p.add_argument("--svi-kappa-m", type=float, default=2.0)
     p.add_argument("--svi-kappa-w", type=float, default=0.7)
     p.add_argument("--threads", type=int, default=1,
-                   help="cap on worker threads; never changes results")
+                   help="accepted for compatibility; has no effect")
     p.add_argument("--seed", type=_parse_seed, default=0)
 
 
@@ -198,7 +198,7 @@ def _cmd_fit(args) -> int:
         seed=args.seed,
     )
     if not result.converged:
-        print("warning: fit did not converge; best iterate written", file=sys.stderr)
+        print("warning: fit did not converge; last iterate written", file=sys.stderr)
     return 0
 
 

@@ -15,8 +15,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import DataError
-from .model import ModelParams, MultilayerNetwork, log_density_batch
-from .vem import FitResult, _log
+from .model import ModelParams, MultilayerNetwork, log_density_batch, safe_log
+from .vem import FitResult
 
 _APE_DENOM_FLOOR = 0.01
 
@@ -78,10 +78,9 @@ def nmi(a, b) -> float:
     if ha == 0.0 or hb == 0.0:
         return 0.0
     pab = table / n
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = pab / np.outer(pa, pb)
-        terms = np.where(pab > 0, pab * np.log(ratio, where=pab > 0), 0.0)
-    mi = terms.sum()
+    # Every label occurs, so pa and pb are positive; empty cells add 0.
+    ratio = pab / np.outer(pa, pb)
+    mi = np.sum(pab * np.log(ratio, where=pab > 0, out=np.zeros_like(ratio)))
     return float(mi / math.sqrt(ha * hb))
 
 
@@ -136,7 +135,7 @@ def icl(net: MultilayerNetwork, fit: FitResult) -> float:
             ll += float(
                 log_density_batch(net.weights[mask], b.mu, b.covariance()).sum()
             )
-    ll += float(_log(params.alpha)[z].sum())
+    ll += float(safe_log(params.alpha)[z].sum())
     middle = 0.5 * Q * (Q - 1) * math.log(n * max(K - 1, 1))
     pen = Q * math.log(n * (n - 1) * K / 2) + (Q * (Q - 1) / 2) * K * math.log(
         n * (n - 1) / 2

@@ -14,7 +14,7 @@ import scipy.linalg
 
 from .errors import DataError, NumericalError
 from .io import sum_layers
-from .model import EPS_PROB, MultilayerNetwork, VariationalState, pairs_to_square
+from .model import MultilayerNetwork, VariationalState, clip_prob, pairs_to_square
 from .rng import substream
 
 _DEGREE_FLOOR = 1e-12
@@ -117,24 +117,11 @@ def spectral_init(net: MultilayerNetwork, cfg: InitConfig) -> VariationalState:
     if net.n <= Q:
         raise DataError("need more nodes than blocks")
     if Q == 1:
-        return VariationalState(
-            tau=np.ones((net.n, 1)), P=np.full(1, _clip_prob(0.0))
-        )
+        return VariationalState(tau=np.ones((net.n, 1)), P=clip_prob(np.zeros(1)))
     emb = spectral_embedding(net, Q)
     labels = kmeans(emb, Q, cfg.kmeans_restarts, cfg.seed)
     tau = np.full((net.n, Q), cfg.soft_eps / (Q - 1))
     tau[np.arange(net.n), labels] = 1.0 - cfg.soft_eps
-    P = np.full(Q, _clip_prob(1.0 - 1.0 / Q))
+    P = clip_prob(np.full(Q, 1.0 - 1.0 / Q))
     return VariationalState(tau=tau, P=P)
 
-
-def _clip_prob(p: float) -> float:
-    return float(min(max(p, EPS_PROB), 1.0 - EPS_PROB))
-
-
-def _random_state(n: int, Q: int, seed: int) -> VariationalState:
-    """Uniform-random tau (test-only utility, not a supported init path)."""
-    rng = substream(seed, "random-init")
-    tau = rng.uniform(size=(n, Q))
-    tau /= tau.sum(axis=1, keepdims=True)
-    return VariationalState(tau=tau, P=np.full(Q, _clip_prob(1.0 - 1.0 / Q)))

@@ -26,6 +26,22 @@ RHO_MARGIN = 1e-6
 LOG_2PI = math.log(2.0 * math.pi)
 
 
+def clip_prob(x):
+    """Clamp probabilities into [EPS_PROB, 1 - EPS_PROB]."""
+    return np.clip(x, EPS_PROB, 1.0 - EPS_PROB)
+
+
+def safe_log(x):
+    """Log with its argument floored at EPS_PROB."""
+    return np.log(np.maximum(x, EPS_PROB))
+
+
+def psi_terms(P: np.ndarray, psi: float) -> np.ndarray:
+    """Per-block prior term P_q log(psi) + (1-P_q) log(1-psi), log-guarded."""
+    psi_c = clip_prob(psi)
+    return P * np.log(psi_c) + (1.0 - P) * np.log(1.0 - psi_c)
+
+
 def num_pairs(n: int) -> int:
     return n * (n - 1) // 2
 

@@ -1,8 +1,8 @@
 """Stochastic (subsampled) variant of the E-step for large graphs.
 
-Each step draws a node subsample whose size grows toward n, computes the
-fixed-point tau update and the P update restricted to the subsample, and
-averages them into the running estimates with a decaying weight.
+Each step draws a node subsample whose size grows toward n, runs the
+E-step kernel (sbanm.estep) on the pairs inside it, and averages the new
+tau rows and P into the running estimates with a decaying weight.
 """
 
 from __future__ import annotations
@@ -10,19 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_expit, logsumexp
 
 from .errors import DataError
-from .model import (
-    MultilayerNetwork,
-    ModelParams,
-    VariationalState,
-    log_density_batch,
-    pair_index,
-    pairs_to_square,
-)
+from .estep import e_step
+from .model import ModelParams, MultilayerNetwork, VariationalState
 from .rng import substream
-from .vem import _clip_prob, _log, _psi_terms
 
 
 @dataclass
@@ -59,49 +51,16 @@ def svi_e_step(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One stochastic E-step; returns the blended (tau, P).
 
-    Sampled rows of tau get delta_t * tau* + (1 - delta_t) * previous and
-    are renormalized; unsampled rows are kept unchanged.  The sample for a
+    One undamped tau pass and the P update on the pairs inside a node
+    subsample of size subsample_size(t); sampled rows of tau and P then get
+    delta_t * new + (1 - delta_t) * previous and tau's rows are
+    renormalized; unsampled rows are kept unchanged.  The sample for a
     given (seed, t) is always the same.
     """
-    n, Q = state.n, state.Q
+    n = state.n
     m = subsample_size(t, cfg, n)
-    if m < Q:
+    if m < state.Q:
         raise DataError("subsample too small for Q blocks")
     rng = substream(cfg.seed, "svi-sample", t)
-    M = np.sort(rng.choice(n, size=m, replace=False))
-
-    a_idx, b_idx = np.triu_indices(m, 1)
-    rows = pair_index(n, M[a_idx], M[b_idx])
-    X = net.weights[rows]
-    ld_noise = log_density_batch(X, params.noise.mu, params.noise.covariance())
-    tau_sub = state.tau[M]
-    delta = averaging_weight(t, cfg)
-    psi_c = _clip_prob(params.psi)
-
-    logits = np.empty((m, Q))
-    gap_pairs = np.empty((Q, rows.size))
-    noise_rowsum = pairs_to_square(m, ld_noise).sum(axis=1)
-    for q in range(Q):
-        ld_q = log_density_batch(X, params.blocks[q].mu, params.blocks[q].covariance())
-        gap_pairs[q] = ld_q - ld_noise
-        logits[:, q] = state.P[q] * (pairs_to_square(m, gap_pairs[q]) @ tau_sub[:, q])
-    logits += (
-        noise_rowsum[:, None]
-        + _log(params.alpha)[None, :]
-        + _psi_terms(state.P, params.psi)[None, :]
-        - 1.0
-    )
-    tau_star = np.exp(logits - logsumexp(logits, axis=1, keepdims=True))
-
-    tau = state.tau.copy()
-    tau[M] = delta * tau_star + (1.0 - delta) * tau[M]
-    tau[M] /= tau[M].sum(axis=1, keepdims=True)
-
-    # P* from the freshly updated memberships, mirroring the full-batch order.
-    gaps = np.array(
-        [np.dot(tau_star[a_idx, q] * tau_star[b_idx, q], gap_pairs[q]) for q in range(Q)]
-    )
-    log_nhat = log_expit(-gaps + np.log((1.0 - psi_c) / psi_c))
-    p_star = _clip_prob(1.0 - np.exp(log_nhat - logsumexp(log_nhat)))
-    P = _clip_prob(delta * p_star + (1.0 - delta) * state.P)
-    return tau, P
+    nodes = np.sort(rng.choice(n, size=m, replace=False))
+    return e_step(net, params, state, nodes, averaging_weight(t, cfg), inner=1, damping=1.0)

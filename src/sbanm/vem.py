@@ -1,8 +1,9 @@
-"""Full-batch hierarchical variational EM.
+"""Hierarchical variational EM.
 
-E-step: damped fixed-point updates of the membership posteriors tau and a
-logistic update of the per-block signal probabilities P.  M-step: closed
-form block/noise moment blends.  The objective is the hierarchical
+E-step (sbanm.estep): damped fixed-point updates of the membership
+posteriors tau and a logistic update of the per-block signal
+probabilities P, on all nodes or, with SVI, on a node subsample.  M-step:
+closed form block/noise moment blends.  The objective is the hierarchical
 evidence lower bound; after convergence exactly one block (the argmin of
 P) is designated as the ambient-noise block.
 """
@@ -13,12 +14,11 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_expit, logsumexp
 
 from .errors import DataError, NumericalError
+from .estep import e_step
 from .init import InitConfig, spectral_init
 from .model import (
-    EPS_PROB,
     VAR_FLOOR,
     BlockParams,
     ModelParams,
@@ -27,10 +27,12 @@ from .model import (
     VariationalState,
     clamp_rho,
     log_density_batch,
-    pairs_to_square,
     psi as psi_of,
+    psi_terms,
+    safe_log,
 )
 from .rng import derive_seed
+from .svi import SviConfig, subsample_size, svi_e_step
 
 logger = logging.getLogger(__name__)
 
@@ -69,95 +71,25 @@ class FitResult:
     icl: float | None = None
 
 
-def _clip_prob(x):
-    return np.clip(x, EPS_PROB, 1.0 - EPS_PROB)
-
-
-def _log(x):
-    return np.log(np.maximum(x, EPS_PROB))
-
-
-def _edge_log_densities(net: MultilayerNetwork, params: ModelParams):
-    """Per-pair log-densities under each signal block and under noise.
-
-    Returns (ld_sig, ld_noise): shapes (Q, n_pairs) and (n_pairs,).
-    """
-    X = net.weights
-    ld_noise = log_density_batch(X, params.noise.mu, params.noise.covariance())
-    ld_sig = np.empty((params.Q, net.n_pairs))
-    for q, b in enumerate(params.blocks):
-        ld_sig[q] = log_density_batch(X, b.mu, b.covariance())
-    return ld_sig, ld_noise
-
-
-def _psi_terms(P: np.ndarray, psi: float) -> np.ndarray:
-    """Per-block prior term P_q log(psi) + (1-P_q) log(1-psi), log-guarded."""
-    psi_c = _clip_prob(psi)
-    return P * np.log(psi_c) + (1.0 - P) * np.log(1.0 - psi_c)
-
-
 def estimate_tau(
     net: MultilayerNetwork,
     params: ModelParams,
     state: VariationalState,
     cfg: FitConfig,
 ) -> np.ndarray:
-    """Damped fixed-point iteration for the membership posteriors.
-
-    Iterates log tau*_iq = log alpha_q
-        + sum_j [tau_jq (P_q f_sig + (1-P_q) f_noise) + sum_{l != q} tau_jl f_noise]
-        - 1 + P_q log(psi) + (1-P_q) log(1-psi),
-    rows normalized by log-sum-exp, self term j = i excluded, and
-    tau <- damping*tau* + (1-damping)*tau until the max-abs change drops
-    below tol_tau or tau_inner_max is hit.
-    """
-    n, Q = state.n, state.Q
-    ld_sig, ld_noise = _edge_log_densities(net, params)
-    # The inner bracket collapses exactly to P_q tau_jq (f_sig - f_noise) + f_noise.
-    with np.errstate(invalid="ignore"):  # inf - inf caught by the finite check below
-        gap_sq = [pairs_to_square(n, ld_sig[q] - ld_noise) for q in range(Q)]
-    noise_rowsum = pairs_to_square(n, ld_noise).sum(axis=1)
-    const = _log(params.alpha)[None, :] + _psi_terms(state.P, params.psi)[None, :] - 1.0
-    P = state.P
-    tau = state.tau.copy()
-    for it in range(cfg.tau_inner_max):
-        logits = np.empty((n, Q))
-        for q in range(Q):
-            logits[:, q] = P[q] * (gap_sq[q] @ tau[:, q])
-        logits += noise_rowsum[:, None] + const
-        if not np.all(np.isfinite(logits)):
-            raise NumericalError(f"tau update diverged at inner iteration {it}")
-        tau_star = np.exp(logits - logsumexp(logits, axis=1, keepdims=True))
-        tau_new = cfg.damping * tau_star + (1.0 - cfg.damping) * tau
-        tau_new /= tau_new.sum(axis=1, keepdims=True)
-        delta = np.max(np.abs(tau_new - tau))
-        tau = tau_new
-        if delta < cfg.tol_tau:
-            break
-    return tau
+    """Full-batch memberships: the E-step's damped fixed point with
+    cfg.damping, stopped at cfg.tol_tau or cfg.tau_inner_max passes."""
+    return e_step(
+        net, params, state, inner=cfg.tau_inner_max, damping=cfg.damping, tol=cfg.tol_tau
+    )[0]
 
 
 def estimate_P(
     net: MultilayerNetwork, params: ModelParams, state: VariationalState
 ) -> np.ndarray:
-    """Signal probabilities from the signal-vs-noise log-density gap.
-
-    Each block's noise weight is sigmoid(-gap_q + log((1-psi)/psi)) with
-    gap_q = sum_{i<j} tau_iq tau_jq (f_sig - f_noise); the noise weights
-    are normalized to sum to one and P = 1 - N, clamped.  Everything is
-    computed in log space.
-    """
-    ld_sig, ld_noise = _edge_log_densities(net, params)
-    iu, ju = net.pair_nodes()
-    tau = state.tau
-    gaps = np.array(
-        [np.dot(tau[iu, q] * tau[ju, q], ld_sig[q] - ld_noise) for q in range(state.Q)]
-    )
-    psi_c = _clip_prob(params.psi)
-    a = -gaps + np.log((1.0 - psi_c) / psi_c)
-    log_nhat = log_expit(a)
-    log_n = log_nhat - logsumexp(log_nhat)
-    return _clip_prob(1.0 - np.exp(log_n))
+    """Signal probabilities at the current memberships: the E-step's P
+    update with no tau pass."""
+    return e_step(net, params, state, inner=0)[1]
 
 
 def m_step_alpha(state: VariationalState) -> np.ndarray:
@@ -251,20 +183,22 @@ def elbo(
     parts) plus the membership prior, both entropy terms (entropies
     increase the bound), and the P-level prior term; all logs clamped.
     """
-    ld_sig, ld_noise = _edge_log_densities(net, params)
+    X = net.weights
+    ld_noise = log_density_batch(X, params.noise.mu, params.noise.covariance())
     iu, ju = net.pair_nodes()
     tau, P = state.tau, state.P
     same = np.einsum("pq,pq->p", tau[iu], tau[ju])
     ll = float(np.dot(np.maximum(1.0 - same, 0.0), ld_noise))
-    for q in range(state.Q):
+    for q, b in enumerate(params.blocks):
         w = tau[iu, q] * tau[ju, q]
-        ll += P[q] * np.dot(w, ld_sig[q]) + (1.0 - P[q]) * np.dot(w, ld_noise)
+        ld_q = log_density_batch(X, b.mu, b.covariance())
+        ll += P[q] * np.dot(w, ld_q) + (1.0 - P[q]) * np.dot(w, ld_noise)
     terms = {
         "likelihood": ll,
-        "membership prior": float(np.sum(tau * _log(params.alpha)[None, :])),
-        "tau entropy": -float(np.sum(tau * _log(tau))),
-        "P entropy": -float(np.sum(P * _log(P) + (1.0 - P) * _log(1.0 - P))),
-        "signal prior": float(np.sum(tau.sum(axis=0) * _psi_terms(P, params.psi))),
+        "membership prior": float(np.sum(tau * safe_log(params.alpha)[None, :])),
+        "tau entropy": -float(np.sum(tau * safe_log(tau))),
+        "P entropy": -float(np.sum(P * safe_log(P) + (1.0 - P) * safe_log(1.0 - P))),
+        "signal prior": float(np.sum(tau.sum(axis=0) * psi_terms(P, params.psi))),
     }
     for name, value in terms.items():
         if not np.isfinite(value):
@@ -272,12 +206,13 @@ def elbo(
     return float(sum(terms.values()))
 
 
-def _m_step(net, state, psi, noise_prev) -> ModelParams:
-    """One full M-step: alpha, then every block against the previous noise
-    parameters, then the noise update itself."""
+def _m_step(net, state, psi, noise_prev=None) -> ModelParams:
+    """One full M-step: alpha, the noise update, and every block against the
+    previous noise parameters (against the new ones when there are none)."""
     alpha = m_step_alpha(state)
-    blocks = [m_step_block(net, state, q, noise_prev) for q in range(state.Q)]
     noise = m_step_noise(net, state, psi)
+    against = noise if noise_prev is None else noise_prev
+    blocks = [m_step_block(net, state, q, against) for q in range(state.Q)]
     return ModelParams(
         Q=state.Q, blocks=blocks, noise=noise, alpha=alpha, psi=psi, noise_block=None
     )
@@ -286,14 +221,13 @@ def _m_step(net, state, psi, noise_prev) -> ModelParams:
 def _bootstrap_params(net, state, psi) -> ModelParams:
     """Initial parameters from the initialized state: the loop's E-step needs
     model parameters, so run one M-step with noise estimated first."""
-    noise = m_step_noise(net, state, psi)
-    return _m_step(net, state, psi, noise)
+    return _m_step(net, state, psi)
 
 
 def fit(
     net: MultilayerNetwork,
     cfg: FitConfig,
-    svi: "SviConfig | None" = None,
+    svi: SviConfig | None = None,
     init_state: VariationalState | None = None,
 ) -> FitResult:
     """Run variational EM to convergence and designate the noise block.
@@ -318,40 +252,34 @@ def fit(
     trace: list[float] = []
     converged = False
     prev_elbo = None
-    svi_t = 0
     for it in range(cfg.max_outer):
-        tau_before = state.tau
-        if svi is not None:
-            from .svi import subsample_size, svi_e_step
-
-            if subsample_size(svi_t, svi, net.n) < net.n:
-                tau, P = svi_e_step(net, params, state, svi_t, svi)
-                svi_t += 1
-            else:
-                svi = None
-                tau = estimate_tau(net, params, state, cfg)
-                P = estimate_P(net, params, VariationalState(tau=tau, P=state.P))
+        # The subsample never shrinks, so the SVI steps come first and SVI
+        # step t is outer iteration t; once it covers the graph, every step
+        # is full batch.
+        full = svi is None or subsample_size(it, svi, net.n) >= net.n
+        if full:
+            tau, P = e_step(
+                net, params, state, inner=cfg.tau_inner_max, damping=cfg.damping,
+                tol=cfg.tol_tau,
+            )
         else:
-            tau = estimate_tau(net, params, state, cfg)
-            P = estimate_P(net, params, VariationalState(tau=tau, P=state.P))
+            tau, P = svi_e_step(net, params, state, it, svi)
+        delta_tau = float(np.max(np.abs(tau - state.tau)))
         state = VariationalState(tau=tau, P=P)
         params = _m_step(net, state, psi, params.noise)
         value = elbo(net, params, state)
         trace.append(value)
-        delta_tau = float(np.max(np.abs(state.tau - tau_before)))
         logger.info(
             "iter=%d elbo=%.10e dtau=%.3e minP=%.3e", it, value, delta_tau, state.P.min()
         )
-        if svi is None:
-            if delta_tau < cfg.tol_tau:
-                converged = True
-                break
-            if prev_elbo is not None and abs(value - prev_elbo) < cfg.tol_elbo * abs(
-                prev_elbo
-            ):
-                converged = True
-                break
-            prev_elbo = value
+        if not full:
+            continue
+        if delta_tau < cfg.tol_tau or (
+            prev_elbo is not None and abs(value - prev_elbo) < cfg.tol_elbo * abs(prev_elbo)
+        ):
+            converged = True
+            break
+        prev_elbo = value
 
     q_nb = int(np.argmin(state.P))
     blocks = list(params.blocks)

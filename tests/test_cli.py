@@ -90,6 +90,16 @@ class TestFitEvalRoundTrip:
         assert lines["exact_recovery"] == "true"
 
 
+    def test_unconverged_fit_reports_last_iterate(self, planted_files, tmp_path, capsys):
+        net_path, _ = planted_files
+        out = tmp_path / "short"
+        assert run_cli("fit", "--input", str(net_path), "--blocks", "3", "--seed", "7",
+                       "--max-iter", "1", "--out", str(out)) == 0
+        err = capsys.readouterr().err
+        assert "fit did not converge; last iterate written" in err
+        assert (out / "memberships.csv").exists()
+
+
 class TestSimulate:
     def test_simulate_emits_artifacts(self, tmp_path, capsys):
         out = tmp_path / "sim"

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -89,6 +90,13 @@ class TestNmi:
         ha = -sum(x * math.log(x) for x in pa if x > 0)
         hb = -sum(x * math.log(x) for x in pb if x > 0)
         assert nmi(a, b) == pytest.approx(mi / math.sqrt(ha * hb), abs=1e-12)
+
+    def test_unequal_partitions_raise_no_warning(self):
+        # Empty contingency cells must not reach an uninitialized log output.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = nmi([0, 0, 1, 1, 2, 2], [0, 0, 0, 1, 1, 1])
+        assert 0.0 < v < 1.0
 
     def test_bounds_and_permutation_invariance(self):
         rng = np.random.default_rng(3)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -467,6 +468,26 @@ class TestFit:
             classic = (w @ net.weights) / w.sum()
             got = m_step_block(net, state, q, params.noise)
             assert np.allclose(got.mu, classic, atol=1e-8)
+
+    def test_one_log_density_pass_per_e_step_and_elbo(self, planted60, monkeypatch):
+        # Each pass is one call per block plus one for noise: one pass per
+        # full-batch E-step, one per ELBO, and one for the final ELBO.
+        net, _, _ = planted60
+        original = sbanm.model.log_density_batch
+        calls = [0]
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name == "sbanm" or name.startswith("sbanm."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+        result = fit(net, FitConfig(Q=3, seed=2))
+        T = len(result.elbo_trace)
+        assert calls[0] == (2 * T + 1) * (3 + 1)
 
     def test_hard_membership_is_row_argmax(self, planted60):
         net, _, _ = planted60
