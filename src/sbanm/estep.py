@@ -17,33 +17,38 @@ from .model import (
     MultilayerNetwork,
     VariationalState,
     clip_prob,
-    log_density_batch,
+    law_coefficients,
+    pair_features,
     pair_index,
-    pairs_to_square,
+    pair_tiles,
     psi_terms,
     safe_log,
 )
 
 
-def _gap_squares(net: MultilayerNetwork, params: ModelParams, nodes):
-    """Each block's signal-minus-noise log-density gap as a symmetric
-    (m, m) matrix over the pairs inside `nodes` (all nodes when None), and
-    each row's summed noise log-density."""
-    if nodes is None:
-        m, X = net.n, net.weights
-    else:
-        m = nodes.size
-        a_idx, b_idx = np.triu_indices(m, 1)
-        X = net.weights[pair_index(net.n, nodes[a_idx], nodes[b_idx])]
-        del a_idx, b_idx
-    ld_noise = log_density_batch(X, params.noise.mu, params.noise.covariance())
-    gap_sq = []
-    for b in params.blocks:
-        ld = log_density_batch(X, b.mu, b.covariance())
-        with np.errstate(invalid="ignore"):  # inf - inf caught by the finite check
-            gap_sq.append(pairs_to_square(m, ld - ld_noise))
-    noise_rowsum = pairs_to_square(m, ld_noise).sum(axis=1)
-    return gap_sq, noise_rowsum
+def _gap_squares(net: MultilayerNetwork, params: ModelParams, nodes) -> np.ndarray:
+    """Each block's signal-minus-noise log-density gap over the pairs inside
+    `nodes` (all nodes when None), as Q symmetric (m, m) matrices."""
+    m = net.n if nodes is None else nodes.size
+    # Overflow or inf - inf here is caught by the E-step's finite check.
+    with np.errstate(over="ignore", invalid="ignore"):
+        noise, blocks = law_coefficients(params, net.center)
+        coef = blocks - noise
+        gap_sq = np.zeros((params.Q, m, m))
+        for p0, p1, I, J in pair_tiles(m):
+            if nodes is None:
+                X = net.weights[p0:p1]
+            else:
+                X = net.weights[pair_index(net.n, nodes[I], nodes[J])]
+            gaps = coef @ pair_features(X, net.center)
+            # The tile is whole rows of the pair order; row i holds (i, j > i).
+            start = 0
+            for i in range(I[0], I[-1] + 1):
+                row = gaps[:, start : start + m - 1 - i]
+                gap_sq[:, i, i + 1 :] = row
+                gap_sq[:, i + 1 :, i] = row
+                start += m - 1 - i
+    return gap_sq
 
 
 def e_step(
@@ -59,19 +64,21 @@ def e_step(
     """One E-step on the rows in `nodes` (sorted, distinct node indices; all
     nodes when None); returns (tau, P).
 
-    Iterates log tau*_iq = log alpha_q
-        + sum_j [tau_jq (P_q f_sig + (1-P_q) f_noise) + sum_{l != q} tau_jl f_noise]
+    Iterates log tau*_iq = log alpha_q + P_q sum_j tau_jq (f_sig - f_noise)
         - 1 + P_q log(psi) + (1-P_q) log(1-psi)
     over j in `nodes`, self term excluded, rows normalized by log-sum-exp,
     with tau <- damping*tau* + (1-damping)*tau renormalized, for at most
-    `inner` passes or until the max-abs change drops below `tol`.  At the
+    `inner` passes or until the max-abs change drops below `tol`.  (The
+    mean-field likelihood term sum_j [tau_jq (P_q f_sig + (1-P_q) f_noise)
+    + sum_{l != q} tau_jl f_noise] exceeds the gap term by sum_j f_noise,
+    which is the same for every q and cancels in the normalization.)  At the
     new tau each block's noise weight is sigmoid(-gap_q + log((1-psi)/psi))
     with gap_q = sum_{i<j} tau_iq tau_jq (f_sig - f_noise); the noise
     weights are normalized to sum to one and P* = 1 - N, clamped.  Finally
     tau[nodes] and P move to weight * new + (1 - weight) * previous and the
     rows of tau are renormalized; rows outside `nodes` are kept unchanged.
     """
-    gap_sq, noise_rowsum = _gap_squares(net, params, nodes)
+    gap_sq = _gap_squares(net, params, nodes)
     rows = slice(None) if nodes is None else nodes
     tau_prev = state.tau[rows]
     P = state.P
@@ -81,7 +88,7 @@ def e_step(
         logits = np.empty(tau_new.shape)
         for q, gap in enumerate(gap_sq):
             logits[:, q] = P[q] * (gap @ tau_new[:, q])
-        logits += noise_rowsum[:, None] + const
+        logits += const
         if not np.all(np.isfinite(logits)):
             raise NumericalError(f"tau update diverged at inner iteration {it}")
         tau_star = np.exp(logits - logsumexp(logits, axis=1, keepdims=True))

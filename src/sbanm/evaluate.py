@@ -15,7 +15,13 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import DataError
-from .model import ModelParams, MultilayerNetwork, log_density_batch, safe_log
+from .model import (
+    ModelParams,
+    MultilayerNetwork,
+    law_coefficients,
+    pair_moments,
+    safe_log,
+)
 from .vem import FitResult
 
 _APE_DENOM_FLOOR = 0.01
@@ -120,21 +126,15 @@ def icl(net: MultilayerNetwork, fit: FitResult) -> float:
     params = fit.params
     z = fit.hard_membership
     n, K, Q = net.n, net.K, params.Q
-    iu, ju = net.pair_nodes()
-    li, lj = z[iu], z[ju]
-    ld_noise = log_density_batch(net.weights, params.noise.mu, params.noise.covariance())
-    ll = float(ld_noise[li != lj].sum())
+    moments = pair_moments(net, np.eye(Q)[z])
+    noise, laws = law_coefficients(params, net.center)
+    if params.noise_block is not None:
+        laws[params.noise_block] = noise
+    # The last moment row holds the cross-block pairs; empty blocks add 0.
+    ll = float(moments[Q] @ noise)
     for q in range(Q):
-        mask = (li == q) & (lj == q)
-        if not mask.any():
-            continue
-        if q == params.noise_block:
-            ll += float(ld_noise[mask].sum())
-        else:
-            b = params.blocks[q]
-            ll += float(
-                log_density_batch(net.weights[mask], b.mu, b.covariance()).sum()
-            )
+        if moments[q, 0] > 0.0:
+            ll += float(moments[q] @ laws[q])
     ll += float(safe_log(params.alpha)[z].sum())
     middle = 0.5 * Q * (Q - 1) * math.log(n * max(K - 1, 1))
     pen = Q * math.log(n * (n - 1) * K / 2) + (Q * (Q - 1) / 2) * K * math.log(

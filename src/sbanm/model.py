@@ -4,12 +4,18 @@ A network is stored densely: one weight vector of length K per unordered
 node pair (i, j), i < j, in lexicographic pair order.  Signal blocks carry
 an equicorrelation covariance (one correlation shared by every layer
 pair); the ambient-noise law is a diagonal Gaussian.
+
+Every Gaussian log-density summed over pairs with membership weights is
+linear in the pair features phi = [1, y, upper(y y^T)], y = x - center:
+pair_moments sums the features once per membership matrix, and
+gaussian_coefficients turns a Gaussian into the matching weight vector.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -24,6 +30,10 @@ VAR_FLOOR = 1e-8
 RHO_MARGIN = 1e-6
 
 LOG_2PI = math.log(2.0 * math.pi)
+# Pairs per tile in the passes over all pairs (moments, E-step gaps): the
+# per-pair feature arrays live one tile at a time, so their memory stays
+# O(PAIR_TILE * D) whatever n is.
+PAIR_TILE = 4096
 
 
 def clip_prob(x):
@@ -57,10 +67,74 @@ def pairs_to_square(n: int, values: np.ndarray) -> np.ndarray:
     """Expand per-pair values to a symmetric (n, n) matrix with zero diagonal."""
     values = np.asarray(values)
     out = np.zeros((n, n) + values.shape[1:], dtype=float)
-    iu, ju = np.triu_indices(n, 1)
-    out[iu, ju] = values
-    out[ju, iu] = values
+    # A boolean mask selects in C order, i.e. the pairs in lexicographic order.
+    upper = np.arange(n)[:, None] < np.arange(n)
+    out[upper] = values
+    out.swapaxes(0, 1)[upper] = values
     return out
+
+
+def pair_tiles(m: int):
+    """Split the lexicographic pairs of m nodes into tiles of whole rows,
+    about PAIR_TILE pairs each (one row when a row is longer).
+
+    Yields (p0, p1, I, J): the tile is pairs p0 <= p < p1 and pair p has
+    endpoints I[p - p0] < J[p - p0].
+    """
+    lengths = m - 1 - np.arange(m)
+    starts = np.concatenate(([0], np.cumsum(lengths)))
+    r0 = 0
+    while r0 < m - 1:
+        r1 = int(np.searchsorted(starts, starts[r0] + PAIR_TILE, side="right")) - 1
+        r1 = min(max(r1, r0 + 1), m - 1)
+        p0, p1 = int(starts[r0]), int(starts[r1])
+        I = np.repeat(np.arange(r0, r1), lengths[r0:r1])
+        # Pair p of row i is (i, j) with p = starts[i] + j - i - 1.
+        J = np.arange(p0, p1) - starts[I] + I + 1
+        yield p0, p1, I, J
+        r0 = r1
+
+
+def feature_dim(K: int) -> int:
+    """Length D = 1 + K + K(K+1)/2 of the pair feature vector."""
+    return 1 + K + K * (K + 1) // 2
+
+
+def pair_features(x: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Features phi = [1, y, upper(y y^T)] of y = x - center for each row of
+    x (shape (m, K)), as the columns of a (D, m) array; upper() is the
+    row-major upper triangle, diagonal included."""
+    m, K = x.shape
+    phi = np.empty((feature_dim(K), m))
+    phi[0] = 1.0
+    y = phi[1 : K + 1]
+    np.subtract(x.T, np.asarray(center, dtype=float)[:, None], out=y)
+    row = K + 1
+    for h in range(K):
+        np.multiply(y[h], y[h:], out=phi[row : row + K - h])
+        row += K - h
+    return phi
+
+
+def pair_moments(net: "MultilayerNetwork", tau: np.ndarray) -> np.ndarray:
+    """Membership-weighted sums of the centred pair features, shape (Q+1, D).
+
+    Row q is sum_{i<j} tau_iq tau_jq phi(x_ij - net.center); the last row
+    weights each pair by its cross-block mass max(1 - sum_q tau_iq tau_jq, 0).
+    Every Gaussian log-density sum the fit needs is a dot product of such a
+    row with gaussian_coefficients(..., net.center).
+    """
+    tau = np.asarray(tau, dtype=float)
+    Q = tau.shape[1]
+    out = np.zeros((feature_dim(net.K), Q + 1))
+    ones = np.ones(Q)
+    for p0, p1, I, J in pair_tiles(net.n):
+        w = np.empty((p1 - p0, Q + 1))
+        np.multiply(np.take(tau, I, axis=0), np.take(tau, J, axis=0), out=w[:, :Q])
+        # A product with ones is much faster than sum(axis=1) over Q columns.
+        np.maximum(1.0 - w[:, :Q] @ ones, 0.0, out=w[:, Q])
+        out += pair_features(net.weights[p0:p1], net.center) @ w
+    return out.T
 
 
 @dataclass
@@ -106,6 +180,13 @@ class MultilayerNetwork:
     def dense(self) -> np.ndarray:
         """Full (n, n, K) array, symmetric with zero diagonal."""
         return pairs_to_square(self.n, self.weights)
+
+    @cached_property
+    def center(self) -> np.ndarray:
+        """Per-layer mean weight.  Pair features are taken relative to it:
+        moment sums of weights far from zero would otherwise cancel
+        digits away when they are turned into variances and densities."""
+        return self.weights.mean(axis=0)
 
 
 @dataclass
@@ -280,6 +361,39 @@ def log_density_batch(x: np.ndarray, mu: np.ndarray, cov: np.ndarray) -> np.ndar
     quad = np.einsum("ij,ij->j", sol, sol)
     logdet = 2.0 * np.sum(np.log(np.diag(L)))
     return -0.5 * quad - 0.5 * logdet - 0.5 * K * LOG_2PI
+
+
+def gaussian_coefficients(mu: np.ndarray, cov: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Coefficients theta (length D) with log N(x; mu, cov) = phi(x - center) @ theta
+    for the pair features phi of pair_features."""
+    mu = np.atleast_1d(np.asarray(mu, dtype=float))
+    cov = np.atleast_2d(np.asarray(cov, dtype=float))
+    K = mu.size
+    try:
+        L = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("covariance not positive definite") from exc
+    L_inv = solve_triangular(L, np.eye(K), lower=True)
+    prec = L_inv.T @ L_inv
+    # With y = x - center and d = center - mu, x - mu = y + d.
+    s = L_inv @ (np.asarray(center, dtype=float) - mu)
+    logdet = 2.0 * np.sum(np.log(np.diag(L)))
+    h, k = np.triu_indices(K)
+    return np.concatenate((
+        [-0.5 * (s @ s) - 0.5 * logdet - 0.5 * K * LOG_2PI],
+        -(L_inv.T @ s),
+        np.where(h == k, -0.5, -1.0) * prec[h, k],
+    ))
+
+
+def law_coefficients(params: ModelParams, center: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """gaussian_coefficients of the noise law (length D) and of every block
+    law (shape (Q, D)), all about `center`."""
+    noise = gaussian_coefficients(params.noise.mu, params.noise.covariance(), center)
+    blocks = np.array(
+        [gaussian_coefficients(b.mu, b.covariance(), center) for b in params.blocks]
+    )
+    return noise, blocks
 
 
 def log_density(x: np.ndarray, mu: np.ndarray, cov: np.ndarray) -> float:

@@ -26,7 +26,8 @@ from .model import (
     NoiseParams,
     VariationalState,
     clamp_rho,
-    log_density_batch,
+    law_coefficients,
+    pair_moments,
     psi as psi_of,
     psi_terms,
     safe_log,
@@ -97,57 +98,70 @@ def m_step_alpha(state: VariationalState) -> np.ndarray:
     return state.tau.mean(axis=0)
 
 
+def _moment_stats(moments: np.ndarray, K: int):
+    """(mean offset, covariance) of the weights behind one moment row with
+    positive mass: the weighted mean is net.center + offset and the
+    covariance about it is returned as its row-major upper triangle."""
+    offset = moments[1 : K + 1] / moments[0]
+    h, k = np.triu_indices(K)
+    return offset, moments[K + 1 :] / moments[0] - offset[h] * offset[k]
+
+
 def m_step_block(
     net: MultilayerNetwork,
     state: VariationalState,
     q: int,
     noise: NoiseParams,
+    moments: np.ndarray | None = None,
 ) -> BlockParams:
     """Closed-form block update: tau-weighted moments blended with the
     noise parameters by P_q; the shared correlation is the largest
-    normalized cross-layer moment (mutual coherence), PD-clamped."""
-    iu, ju = net.pair_nodes()
-    X = net.weights
+    normalized cross-layer moment (mutual coherence), PD-clamped.
+
+    `moments` is pair_moments(net, state.tau), computed here when None.
+    """
+    if moments is None:
+        moments = pair_moments(net, state.tau)
     K = net.K
-    w = state.tau[iu, q] * state.tau[ju, q]
-    mass = w.sum()
+    mass = moments[q, 0]
     P_q = state.P[q]
     if mass < _MASS_FLOOR:
         logger.warning("block %d degenerate (mass %.3g); reset to noise parameters", q, mass)
         return BlockParams(mu=noise.mu.copy(), var=noise.var.copy(), rho=0.0)
-    wmean = (w @ X) / mass
+    offset, cov = _moment_stats(moments[q], K)
+    wmean = net.center + offset
     mu = P_q * wmean + (1.0 - P_q) * noise.mu
-    dev = X - mu
-    var = P_q * ((w @ dev**2) / mass) + (1.0 - P_q) * noise.var
-    var = np.maximum(var, VAR_FLOOR)
+    # The weighted mean of (x - mu)(x - mu)^T is cov + d d^T.
+    d = wmean - mu
+    h, k = np.triu_indices(K)
+    scatter = P_q * (cov + d[h] * d[k])
+    diag = h == k
+    var = np.maximum(scatter[diag] + (1.0 - P_q) * noise.var, VAR_FLOOR)
     rho = 0.0
     if K > 1:
-        best = -np.inf
-        for h in range(K):
-            for k in range(h + 1, K):
-                cross = P_q * (w @ (dev[:, h] * dev[:, k])) / mass
-                best = max(best, cross / np.sqrt(var[h] * var[k]))
-        rho = clamp_rho(best, K)
+        off = ~diag
+        rho = clamp_rho(float(np.max(scatter[off] / np.sqrt(var[h[off]] * var[k[off]]))), K)
     return BlockParams(mu=mu, var=var, rho=rho)
 
 
 def m_step_noise(
-    net: MultilayerNetwork, state: VariationalState, psi: float
+    net: MultilayerNetwork,
+    state: VariationalState,
+    psi: float,
+    moments: np.ndarray | None = None,
 ) -> NoiseParams:
     """Ambient-noise update: psi-blend of the cross-block weighted moments
     and the within-block (1-P_q)-weighted moments.
 
     Each side of the blend is renormalized by its own mass so the update
-    stays defined when one side has no weight.
+    stays defined when one side has no weight.  `moments` is
+    pair_moments(net, state.tau), computed here when None.
     """
-    iu, ju = net.pair_nodes()
-    X = net.weights
-    tau, P = state.tau, state.P
-    same = np.einsum("pq,pq->p", tau[iu], tau[ju])
-    w_cross = np.maximum(1.0 - same, 0.0)
-    w_within = np.einsum("pq,pq,q->p", tau[iu], tau[ju], 1.0 - P)
-    mass_cross = w_cross.sum()
-    mass_within = w_within.sum()
+    if moments is None:
+        moments = pair_moments(net, state.tau)
+    K, Q = net.K, state.Q
+    cross, within = moments[Q], (1.0 - state.P) @ moments[:Q]
+    mass_cross, mass_within = cross[0], within[0]
     if mass_cross < _MASS_FLOOR and mass_within < _MASS_FLOOR:
         raise NumericalError("noise estimate undefined")
 
@@ -161,38 +175,47 @@ def m_step_noise(
             return stat_cross if mass_cross >= _MASS_FLOOR else stat_within
         return (w1 * stat_cross + w2 * stat_within) / total
 
-    def side_mean(w, mass, values):
-        if mass < _MASS_FLOOR:
-            return np.zeros(values.shape[1])
-        return (w @ values) / mass
+    def side_stats(side):
+        """(mean offset, per-layer variance) of one side; zeros without mass."""
+        if side[0] < _MASS_FLOOR:
+            return np.zeros(K), np.zeros(K)
+        offset, cov = _moment_stats(side, K)
+        h, k = np.triu_indices(K)
+        return offset, cov[h == k]
 
-    mu = blend(side_mean(w_cross, mass_cross, X), side_mean(w_within, mass_within, X))
-    dev2 = (X - mu) ** 2
-    var = blend(
-        side_mean(w_cross, mass_cross, dev2), side_mean(w_within, mass_within, dev2)
-    )
-    return NoiseParams(mu=mu, var=np.maximum(var, VAR_FLOOR))
+    (off_c, var_c), (off_w, var_w) = side_stats(cross), side_stats(within)
+    offset = blend(off_c, off_w)
+    # Each side's weighted mean of (x - mu)^2 is its variance plus the
+    # squared distance of its mean from mu.
+    var = blend(var_c + (off_c - offset) ** 2, var_w + (off_w - offset) ** 2)
+    return NoiseParams(mu=net.center + offset, var=np.maximum(var, VAR_FLOOR))
 
 
 def elbo(
-    net: MultilayerNetwork, params: ModelParams, state: VariationalState
+    net: MultilayerNetwork,
+    params: ModelParams,
+    state: VariationalState,
+    moments: np.ndarray | None = None,
 ) -> float:
     """Hierarchical evidence lower bound.
 
     Expected log-likelihood (signal, within-noise-block, and interstitial
     parts) plus the membership prior, both entropy terms (entropies
     increase the bound), and the P-level prior term; all logs clamped.
+    `moments` is pair_moments(net, state.tau), computed here when None.
     """
-    X = net.weights
-    ld_noise = log_density_batch(X, params.noise.mu, params.noise.covariance())
-    iu, ju = net.pair_nodes()
+    if moments is None:
+        moments = pair_moments(net, state.tau)
     tau, P = state.tau, state.P
-    same = np.einsum("pq,pq->p", tau[iu], tau[ju])
-    ll = float(np.dot(np.maximum(1.0 - same, 0.0), ld_noise))
-    for q, b in enumerate(params.blocks):
-        w = tau[iu, q] * tau[ju, q]
-        ld_q = log_density_batch(X, b.mu, b.covariance())
-        ll += P[q] * np.dot(w, ld_q) + (1.0 - P[q]) * np.dot(w, ld_noise)
+    Q = state.Q
+    with np.errstate(over="ignore", invalid="ignore"):  # caught by the finite check
+        noise, signal = law_coefficients(params, net.center)
+        # Cross-block pairs and the (1 - P_q) share of block q under the
+        # noise law, the P_q share under block q's law.
+        ll = float(
+            (moments[Q] + (1.0 - P) @ moments[:Q]) @ noise
+            + P @ np.einsum("qd,qd->q", moments[:Q], signal)
+        )
     terms = {
         "likelihood": ll,
         "membership prior": float(np.sum(tau * safe_log(params.alpha)[None, :])),
@@ -206,13 +229,14 @@ def elbo(
     return float(sum(terms.values()))
 
 
-def _m_step(net, state, psi, noise_prev=None) -> ModelParams:
-    """One full M-step: alpha, the noise update, and every block against the
-    previous noise parameters (against the new ones when there are none)."""
+def _m_step(net, state, psi, moments, noise_prev=None) -> ModelParams:
+    """One full M-step from the state's pair moments: alpha, the noise
+    update, and every block against the previous noise parameters (against
+    the new ones when there are none)."""
     alpha = m_step_alpha(state)
-    noise = m_step_noise(net, state, psi)
+    noise = m_step_noise(net, state, psi, moments)
     against = noise if noise_prev is None else noise_prev
-    blocks = [m_step_block(net, state, q, against) for q in range(state.Q)]
+    blocks = [m_step_block(net, state, q, against, moments) for q in range(state.Q)]
     return ModelParams(
         Q=state.Q, blocks=blocks, noise=noise, alpha=alpha, psi=psi, noise_block=None
     )
@@ -221,7 +245,7 @@ def _m_step(net, state, psi, noise_prev=None) -> ModelParams:
 def _bootstrap_params(net, state, psi) -> ModelParams:
     """Initial parameters from the initialized state: the loop's E-step needs
     model parameters, so run one M-step with noise estimated first."""
-    return _m_step(net, state, psi)
+    return _m_step(net, state, psi, pair_moments(net, state.tau))
 
 
 def fit(
@@ -266,8 +290,9 @@ def fit(
             tau, P = svi_e_step(net, params, state, it, svi)
         delta_tau = float(np.max(np.abs(tau - state.tau)))
         state = VariationalState(tau=tau, P=P)
-        params = _m_step(net, state, psi, params.noise)
-        value = elbo(net, params, state)
+        moments = pair_moments(net, tau)
+        params = _m_step(net, state, psi, moments, params.noise)
+        value = elbo(net, params, state, moments)
         trace.append(value)
         logger.info(
             "iter=%d elbo=%.10e dtau=%.3e minP=%.3e", it, value, delta_tau, state.P.min()
@@ -294,7 +319,7 @@ def fit(
         psi=psi,
         noise_block=q_nb,
     )
-    final = elbo(net, params, state)
+    final = elbo(net, params, state, moments)
     return FitResult(
         params=params,
         state=state,

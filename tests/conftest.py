@@ -34,6 +34,28 @@ def planted_network(sizes=(24, 20, 16), seed=0):
     return net, labels, params
 
 
+def offset_planted_network(seed=0):
+    """Planted 2-layer 3-block network with every mean near 20 and every
+    variance near 0.06 (block 0 noise): Gaussian sums over its pairs lose
+    digits to cancellation unless the weights are centred."""
+    params = sbanm.ModelParams(
+        Q=3,
+        blocks=[
+            sbanm.BlockParams(mu=(20.0, 20.1), var=(0.06, 0.07), rho=0.0),
+            sbanm.BlockParams(mu=(20.6, 19.5), var=(0.05, 0.06), rho=0.3),
+            sbanm.BlockParams(mu=(19.4, 20.5), var=(0.07, 0.05), rho=-0.2),
+        ],
+        noise=sbanm.NoiseParams(mu=(20.0, 20.1), var=(0.06, 0.07)),
+        alpha=(0.4, 0.3, 0.3),
+        psi=sbanm.psi(3),
+        noise_block=0,
+    )
+    net, labels = sbanm.gen_network(
+        params, np.array([40, 30, 30]), substream(seed, "offset-network")
+    )
+    return net, labels, params
+
+
 def random_network(n, K, seed=0):
     rng = substream(seed, "raw-net")
     return sbanm.MultilayerNetwork(

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 import sbanm
 from sbanm import ari, exact_recovery, nmi, optimal_matching, param_report
 from sbanm.errors import DataError
+from sbanm.model import log_density_batch
 from sbanm.rng import substream
 
-from conftest import planted_network
+from conftest import offset_planted_network, planted_network
 
 
 def brute_force_rand_terms(a, b):
@@ -230,6 +231,34 @@ class TestIcl:
             n * (n - 1) / 2
         )
         assert got == pytest.approx(ll - middle - pen, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", [21, 22, 23, 24])
+    def test_offset_network_matches_per_pair_reference(self, seed):
+        net, labels, params = offset_planted_network(seed=seed)
+        tau = np.eye(3)[labels]
+        result = sbanm.FitResult(
+            params=params,
+            state=sbanm.VariationalState(tau=tau, P=[1e-9, 0.9, 0.9]),
+            hard_membership=labels,
+            elbo_trace=np.array([]),
+            converged=True,
+            elbo=0.0,
+        )
+        iu, ju = net.pair_nodes()
+        li, lj = labels[iu], labels[ju]
+        signal = (li == lj) & (li != params.noise_block)
+        ld = log_density_batch(net.weights, params.noise.mu, params.noise.covariance())
+        for q in np.unique(li[signal]):
+            b = params.blocks[q]
+            mask = signal & (li == q)
+            ld[mask] = log_density_batch(net.weights[mask], b.mu, b.covariance())
+        ll = math.fsum(ld) + float(np.log(params.alpha)[labels].sum())
+        n, K, Q = net.n, net.K, 3
+        middle = 0.5 * Q * (Q - 1) * math.log(n * (K - 1))
+        pen = Q * math.log(n * (n - 1) * K / 2) + (Q * (Q - 1) / 2) * K * math.log(
+            n * (n - 1) / 2
+        )
+        assert sbanm.icl(net, result) == pytest.approx(ll - middle - pen, rel=1e-12, abs=0)
 
     def test_k1_guard(self):
         # middle term falls back to log(n * 1) instead of log(0)

@@ -17,7 +17,16 @@ from sbanm import (
     psi,
 )
 from sbanm.errors import DataError, NumericalError
-from sbanm.model import log_density_batch
+from sbanm import model
+from sbanm.model import (
+    gaussian_coefficients,
+    log_density_batch,
+    pair_features,
+    pair_moments,
+    pair_tiles,
+    pairs_to_square,
+)
+from sbanm.rng import substream
 
 
 def dense_log_density(x, mu, cov):
@@ -76,6 +85,63 @@ class TestLogDensity:
     def test_non_spd_covariance_rejected(self):
         with pytest.raises(NumericalError, match="not positive definite"):
             log_density([0.0, 0.0], [0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])
+
+
+class TestGaussianCoefficients:
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
+    @pytest.mark.parametrize("rho", [0.0, 0.35, -0.2])
+    def test_matches_log_density_batch(self, K, rho):
+        # rho = 0 is a diagonal covariance; offset means, small variances.
+        rng = substream(K, "coefficients", rho)
+        mu = 20.0 + rng.normal(size=K)
+        var = rng.uniform(0.05, 2.0, size=K)
+        cov = build_covariance(var, rho if K > 1 else 0.0)
+        x = rng.multivariate_normal(mu + 0.3, cov, size=200)
+        center = x.mean(axis=0)
+        theta = gaussian_coefficients(mu, cov, center)
+        got = pair_features(x, center).T @ theta
+        want = log_density_batch(x, mu, cov)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_non_spd_covariance_rejected(self):
+        with pytest.raises(NumericalError):
+            gaussian_coefficients([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]], [0.0, 0.0])
+
+
+class TestPairPasses:
+    @pytest.mark.parametrize("m, tile", [(2, 4096), (9, 4096), (9, 7), (40, 30)])
+    def test_tiles_walk_every_pair_once_in_order(self, m, tile, monkeypatch):
+        # A tile of 7 is shorter than the longest rows (8 pairs).
+        monkeypatch.setattr(model, "PAIR_TILE", tile)
+        tiles = list(pair_tiles(m))
+        iu, ju = np.triu_indices(m, 1)
+        assert [p0 for p0, _, _, _ in tiles] == [0] + [p1 for _, p1, _, _ in tiles[:-1]]
+        assert tiles[-1][1] == iu.size
+        assert np.array_equal(np.concatenate([I for *_, I, _ in tiles]), iu)
+        assert np.array_equal(np.concatenate([J for *_, J in tiles]), ju)
+
+    def test_moments_match_per_pair_sums(self):
+        # 4950 pairs: the moment pass spans two tiles.
+        rng = substream(5, "moments")
+        n, K, Q = 100, 3, 4
+        net = MultilayerNetwork(n=n, K=K, weights=rng.normal(size=(n * (n - 1) // 2, K)))
+        tau = rng.dirichlet(np.ones(Q), size=n)
+        iu, ju = net.pair_nodes()
+        w = tau[iu] * tau[ju]
+        w = np.column_stack([w, np.maximum(1.0 - w.sum(axis=1), 0.0)])
+        y = net.weights - net.weights.mean(axis=0)
+        h, k = np.triu_indices(K)
+        phi = np.column_stack([np.ones(len(y)), y, y[:, h] * y[:, k]])
+        assert np.allclose(pair_moments(net, tau), w.T @ phi, rtol=1e-12, atol=1e-10)
+
+    def test_pairs_to_square_matches_index_fill(self):
+        rng = substream(6, "square")
+        values = rng.normal(size=(15, 2))
+        iu, ju = np.triu_indices(6, 1)
+        want = np.zeros((6, 6, 2))
+        want[iu, ju] = values
+        want[ju, iu] = values
+        assert np.array_equal(pairs_to_square(6, values), want)
 
 
 class TestBuildCovariance:

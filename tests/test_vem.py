@@ -22,10 +22,10 @@ from sbanm import (
     m_step_noise,
 )
 from sbanm.errors import NumericalError
-from sbanm.model import EPS_PROB, clamp_rho, log_density
+from sbanm.model import EPS_PROB, clamp_rho, log_density, log_density_batch
 from sbanm.rng import substream
 
-from conftest import planted_network
+from conftest import offset_planted_network, planted_network
 
 
 def constant_network(n, K, value):
@@ -418,6 +418,32 @@ class TestElbo:
         got = elbo(net, params, state)
         assert got == pytest.approx(complete + prior + hier, rel=1e-6)
 
+    @pytest.mark.parametrize("seed", [21, 22, 23])
+    def test_offset_network_matches_per_pair_reference(self, seed):
+        # Memberships near the planted ones, where the likelihood is a sum
+        # of near-cancelling densities; 4950 pairs span two moment tiles.
+        net, labels, params = offset_planted_network(seed=seed)
+        tau = np.full((net.n, 3), 0.05)
+        tau[np.arange(net.n), labels] = 0.9
+        P = np.array([0.1, 0.9, 0.8])
+        state = VariationalState(tau=tau, P=P)
+        iu, ju = net.pair_nodes()
+        w = tau[iu] * tau[ju]
+        ld_noise = log_density_batch(net.weights, params.noise.mu, params.noise.covariance())
+        parts = [np.maximum(1.0 - w.sum(axis=1), 0.0) * ld_noise]
+        for q, b in enumerate(params.blocks):
+            ld = log_density_batch(net.weights, b.mu, b.covariance())
+            parts.append(w[:, q] * (P[q] * ld + (1.0 - P[q]) * ld_noise))
+        psi = params.psi
+        rest = (
+            np.sum(tau @ np.log(params.alpha))
+            - np.sum(tau * np.log(tau))
+            - np.sum(P * np.log(P) + (1 - P) * np.log(1 - P))
+            + tau.sum(axis=0) @ (P * math.log(psi) + (1 - P) * math.log(1 - psi))
+        )
+        expected = math.fsum(np.concatenate(parts)) + rest
+        assert elbo(net, params, state) == pytest.approx(expected, rel=1e-12, abs=0)
+
 
 class TestFit:
     def test_exp2_instance_recovers_exactly(self):
@@ -469,25 +495,35 @@ class TestFit:
             got = m_step_block(net, state, q, params.noise)
             assert np.allclose(got.mu, classic, atol=1e-8)
 
-    def test_one_log_density_pass_per_e_step_and_elbo(self, planted60, monkeypatch):
-        # Each pass is one call per block plus one for noise: one pass per
-        # full-batch E-step, one per ELBO, and one for the final ELBO.
+    def test_fit_and_icl_make_one_moment_pass_per_m_step(self, planted60, monkeypatch):
+        # No per-pair log-density anywhere; one moment pass for the
+        # bootstrap M-step and one per outer iteration (shared by that
+        # iteration's M-step and ELBO, the last also by the final ELBO);
+        # one gap pass per E-step.
         net, _, _ = planted60
-        original = sbanm.model.log_density_batch
-        calls = [0]
+        calls = {}
 
-        def counted(*args, **kwargs):
-            calls[0] += 1
-            return original(*args, **kwargs)
+        def count(original, key):
+            calls[key] = 0
 
-        for name, module in list(sys.modules.items()):
-            if name == "sbanm" or name.startswith("sbanm."):
-                for attr, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, attr, counted)
+            def counted(*args, **kwargs):
+                calls[key] += 1
+                return original(*args, **kwargs)
+
+            for name, module in list(sys.modules.items()):
+                if name == "sbanm" or name.startswith("sbanm."):
+                    for attr, value in list(vars(module).items()):
+                        if value is original:
+                            monkeypatch.setattr(module, attr, counted)
+
+        count(sbanm.model.log_density_batch, "log_density_batch")
+        count(sbanm.model.pair_moments, "pair_moments")
+        count(sbanm.estep._gap_squares, "gaps")
         result = fit(net, FitConfig(Q=3, seed=2))
         T = len(result.elbo_trace)
-        assert calls[0] == (2 * T + 1) * (3 + 1)
+        assert calls == {"log_density_batch": 0, "pair_moments": T + 1, "gaps": T}
+        sbanm.icl(net, result)
+        assert calls["log_density_batch"] == 0
 
     def test_hard_membership_is_row_argmax(self, planted60):
         net, _, _ = planted60
