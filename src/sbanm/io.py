@@ -5,8 +5,17 @@ File formats
 ------------
 Network (TSV, UTF-8): header line ``#sbanm-net v1 n=<n> K=<K>``, then
 exactly n(n-1)/2 lines ``i<TAB>j<TAB>w1<TAB>...<TAB>wK`` with 0-based
-i < j in lexicographic pair order; floats printed with 17 significant
-digits so write(read(f)) reproduces f byte for byte.
+integer i < j in lexicographic pair order and finite weights; floats
+printed with 17 significant digits so write(read(f)) reproduces f byte
+for byte.  The reader accepts exactly this grammar, with numbers in
+any spelling Python's int() and float() take: no blank line, no index
+written as a float (``1.0``), no missing or extra pair.  A file
+that breaks it raises DataError naming the offending line, before
+anything sized by the header is allocated.  The writer formats a tile
+of pairs at a time and streams the tiles into the atomic temp file; the
+reader parses the pair lines with one streaming np.loadtxt call, checks
+them vectorised, and re-reads the file line by line only to report an
+error.
 
 Responses (CSV): header ``subject,<layer>:<item>,...``; cells in {1,0,NA}.
 
@@ -24,13 +33,22 @@ import math
 import os
 import re
 import tempfile
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from io import StringIO
+from typing import TextIO
 
 import numpy as np
 
 from .errors import DataError
-from .model import BlockParams, ModelParams, MultilayerNetwork, NoiseParams, num_pairs
+from .model import (
+    BlockParams,
+    ModelParams,
+    MultilayerNetwork,
+    NoiseParams,
+    num_pairs,
+    pair_tiles,
+)
 
 _R_CLAMP = 1e-7   # keeps agreement ratios inside atanh's domain
 _P_CLAMP = 1e-12  # keeps strength ratios inside logit's domain
@@ -127,13 +145,15 @@ def sum_layers(net: MultilayerNetwork) -> MultilayerNetwork:
     )
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """Write via a temp file in the same directory, then rename."""
+def _atomic_write(path: str, text: str | Iterable[str]) -> None:
+    """Write text, or a stream of text chunks, via a temp file in the same
+    directory, then rename; on any error the temp file is removed and an
+    existing file at path keeps its bytes."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -145,14 +165,94 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _network_chunks(net: MultilayerNetwork) -> Iterator[str]:
+    """The canonical text of a network: the header, then one chunk per pair
+    tile, each a single %-format of the row template over the tile."""
+    yield f"#sbanm-net v1 n={net.n} K={net.K}\n"
+    row = "%d\t%d" + "\t%.17g" * net.K + "\n"
+    for p0, p1, I, J in pair_tiles(net.n):
+        fields = np.empty((p1 - p0, 2 + net.K), dtype=object)
+        fields[:, 0] = I
+        fields[:, 1] = J
+        fields[:, 2:] = net.weights[p0:p1]
+        yield (row * (p1 - p0)) % tuple(fields.ravel().tolist())
+
+
 def write_network(net: MultilayerNetwork, path: str) -> None:
-    """Serialize a network in canonical form (atomic write)."""
-    iu, ju = net.pair_nodes()
-    lines = [f"#sbanm-net v1 n={net.n} K={net.K}"]
-    for p in range(net.n_pairs):
-        vals = "\t".join(_fmt(v) for v in net.weights[p])
-        lines.append(f"{iu[p]}\t{ju[p]}\t{vals}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    """Serialize a network in canonical form (atomic, streamed write)."""
+    _atomic_write(path, _network_chunks(net))
+
+
+def _body_lines(fh: TextIO, n_pairs: int) -> Iterator[str]:
+    """Yield the pair lines of a network file, raising ValueError unless
+    there are exactly n_pairs of them and none is blank (np.loadtxt would
+    skip a blank line silently)."""
+    count = 0
+    for line in fh:
+        if line == "\n" or count == n_pairs:
+            raise ValueError("not a canonical pair list")
+        count += 1
+        yield line
+    if count != n_pairs:
+        raise ValueError("not a canonical pair list")
+
+
+def _read_pairs(fh: TextIO, n: int, K: int) -> np.ndarray | None:
+    """Parse the pair lines with one streaming np.loadtxt call and check
+    them vectorised; None unless the file is canonical."""
+    try:
+        dtype = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64, (K,))])
+        rows = np.loadtxt(
+            _body_lines(fh, num_pairs(n)), dtype=dtype, delimiter="\t",
+            comments=None, ndmin=1,
+        )
+    except ValueError:
+        return None
+    if not np.isfinite(rows["w"]).all():
+        return None
+    for p0, p1, I, J in pair_tiles(n):
+        if not (np.array_equal(rows["i"][p0:p1], I) and np.array_equal(rows["j"][p0:p1], J)):
+            return None
+    return np.ascontiguousarray(rows["w"])
+
+
+def _read_pairs_by_line(path: str, fh: TextIO, n: int, K: int) -> np.ndarray:
+    """Parse the pair lines one at a time; raises the DataError that names
+    the first offending line.  Runs only on files _read_pairs rejects."""
+    n_pairs = num_pairs(n)
+    rows = []
+    expect_i, expect_j = 0, 1
+    for lineno, raw in enumerate(fh, start=2):
+        line = raw.rstrip("\n")
+        if not line:
+            raise DataError(f"{path}:{lineno}: unexpected blank line")
+        parts = line.split("\t")
+        if len(parts) != 2 + K:
+            raise DataError(f"{path}:{lineno}: expected {2 + K} fields")
+        if len(rows) >= n_pairs:
+            raise DataError(f"{path}:{lineno}: more pairs than n(n-1)/2")
+        try:
+            i, j = int(parts[0]), int(parts[1])
+            vals = [float(v) for v in parts[2:]]
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
+        if (i, j) != (expect_i, expect_j):
+            raise DataError(
+                f"{path}:{lineno}: incomplete dense pair list "
+                f"(expected pair {expect_i},{expect_j}, got {i},{j})"
+            )
+        if not all(math.isfinite(v) for v in vals):
+            raise DataError(f"{path}:{lineno}: non-finite weight")
+        rows.append(vals)
+        expect_j += 1
+        if expect_j == n:
+            expect_i += 1
+            expect_j = expect_i + 1
+    if len(rows) != n_pairs:
+        raise DataError(f"{path}: incomplete dense pair list ({len(rows)} of {n_pairs} pairs)")
+    # Python's int() and float() take a few spellings np.loadtxt refuses,
+    # such as 1_5; such a file is still read.
+    return np.array(rows, dtype=float)
 
 
 def read_network(path: str) -> MultilayerNetwork:
@@ -165,38 +265,11 @@ def read_network(path: str) -> MultilayerNetwork:
         n, K = int(m.group(1)), int(m.group(2))
         if n < 2 or K < 1:
             raise DataError(f"{path}:1: invalid dimensions n={n}, K={K}")
-        weights = np.empty((num_pairs(n), K), dtype=float)
-        p = 0
-        expect_i, expect_j = 0, 1
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.rstrip("\n")
-            if not line:
-                raise DataError(f"{path}:{lineno}: unexpected blank line")
-            parts = line.split("\t")
-            if len(parts) != 2 + K:
-                raise DataError(f"{path}:{lineno}: expected {2 + K} fields")
-            if p >= num_pairs(n):
-                raise DataError(f"{path}:{lineno}: more pairs than n(n-1)/2")
-            try:
-                i, j = int(parts[0]), int(parts[1])
-                vals = [float(v) for v in parts[2:]]
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-            if (i, j) != (expect_i, expect_j):
-                raise DataError(
-                    f"{path}:{lineno}: incomplete dense pair list "
-                    f"(expected pair {expect_i},{expect_j}, got {i},{j})"
-                )
-            if not all(math.isfinite(v) for v in vals):
-                raise DataError(f"{path}:{lineno}: non-finite weight")
-            weights[p] = vals
-            p += 1
-            expect_j += 1
-            if expect_j == n:
-                expect_i += 1
-                expect_j = expect_i + 1
-        if p != num_pairs(n):
-            raise DataError(f"{path}: incomplete dense pair list ({p} of {num_pairs(n)} pairs)")
+        body = fh.tell()
+        weights = _read_pairs(fh, n, K)
+        if weights is None:
+            fh.seek(body)
+            weights = _read_pairs_by_line(path, fh, n, K)
     return MultilayerNetwork(n=n, K=K, weights=weights)
 
 

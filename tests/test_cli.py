@@ -193,6 +193,13 @@ class TestExitCodes:
         assert run_cli("fit", "--input", str(bad), "--blocks", "2",
                        "--out", str(tmp_path / "o")) == 2
 
+    def test_large_declared_n_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("#sbanm-net v1 n=3000000 K=2\n0\t1\t1\t2\n")
+        assert run_cli("fit", "--input", str(bad), "--blocks", "2",
+                       "--out", str(tmp_path / "o")) == 2
+        assert "incomplete dense pair list (1 of 4499998500000 pairs)" in capsys.readouterr().err
+
     def test_missing_file_is_plain_error(self, tmp_path):
         assert run_cli("fit", "--input", str(tmp_path / "nope.tsv"), "--blocks", "2",
                        "--out", str(tmp_path / "o")) == 1

@@ -1,4 +1,6 @@
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -16,7 +18,9 @@ from sbanm import (
     sum_layers,
     write_network,
 )
+from sbanm import io as sbanm_io
 from sbanm.errors import DataError
+from sbanm.model import pair_tiles
 
 from conftest import random_network
 
@@ -190,8 +194,6 @@ class TestNetworkFile:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_round_trip_property(self, seed):
-        import tempfile, os
-
         net = random_network(5, 2, seed=seed)
         with tempfile.TemporaryDirectory() as tmp:
             p1, p2 = os.path.join(tmp, "a.tsv"), os.path.join(tmp, "b.tsv")
@@ -199,6 +201,216 @@ class TestNetworkFile:
             write_network(read_network(p1), p2)
             with open(p1, "rb") as f1, open(p2, "rb") as f2:
                 assert f1.read() == f2.read()
+
+
+def read_by_line(path):
+    """The line-by-line parser run on a whole network file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        m = sbanm_io._NET_HEADER.match(fh.readline().rstrip("\n"))
+        n, K = int(m.group(1)), int(m.group(2))
+        return sbanm_io._read_pairs_by_line(path, fh, n, K)
+
+
+def outcome(read, path):
+    """(weight bytes, None) or (None, DataError message) of one parse."""
+    try:
+        return read(path).tobytes(), None
+    except DataError as exc:
+        return None, str(exc)
+
+
+def reference_network_text(net):
+    """The canonical text, written one pair at a time."""
+    iu, ju = np.triu_indices(net.n, 1)
+    lines = [f"#sbanm-net v1 n={net.n} K={net.K}"]
+    for p in range(net.n_pairs):
+        vals = "\t".join(format(float(v), ".17g") for v in net.weights[p])
+        lines.append(f"{iu[p]}\t{ju[p]}\t{vals}")
+    return "\n".join(lines) + "\n"
+
+
+class TestNetworkFileErrors:
+    """Every reader error, with the line it names."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            pytest.param(
+                "#sbanm-net v1 n=3 K=1\n0\t1\t1\n\n0\t2\t2\n1\t2\t3\n",
+                ":3: unexpected blank line",
+                id="blank-line",
+            ),
+            pytest.param(
+                "#sbanm-net v1 n=3 K=1\n0\t1\t1\n0\t2\t2\n1\t2\t3\n\n",
+                ":5: unexpected blank line",
+                id="blank-after-all-pairs",
+            ),
+            pytest.param(
+                "#sbanm-net v1 n=3 K=1\n0\t1\t1\n \n0\t2\t2\n1\t2\t3\n",
+                ":3: expected 3 fields",
+                id="space-line",
+            ),
+            pytest.param(
+                "#sbanm-net v1 n=3 K=1\n0\t1\t1\t2\n0\t2\t2\n1\t2\t3\n",
+                ":2: expected 3 fields",
+                id="field-count",
+            ),
+            pytest.param(
+                "#sbanm-net v1 n=2 K=1\n0\t1\t1\n0\t1\t1\n",
+                ":3: more pairs than n(n-1)/2",
+                id="extra-pair",
+            ),
+            pytest.param(
+                "#sbanm-net v1 n=3 K=1\n0\t2\t2\n0\t1\t1\n1\t2\t3\n",
+                ":2: incomplete dense pair list (expected pair 0,1, got 0,2)",
+                id="out-of-order",
+            ),
+            pytest.param(
+                "#sbanm-net v1 n=3 K=1\n0\t1\t1\n1\t2\t3\n0\t2\t2\n",
+                ":3: incomplete dense pair list (expected pair 0,2, got 1,2)",
+                id="wrong-i",
+            ),
+            pytest.param(
+                "#sbanm-net v1 n=3 K=1\n0\t1.0\t1\n0\t2\t2\n1\t2\t3\n",
+                ":2: invalid literal for int() with base 10: '1.0'",
+                id="float-index",
+            ),
+            pytest.param(
+                "#sbanm-net v1 n=3 K=1\n0\t1\t1\n0\t2\tx\n1\t2\t3\n",
+                ":3: could not convert string to float: 'x'",
+                id="bad-float",
+            ),
+            pytest.param(
+                "#sbanm-net v1 n=3 K=1\n0\t1\t1\n0\t2\tnan\n1\t2\t3\n",
+                ":3: non-finite weight",
+                id="nan",
+            ),
+            pytest.param(
+                "#sbanm-net v1 n=3 K=1\n",
+                ": incomplete dense pair list (0 of 3 pairs)",
+                id="no-pairs",
+            ),
+            pytest.param(
+                "#sbanm-net v1 n=1 K=1\n",
+                ":1: invalid dimensions n=1, K=1",
+                id="n=1",
+            ),
+            pytest.param(
+                "#sbanm-net v1 n=3 K=0\n0\t1\n0\t2\n1\t2\n",
+                ":1: invalid dimensions n=3, K=0",
+                id="K=0",
+            ),
+        ],
+    )
+    def test_error_names_line(self, tmp_path, text, message):
+        path = tmp_path / "net.tsv"
+        path.write_text(text)
+        with pytest.raises(DataError) as info:
+            read_network(str(path))
+        assert str(info.value) == f"{path}{message}"
+
+    def test_large_declared_n_is_data_error(self, tmp_path):
+        # n(n-1)/2 * K floats would be 65.5 TiB: nothing may be sized by
+        # the header before the pairs are counted.
+        path = tmp_path / "net.tsv"
+        path.write_text("#sbanm-net v1 n=3000000 K=2\n0\t1\t1\t2\n")
+        message = f"{path}: incomplete dense pair list (1 of 4499998500000 pairs)"
+        with pytest.raises(DataError) as info:
+            read_network(str(path))
+        assert str(info.value) == message
+        with pytest.raises(DataError) as info:
+            read_by_line(str(path))
+        assert str(info.value) == message
+
+    def test_canonical_file_skips_line_parser(self, tmp_path, monkeypatch):
+        net = random_network(12, 2, seed=4)
+        path = tmp_path / "net.tsv"
+        write_network(net, str(path))
+
+        def fail(*args):
+            raise AssertionError("line parser ran on a canonical file")
+
+        monkeypatch.setattr(sbanm_io, "_read_pairs_by_line", fail)
+        assert np.array_equal(read_network(str(path)).weights, net.weights)
+
+    def test_spelling_only_python_takes_is_still_read(self, tmp_path):
+        path = tmp_path / "net.tsv"
+        path.write_text("#sbanm-net v1 n=2 K=1\n0\t1\t1_5\n")
+        assert read_network(str(path)).weights.tolist() == [[15.0]]
+
+
+def mutate(lines, rng, kind):
+    """Apply one random edit of the given kind to the pair lines."""
+    lines = list(lines)
+    p = int(rng.integers(len(lines)))
+    if kind == "drop":
+        del lines[p]
+    elif kind == "duplicate":
+        lines.insert(p, lines[p])
+    elif kind == "swap":
+        q = int(rng.integers(len(lines)))
+        lines[p], lines[q] = lines[q], lines[p]
+    elif kind == "blank":
+        lines.insert(int(rng.integers(len(lines) + 1)), "")
+    elif kind == "drop-tab":
+        fields = lines[p].split("\t")
+        f = int(rng.integers(len(fields) - 1))
+        lines[p] = "\t".join(fields[:f] + [fields[f] + fields[f + 1]] + fields[f + 2:])
+    else:
+        fields = lines[p].split("\t")
+        fields[int(rng.integers(len(fields)))] = kind
+        lines[p] = "\t".join(fields)
+    return lines
+
+
+class TestNetworkFileFastPath:
+    @given(
+        n=st.sampled_from([2, 3, 4, 7, 12, 95]),
+        K=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(
+            ["drop", "duplicate", "swap", "blank", "drop-tab", "nan", "1.0", "1_5", "x"]
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_line_parser(self, n, K, seed, kind):
+        # n=95 spans two pair tiles.
+        net = random_network(n, K, seed=seed)
+        header, *lines = reference_network_text(net).splitlines()
+        lines = mutate(lines, np.random.default_rng(seed), kind)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "net.tsv")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("\n".join([header] + lines) + "\n")
+            fast = outcome(lambda p: read_network(p).weights, path)
+            assert fast == outcome(read_by_line, path)
+
+    def test_round_trip_across_tiles_is_byte_identical(self, tmp_path):
+        net = random_network(130, 2, seed=5)
+        assert len(list(pair_tiles(net.n))) == 3
+        p1, p2 = tmp_path / "a.tsv", tmp_path / "b.tsv"
+        write_network(net, str(p1))
+        assert p1.read_text() == reference_network_text(net)
+        back = read_network(str(p1))
+        assert np.array_equal(back.weights, net.weights)
+        write_network(back, str(p2))
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def test_failed_write_keeps_destination(self, tmp_path, monkeypatch):
+        path = tmp_path / "net.tsv"
+        path.write_bytes(b"old bytes\n")
+        real_tiles = sbanm_io.pair_tiles
+
+        def tiles_then_fail(m):
+            tiles = real_tiles(m)
+            yield next(tiles)
+            raise RuntimeError("disk full")
+
+        monkeypatch.setattr(sbanm_io, "pair_tiles", tiles_then_fail)
+        with pytest.raises(RuntimeError, match="disk full"):
+            write_network(random_network(130, 2, seed=6), str(path))
+        assert path.read_bytes() == b"old bytes\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["net.tsv"]
 
 
 class TestMembershipAndParamsFiles:
