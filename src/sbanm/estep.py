@@ -9,6 +9,7 @@ and averages the result into the running estimates.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg.blas import dspmv
 from scipy.special import log_expit, logsumexp
 
 from .errors import NumericalError
@@ -28,27 +29,30 @@ from .model import (
 
 def _gap_squares(net: MultilayerNetwork, params: ModelParams, nodes) -> np.ndarray:
     """Each block's signal-minus-noise log-density gap over the pairs inside
-    `nodes` (all nodes when None), as Q symmetric (m, m) matrices."""
+    `nodes` (all nodes when None), as Q packed symmetric m x m matrices of
+    shape (Q, m(m+1)/2): the rows of the upper triangle one after another,
+    each starting at its (zero) diagonal entry.  That is the memory of
+    BLAS's column-major lower packed layout, which _packed_matvec takes."""
     m = net.n if nodes is None else nodes.size
     # Overflow or inf - inf here is caught by the E-step's finite check.
     with np.errstate(over="ignore", invalid="ignore"):
         noise, blocks = law_coefficients(params, net.center)
         coef = blocks - noise
-        gap_sq = np.zeros((params.Q, m, m))
+        gap_sq = np.zeros((params.Q, m * (m + 1) // 2))
         for p0, p1, I, J in pair_tiles(m):
             if nodes is None:
                 X = net.weights[p0:p1]
             else:
                 X = net.weights[pair_index(net.n, nodes[I], nodes[J])]
-            gaps = coef @ pair_features(X, net.center)
-            # The tile is whole rows of the pair order; row i holds (i, j > i).
-            start = 0
-            for i in range(I[0], I[-1] + 1):
-                row = gaps[:, start : start + m - 1 - i]
-                gap_sq[:, i, i + 1 :] = row
-                gap_sq[:, i + 1 :, i] = row
-                start += m - 1 - i
+            # Rows 0..i hold i + 1 diagonal entries before pair p of row i.
+            slots = np.arange(p0 + 1, p1 + 1) + I
+            gap_sq[:, slots] = coef @ pair_features(X, net.center)
     return gap_sq
+
+
+def _packed_matvec(gap: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The product of one packed gap matrix from _gap_squares with x."""
+    return dspmv(x.size, 1.0, gap, x, lower=1)
 
 
 def e_step(
@@ -87,7 +91,7 @@ def e_step(
     for it in range(inner):
         logits = np.empty(tau_new.shape)
         for q, gap in enumerate(gap_sq):
-            logits[:, q] = P[q] * (gap @ tau_new[:, q])
+            logits[:, q] = P[q] * _packed_matvec(gap, tau_new[:, q])
         logits += const
         if not np.all(np.isfinite(logits)):
             raise NumericalError(f"tau update diverged at inner iteration {it}")
@@ -99,9 +103,9 @@ def e_step(
         if delta < tol:
             break
 
-    # The square holds each pair twice, hence the half.
+    # The symmetric matrix holds each pair twice, hence the half.
     gaps = np.array(
-        [0.5 * (tau_new[:, q] @ (gap @ tau_new[:, q])) for q, gap in enumerate(gap_sq)]
+        [0.5 * (tau @ _packed_matvec(gap, tau)) for tau, gap in zip(tau_new.T, gap_sq)]
     )
     psi_c = clip_prob(params.psi)
     log_nhat = log_expit(-gaps + np.log((1.0 - psi_c) / psi_c))

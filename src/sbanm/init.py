@@ -10,10 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.sparse.linalg import ArpackError, eigsh
 
 from .errors import DataError, NumericalError
-from .io import sum_layers
 from .model import MultilayerNetwork, VariationalState, clip_prob, pairs_to_square
 from .rng import substream
 
@@ -41,17 +40,28 @@ def spectral_embedding(net: MultilayerNetwork, Q: int) -> np.ndarray:
 
     The summed graph is shifted to nonnegative affinities (Fisher-type
     weights can be negative), then L = I - D^{-1/2} A D^{-1/2} with a
-    degree floor for isolated nodes.
+    degree floor for isolated nodes.  The eigenvectors of L's Q smallest
+    eigenvalues are those of M = D^{-1/2} A D^{-1/2}'s Q largest; Lanczos
+    (ARPACK) finds them with O(n^2) work per product with M, which is
+    built in place in the one n x n array.  Its start vector is fixed, so
+    the embedding is a deterministic function of the network.
     """
-    flat = sum_layers(net).weights[:, 0]
-    A = pairs_to_square(net.n, flat - flat.min())
-    deg = np.maximum(A.sum(axis=1), _DEGREE_FLOOR)
+    if not 1 <= Q < net.n:
+        raise DataError(f"spectral embedding needs 1 <= Q < n, got Q={Q}, n={net.n}")
+    flat = net.weights.sum(axis=1)
+    flat -= flat.min()
+    M = pairs_to_square(net.n, flat)
+    deg = np.maximum(M.sum(axis=1), _DEGREE_FLOOR)
     dinv = 1.0 / np.sqrt(deg)
-    L = np.eye(net.n) - dinv[:, None] * A * dinv[None, :]
+    M *= dinv[:, None]
+    M *= dinv[None, :]
+    v0 = substream(0, "spectral-start").uniform(-1.0, 1.0, net.n)
     try:
-        _, vecs = scipy.linalg.eigh(L, subset_by_index=[0, Q - 1])
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+        _, vecs = eigsh(M, k=Q, which="LA", v0=v0)
+    except ArpackError as exc:
         raise NumericalError("spectral initialization failed") from exc
+    # eigsh returns ascending eigenvalues of M; L's smallest come first.
+    vecs = vecs[:, ::-1]
     norms = np.maximum(np.linalg.norm(vecs, axis=1), _DEGREE_FLOOR)
     return vecs / norms[:, None]
 

@@ -34,6 +34,7 @@ import os
 import re
 import tempfile
 from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from io import StringIO
 from typing import TextIO
@@ -165,6 +166,32 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _undecodable(path: str) -> DataError:
+    """The DataError for a file that is not valid UTF-8, naming its first
+    line that does not decode."""
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return DataError(
+                    f"{path}:{lineno}: not valid UTF-8 "
+                    f"(byte {line[exc.start]:#04x} at column {exc.start + 1})"
+                )
+    return DataError(f"{path}: not valid UTF-8")
+
+
+@contextmanager
+def _open_utf8(path: str, newline: str | None = None) -> Iterator[TextIO]:
+    """Open path for reading as UTF-8 text; a decoding error in the block
+    raises _undecodable(path)."""
+    with open(path, "r", encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise _undecodable(path) from exc
+
+
 def _network_chunks(net: MultilayerNetwork) -> Iterator[str]:
     """The canonical text of a network: the header, then one chunk per pair
     tile, each a single %-format of the row template over the tile."""
@@ -257,7 +284,7 @@ def _read_pairs_by_line(path: str, fh: TextIO, n: int, K: int) -> np.ndarray:
 
 def read_network(path: str) -> MultilayerNetwork:
     """Parse a canonical network file; errors name the offending line."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_utf8(path) as fh:
         header = fh.readline().rstrip("\n")
         m = _NET_HEADER.match(header)
         if not m:
@@ -279,7 +306,7 @@ def read_responses(path: str) -> ResponseMatrix:
     Layers are taken from the ``<layer>:<item>`` column headers in order of
     first appearance.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with _open_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -340,7 +367,7 @@ def write_memberships(
 
 def read_memberships(path: str) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Returns (node names, hard labels, tau matrix)."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with _open_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -389,7 +416,7 @@ def write_params(
 
 def read_params(path: str) -> tuple[ModelParams, dict]:
     """Returns (ModelParams, extras) where extras holds elbo/icl/seed."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_utf8(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:

@@ -200,6 +200,20 @@ class TestExitCodes:
                        "--out", str(tmp_path / "o")) == 2
         assert "incomplete dense pair list (1 of 4499998500000 pairs)" in capsys.readouterr().err
 
+    def test_undecodable_network_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(b"#sbanm-net v1 n=2 K=1\n0\t1\t\xff\n")
+        assert run_cli("fit", "--input", str(bad), "--blocks", "2",
+                       "--out", str(tmp_path / "o")) == 2
+        assert f"{bad}:2: not valid UTF-8" in capsys.readouterr().err
+
+    def test_undecodable_truth_is_data_error(self, planted_files, tmp_path, capsys):
+        _, truth_path = planted_files
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(truth_path.read_bytes().replace(b"\n1,", b"\n\xff,", 1))
+        assert run_cli("eval", "--truth", str(bad), "--pred", str(truth_path)) == 2
+        assert f"{bad}:3: not valid UTF-8" in capsys.readouterr().err
+
     def test_missing_file_is_plain_error(self, tmp_path):
         assert run_cli("fit", "--input", str(tmp_path / "nope.tsv"), "--blocks", "2",
                        "--out", str(tmp_path / "o")) == 1

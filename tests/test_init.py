@@ -1,22 +1,43 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 import sbanm
 from sbanm import InitConfig, MultilayerNetwork, spectral_init
 from sbanm.errors import DataError
-from sbanm.init import spectral_embedding
-from sbanm.model import pair_index
+from sbanm.init import kmeans, spectral_embedding
+from sbanm.model import pair_index, pairs_to_square
 from sbanm.rng import substream
 
 from conftest import planted_network
 
 
-def two_cliques(n_per=5, inside=1.0, outside=0.0):
-    n = 2 * n_per
+def cliques(count=2, n_per=5):
+    """`count` disjoint cliques of n_per nodes: weight 1 inside, 0 across."""
+    n = count * n_per
     iu, ju = np.triu_indices(n, 1)
-    same = (iu < n_per) == (ju < n_per)
-    w = np.where(same, inside, outside)[:, None]
+    same = iu // n_per == ju // n_per
+    return MultilayerNetwork(n=n, K=1, weights=np.where(same, 1.0, 0.0)[:, None])
+
+
+def isolated_node_network(n=8):
+    """Node 0 carries the global minimum on all its edges: after the
+    nonnegativity shift its degree is 0."""
+    iu, ju = np.triu_indices(n, 1)
+    w = np.where((iu == 0) | (ju == 0), 0.0, 1.0)[:, None]
     return MultilayerNetwork(n=n, K=1, weights=w)
+
+
+def dense_embedding(net, Q):
+    """spectral_embedding by a dense eigendecomposition of the Laplacian."""
+    flat = net.weights.sum(axis=1)
+    A = pairs_to_square(net.n, flat - flat.min())
+    dinv = 1.0 / np.sqrt(np.maximum(A.sum(axis=1), 1e-12))
+    L = np.eye(net.n) - dinv[:, None] * A * dinv[None, :]
+    _, vecs = scipy.linalg.eigh(L, subset_by_index=[0, Q - 1])
+    return vecs / np.linalg.norm(vecs, axis=1)[:, None]
 
 
 def permute_network(net, perm):
@@ -33,7 +54,7 @@ def permute_network(net, perm):
 
 class TestSpectralInit:
     def test_two_disjoint_cliques_recovered(self):
-        state = spectral_init(two_cliques(), InitConfig(Q=2, seed=0))
+        state = spectral_init(cliques(), InitConfig(Q=2, seed=0))
         labels = state.hard_membership()
         assert len(set(labels[:5])) == 1
         assert len(set(labels[5:])) == 1
@@ -47,7 +68,7 @@ class TestSpectralInit:
         assert np.allclose(state.P, 1 - 1 / 3)
 
     def test_soft_eps_values(self):
-        state = spectral_init(two_cliques(), InitConfig(Q=2, seed=0, soft_eps=0.05))
+        state = spectral_init(cliques(), InitConfig(Q=2, seed=0, soft_eps=0.05))
         assert set(np.round(np.unique(state.tau), 6)) == {0.05, 0.95}
 
     def test_deterministic(self):
@@ -74,19 +95,51 @@ class TestSpectralInit:
         assert np.array_equal(state.tau, np.ones((net.n, 1)))
 
     def test_needs_more_nodes_than_blocks(self):
-        net = two_cliques(2)
+        net = cliques(n_per=2)
         with pytest.raises(DataError):
             spectral_init(net, InitConfig(Q=4, seed=0))
 
     def test_isolated_node_handled_by_degree_floor(self):
-        # Node 0 carries the global minimum on all its edges: after the
-        # nonnegativity shift its degree is 0, which must not error.
-        n = 8
-        iu, ju = np.triu_indices(n, 1)
-        w = np.where((iu == 0) | (ju == 0), 0.0, 1.0)[:, None]
-        net = MultilayerNetwork(n=n, K=1, weights=w)
-        state = spectral_init(net, InitConfig(Q=2, seed=0))
+        state = spectral_init(isolated_node_network(), InitConfig(Q=2, seed=0))
         assert np.max(np.abs(state.tau.sum(axis=1) - 1.0)) < 1e-10
+
+
+class TestSpectralEmbedding:
+    @pytest.mark.parametrize(
+        "net, Q",
+        [
+            *[pytest.param(planted_network(seed=s)[0], 3, id=f"planted-{s}") for s in (0, 1, 2)],
+            # n = 90 exceeds the 20 Lanczos vectors ARPACK keeps, and
+            # eigenvalue 1 of D^-1/2 A D^-1/2 has multiplicity 3.
+            pytest.param(cliques(3, 30), 3, id="three-cliques"),
+            pytest.param(isolated_node_network(), 2, id="isolated-node"),
+        ],
+    )
+    def test_matches_dense_eigendecomposition(self, net, Q):
+        emb = spectral_embedding(net, Q)
+        ref = dense_embedding(net, Q)
+        # Row-normalised bases of one subspace differ by a rotation, so the
+        # Gram matrices of their rows (the projector, rescaled) agree.
+        assert np.max(np.abs(emb @ emb.T - ref @ ref.T)) <= 1e-8
+        assert np.array_equal(kmeans(emb, Q, 10, 0), kmeans(ref, Q, 10, 0))
+
+    @pytest.mark.parametrize("Q", [0, 8, 9])
+    def test_needs_1_le_Q_lt_n(self, Q):
+        with pytest.raises(DataError, match="1 <= Q < n"):
+            spectral_embedding(cliques(n_per=4), Q)
+
+    def test_peak_memory_below_two_squares(self):
+        # The affinity matrix is scaled in place and Lanczos keeps at most
+        # max(2Q + 1, 20) n-vectors: one n x n array plus the pair vector it
+        # is filled from.
+        net, _, _ = planted_network(sizes=(140, 140, 120), seed=1)
+        tracemalloc.start()
+        try:
+            spectral_embedding(net, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * net.n**2 * 8
 
 
 def oracle_kmeans(X, Q, n_starts=200, seed=1234):

@@ -413,6 +413,53 @@ class TestNetworkFileFastPath:
         assert [p.name for p in tmp_path.iterdir()] == ["net.tsv"]
 
 
+class TestUndecodableInput:
+    """Every reader turns bytes that are not UTF-8 into a DataError naming
+    the line."""
+
+    @pytest.mark.parametrize(
+        "reader, data, message",
+        [
+            pytest.param(
+                read_network, b"#sbanm-net v1 n=2 K=1\n0\t1\t\xff\n",
+                ":2: not valid UTF-8 (byte 0xff at column 5)", id="network-weight",
+            ),
+            pytest.param(
+                read_network, b"#sbanm-net v1 n=2 K=1\xc3\n0\t1\t1\n",
+                ":1: not valid UTF-8 (byte 0xc3 at column 22)", id="network-header",
+            ),
+            pytest.param(
+                sbanm.read_memberships, b"node,block,tau_0\n0,0,1\n1,0,\xff1\n",
+                ":3: not valid UTF-8 (byte 0xff at column 5)", id="memberships",
+            ),
+            pytest.param(
+                sbanm.read_responses, b"subject,a:q\ns1,1\ns\xe92,0\n",
+                ":3: not valid UTF-8 (byte 0xe9 at column 2)", id="responses",
+            ),
+            pytest.param(
+                sbanm.read_params, b'{"Q": 1,\n "K": \x80}\n',
+                ":2: not valid UTF-8 (byte 0x80 at column 7)", id="params",
+            ),
+        ],
+    )
+    def test_error_names_line(self, tmp_path, reader, data, message):
+        path = tmp_path / "input"
+        path.write_bytes(data)
+        with pytest.raises(DataError) as info:
+            reader(str(path))
+        assert str(info.value) == f"{path}{message}"
+
+    def test_error_deep_in_a_large_network_file(self, tmp_path):
+        # Line 5000 lies past the first buffer the text reader decodes.
+        path = tmp_path / "net.tsv"
+        write_network(random_network(130, 2, seed=8), str(path))
+        lines = path.read_bytes().split(b"\n")
+        lines[4999] = lines[4999][:4] + b"\xff" + lines[4999][5:]
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(DataError, match=r":5000: not valid UTF-8 \(byte 0xff at column 5\)"):
+            read_network(str(path))
+
+
 class TestMembershipAndParamsFiles:
     def test_membership_round_trip(self, tmp_path):
         path = tmp_path / "m.csv"
