@@ -107,23 +107,28 @@ def _echo_config(args) -> None:
     print(f"sbanm {args.command}: {pairs}", file=sys.stderr)
 
 
-def _fit_config(args, Q: int, seed: int) -> vem.FitConfig:
-    return vem.FitConfig(
+def _fit(args, net, Q: int) -> vem.FitResult:
+    """Fit Q blocks with the command's settings; warn when the returned hard
+    partition leaves blocks without a node."""
+    cfg = vem.FitConfig(
         Q=Q,
         max_outer=args.max_iter,
         tol_elbo=args.tol_elbo,
         tol_tau=args.tol_tau,
         damping=args.damping,
-        seed=seed,
+        seed=args.seed,
     )
-
-
-def _svi_config(args, seed: int) -> SviConfig | None:
-    if not args.svi:
-        return None
-    return SviConfig(
-        a=args.svi_a, kappa_m=args.svi_kappa_m, kappa_w=args.svi_kappa_w, seed=seed
-    )
+    svi = None
+    if args.svi:
+        svi = SviConfig(
+            a=args.svi_a, kappa_m=args.svi_kappa_m, kappa_w=args.svi_kappa_w, seed=args.seed
+        )
+    result = vem.fit(net, cfg, svi=svi)
+    sizes = np.bincount(result.hard_membership, minlength=Q)
+    empty = ", ".join(str(q) for q in np.flatnonzero(sizes == 0))
+    if empty:
+        print(f"warning: Q={Q}: no node assigned to block(s) {empty}", file=sys.stderr)
+    return result
 
 
 def _write_candidate(out_dir, params, sizes, seed, rng) -> None:
@@ -180,8 +185,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_fit(args) -> int:
     net = io.read_network(args.input)
-    cfg = _fit_config(args, args.blocks, args.seed)
-    result = vem.fit(net, cfg, svi=_svi_config(args, args.seed))
+    result = _fit(args, net, args.blocks)
     result.icl = evaluate.icl(net, result)
     os.makedirs(args.out, exist_ok=True)
     io.write_memberships(
@@ -208,9 +212,7 @@ def _cmd_select(args) -> int:
     net = io.read_network(args.input)
     rows = []
     for Q in range(args.qmin, args.qmax + 1):
-        cfg = _fit_config(args, Q, args.seed)
-        result = vem.fit(net, cfg, svi=_svi_config(args, args.seed))
-        rows.append((Q, evaluate.icl(net, result)))
+        rows.append((Q, evaluate.icl(net, _fit(args, net, Q))))
     for Q, value in rows:
         print(f"{Q}\t{format(value, '.17g')}")
     best = max(rows, key=lambda r: r[1])[0]

@@ -9,7 +9,6 @@ and averages the result into the running estimates.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.blas import dspmv
 from scipy.special import log_expit, logsumexp
 
 from .errors import NumericalError
@@ -19,9 +18,10 @@ from .model import (
     VariationalState,
     clip_prob,
     law_coefficients,
+    packed_matvec,
+    packed_pairs,
     pair_features,
     pair_index,
-    pair_tiles,
     psi_terms,
     safe_log,
 )
@@ -29,30 +29,19 @@ from .model import (
 
 def _gap_squares(net: MultilayerNetwork, params: ModelParams, nodes) -> np.ndarray:
     """Each block's signal-minus-noise log-density gap over the pairs inside
-    `nodes` (all nodes when None), as Q packed symmetric m x m matrices of
-    shape (Q, m(m+1)/2): the rows of the upper triangle one after another,
-    each starting at its (zero) diagonal entry.  That is the memory of
-    BLAS's column-major lower packed layout, which _packed_matvec takes."""
+    `nodes` (all nodes when None), as Q packed symmetric m x m matrices
+    (model.packed_pairs) of shape (Q, m(m+1)/2)."""
     m = net.n if nodes is None else nodes.size
     # Overflow or inf - inf here is caught by the E-step's finite check.
     with np.errstate(over="ignore", invalid="ignore"):
         noise, blocks = law_coefficients(params, net.center)
         coef = blocks - noise
-        gap_sq = np.zeros((params.Q, m * (m + 1) // 2))
-        for p0, p1, I, J in pair_tiles(m):
-            if nodes is None:
-                X = net.weights[p0:p1]
-            else:
-                X = net.weights[pair_index(net.n, nodes[I], nodes[J])]
-            # Rows 0..i hold i + 1 diagonal entries before pair p of row i.
-            slots = np.arange(p0 + 1, p1 + 1) + I
-            gap_sq[:, slots] = coef @ pair_features(X, net.center)
-    return gap_sq
 
+        def tile_gaps(p0, p1, I, J):
+            rows = slice(p0, p1) if nodes is None else pair_index(net.n, nodes[I], nodes[J])
+            return coef @ pair_features(net.weights[rows], net.center)
 
-def _packed_matvec(gap: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The product of one packed gap matrix from _gap_squares with x."""
-    return dspmv(x.size, 1.0, gap, x, lower=1)
+        return packed_pairs(m, tile_gaps, (params.Q,))
 
 
 def e_step(
@@ -91,7 +80,7 @@ def e_step(
     for it in range(inner):
         logits = np.empty(tau_new.shape)
         for q, gap in enumerate(gap_sq):
-            logits[:, q] = P[q] * _packed_matvec(gap, tau_new[:, q])
+            logits[:, q] = P[q] * packed_matvec(gap, tau_new[:, q])
         logits += const
         if not np.all(np.isfinite(logits)):
             raise NumericalError(f"tau update diverged at inner iteration {it}")
@@ -105,7 +94,7 @@ def e_step(
 
     # The symmetric matrix holds each pair twice, hence the half.
     gaps = np.array(
-        [0.5 * (tau @ _packed_matvec(gap, tau)) for tau, gap in zip(tau_new.T, gap_sq)]
+        [0.5 * (tau @ packed_matvec(gap, tau)) for tau, gap in zip(tau_new.T, gap_sq)]
     )
     psi_c = clip_prob(params.psi)
     log_nhat = log_expit(-gaps + np.log((1.0 - psi_c) / psi_c))

@@ -10,10 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import ArpackError, eigsh
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .errors import DataError, NumericalError
-from .model import MultilayerNetwork, VariationalState, clip_prob, pairs_to_square
+from .model import MultilayerNetwork, VariationalState, clip_prob, packed_matvec, packed_pairs
 from .rng import substream
 
 _DEGREE_FLOOR = 1e-12
@@ -42,19 +42,20 @@ def spectral_embedding(net: MultilayerNetwork, Q: int) -> np.ndarray:
     weights can be negative), then L = I - D^{-1/2} A D^{-1/2} with a
     degree floor for isolated nodes.  The eigenvectors of L's Q smallest
     eigenvalues are those of M = D^{-1/2} A D^{-1/2}'s Q largest; Lanczos
-    (ARPACK) finds them with O(n^2) work per product with M, which is
-    built in place in the one n x n array.  Its start vector is fixed, so
+    (ARPACK) finds them with O(n^2) work per product with M, taken as
+    D^{-1/2} applied on both sides of a product with A, which is kept as a
+    packed triangle (model.packed_pairs).  Its start vector is fixed, so
     the embedding is a deterministic function of the network.
     """
     if not 1 <= Q < net.n:
         raise DataError(f"spectral embedding needs 1 <= Q < n, got Q={Q}, n={net.n}")
     flat = net.weights.sum(axis=1)
     flat -= flat.min()
-    M = pairs_to_square(net.n, flat)
-    deg = np.maximum(M.sum(axis=1), _DEGREE_FLOOR)
-    dinv = 1.0 / np.sqrt(deg)
-    M *= dinv[:, None]
-    M *= dinv[None, :]
+    A = packed_pairs(net.n, lambda p0, p1, I, J: flat[p0:p1])
+    dinv = 1.0 / np.sqrt(np.maximum(packed_matvec(A, np.ones(net.n)), _DEGREE_FLOOR))
+    M = LinearOperator(
+        (net.n, net.n), matvec=lambda x: dinv * packed_matvec(A, dinv * x.ravel()), dtype=float
+    )
     v0 = substream(0, "spectral-start").uniform(-1.0, 1.0, net.n)
     try:
         _, vecs = eigsh(M, k=Q, which="LA", v0=v0)

@@ -19,6 +19,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dspmv
 
 from .errors import DataError, NumericalError
 
@@ -93,6 +94,25 @@ def pair_tiles(m: int):
         J = np.arange(p0, p1) - starts[I] + I + 1
         yield p0, p1, I, J
         r0 = r1
+
+
+def packed_pairs(m: int, tile_values, lead: tuple = ()) -> np.ndarray:
+    """Packed symmetric m x m matrices of shape lead + (m(m+1)/2,): the rows
+    of the upper triangle one after another, each starting at its (zero)
+    diagonal entry.  That is the memory of BLAS's column-major lower packed
+    layout, which packed_matvec takes.  The entries of the pairs p0 <= p <
+    p1 of each pair_tiles(m) tile are tile_values(p0, p1, I, J)."""
+    A = np.zeros(lead + (m * (m + 1) // 2,))
+    for p0, p1, I, J in pair_tiles(m):
+        # Rows 0..i hold i + 1 diagonal entries before pair p of row i.
+        A[..., np.arange(p0 + 1, p1 + 1) + I] = tile_values(p0, p1, I, J)
+    return A
+
+
+def packed_matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The product of a packed symmetric matrix A (packed_pairs layout)
+    with the vector x."""
+    return dspmv(x.size, 1.0, A, x, lower=1)
 
 
 def feature_dim(K: int) -> int:
@@ -172,14 +192,6 @@ class MultilayerNetwork:
     @property
     def n_pairs(self) -> int:
         return num_pairs(self.n)
-
-    def pair_nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Endpoint index arrays (I, J) with I[p] < J[p] for every pair p."""
-        return np.triu_indices(self.n, 1)
-
-    def dense(self) -> np.ndarray:
-        """Full (n, n, K) array, symmetric with zero diagonal."""
-        return pairs_to_square(self.n, self.weights)
 
     @cached_property
     def center(self) -> np.ndarray:

@@ -21,6 +21,7 @@ from .model import (
     NoiseParams,
     clamp_rho,
     num_pairs,
+    pair_tiles,
     psi as psi_of,
 )
 
@@ -128,28 +129,20 @@ def gen_network(
         raise DataError("need one size per block")
     if np.any(sizes < 1):
         raise DataError("every block needs at least one node")
-    n = int(sizes.sum())
-    labels = np.repeat(np.arange(params.Q), sizes)
-    iu, ju = np.triu_indices(n, 1)
-    li, lj = labels[iu], labels[ju]
+    n, Q = int(sizes.sum()), params.Q
+    labels = np.repeat(np.arange(Q), sizes)
     X = np.empty((num_pairs(n), params.K))
-
-    def draw(mu, cov, count):
-        L = np.linalg.cholesky(cov)
-        return rng.standard_normal((count, params.K)) @ L.T + mu
-
-    for q in range(params.Q):
-        mask = (li == q) & (lj == q)
-        if not mask.any():
-            continue
-        if q == params.noise_block:
-            X[mask] = draw(params.noise.mu, params.noise.covariance(), mask.sum())
-        else:
-            b = params.blocks[q]
-            X[mask] = draw(b.mu, b.covariance(), mask.sum())
-    cross = li != lj
-    if cross.any():
-        X[cross] = draw(params.noise.mu, params.noise.covariance(), cross.sum())
+    laws = [params.noise if q == params.noise_block else b for q, b in enumerate(params.blocks)]
+    # Law Q, the noise law, is that of the cross-block pairs.  Each law
+    # draws its pairs in pair order, one tile at a time; chunked
+    # standard_normal draws give the values of one draw over all of them.
+    for q, law in enumerate(laws + [params.noise]):
+        L = np.linalg.cholesky(law.covariance())
+        for p0, p1, I, J in pair_tiles(n):
+            li = labels[I]
+            sel = np.flatnonzero(np.where(li == labels[J], li, Q) == q)
+            if sel.size:
+                X[p0 + sel] = rng.standard_normal((sel.size, params.K)) @ L.T + law.mu
     return MultilayerNetwork(n=n, K=params.K, weights=X), labels
 
 

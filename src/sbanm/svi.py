@@ -27,6 +27,8 @@ class SviConfig:
     def __post_init__(self):
         if self.a < 2:
             raise DataError("base subsample size must be at least 2")
+        if not self.kappa_m >= 0:
+            raise DataError("kappa_m must be nonnegative")
         if not 0.5 < self.kappa_w <= 1.0:
             raise DataError("kappa_w must lie in (0.5, 1]")
 

@@ -99,6 +99,28 @@ class TestFitEvalRoundTrip:
         assert "fit did not converge; last iterate written" in err
         assert (out / "memberships.csv").exists()
 
+    def test_empty_block_is_named(self, tmp_path, capsys):
+        # On this separable candidate the fit empties block 2 in its first
+        # E-step and still converges.
+        sim, out = tmp_path / "sim", tmp_path / "fit"
+        assert run_cli("simulate", "--layers", "2", "--nodes", "300", "--blocks", "3",
+                       "--candidates", "20", "--keep-frac", "0.05", "--seed", "37",
+                       "--out", str(sim)) == 0
+        assert run_cli("fit", "--input", str(sim / "net.tsv"), "--blocks", "3",
+                       "--seed", "37", "--out", str(out)) == 0
+        err = capsys.readouterr().err
+        assert "warning: Q=3: no node assigned to block(s) 2\n" in err
+        assert "did not converge" not in err
+        assert (out / "memberships.csv").exists()
+
+    def test_experiment2_fit_has_no_empty_block(self, tmp_path, capsys):
+        sim, out = tmp_path / "sim", tmp_path / "fit"
+        assert run_cli("simulate", "--layers", "3", "--nodes", "300", "--experiment2",
+                       "--seed", "4", "--out", str(sim)) == 0
+        assert run_cli("fit", "--input", str(sim / "net.tsv"), "--blocks", "4",
+                       "--seed", "4", "--out", str(out)) == 0
+        assert "no node assigned" not in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_simulate_emits_artifacts(self, tmp_path, capsys):
@@ -213,6 +235,12 @@ class TestExitCodes:
         bad.write_bytes(truth_path.read_bytes().replace(b"\n1,", b"\n\xff,", 1))
         assert run_cli("eval", "--truth", str(bad), "--pred", str(truth_path)) == 2
         assert f"{bad}:3: not valid UTF-8" in capsys.readouterr().err
+
+    def test_negative_svi_kappa_m_is_data_error(self, planted_files, tmp_path, capsys):
+        net_path, _ = planted_files
+        assert run_cli("fit", "--input", str(net_path), "--blocks", "3", "--svi",
+                       "--svi-kappa-m", "-1", "--out", str(tmp_path / "o")) == 2
+        assert "kappa_m must be nonnegative" in capsys.readouterr().err
 
     def test_missing_file_is_plain_error(self, tmp_path):
         assert run_cli("fit", "--input", str(tmp_path / "nope.tsv"), "--blocks", "2",

@@ -214,7 +214,7 @@ class TestIcl:
         params = result.params
         z = result.hard_membership
         ll = 0.0
-        iu, ju = net.pair_nodes()
+        iu, ju = np.triu_indices(net.n, 1)
         for p in range(net.n_pairs):
             i, j = iu[p], ju[p]
             if z[i] == z[j] and z[i] != params.noise_block:
@@ -244,7 +244,7 @@ class TestIcl:
             converged=True,
             elbo=0.0,
         )
-        iu, ju = net.pair_nodes()
+        iu, ju = np.triu_indices(net.n, 1)
         li, lj = labels[iu], labels[ju]
         signal = (li == lj) & (li != params.noise_block)
         ld = log_density_batch(net.weights, params.noise.mu, params.noise.covariance())

@@ -43,7 +43,7 @@ def dense_embedding(net, Q):
 def permute_network(net, perm):
     """Relabel nodes by perm (new index of old node i is perm[i])."""
     perm = np.asarray(perm)
-    iu, ju = net.pair_nodes()
+    iu, ju = np.triu_indices(net.n, 1)
     pi, pj = perm[iu], perm[ju]
     lo, hi = np.minimum(pi, pj), np.maximum(pi, pj)
     rows = pair_index(net.n, lo, hi)
@@ -129,9 +129,8 @@ class TestSpectralEmbedding:
             spectral_embedding(cliques(n_per=4), Q)
 
     def test_peak_memory_below_two_squares(self):
-        # The affinity matrix is scaled in place and Lanczos keeps at most
-        # max(2Q + 1, 20) n-vectors: one n x n array plus the pair vector it
-        # is filled from.
+        # Lanczos keeps at most max(2Q + 1, 20) n-vectors beside the
+        # affinities.
         net, _, _ = planted_network(sizes=(140, 140, 120), seed=1)
         tracemalloc.start()
         try:
@@ -140,6 +139,18 @@ class TestSpectralEmbedding:
         finally:
             tracemalloc.stop()
         assert peak < 2 * net.n**2 * 8
+
+    def test_peak_memory_below_one_and_a_quarter_squares(self):
+        # The affinities are one packed triangle plus the pair vector it is
+        # filled from, n^2 entries in all; no n x n array is built.
+        net, _, _ = planted_network(sizes=(140, 140, 120), seed=1)
+        tracemalloc.start()
+        try:
+            spectral_embedding(net, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * net.n**2 * 8
 
 
 def oracle_kmeans(X, Q, n_starts=200, seed=1234):

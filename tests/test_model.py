@@ -126,7 +126,7 @@ class TestPairPasses:
         n, K, Q = 100, 3, 4
         net = MultilayerNetwork(n=n, K=K, weights=rng.normal(size=(n * (n - 1) // 2, K)))
         tau = rng.dirichlet(np.ones(Q), size=n)
-        iu, ju = net.pair_nodes()
+        iu, ju = np.triu_indices(net.n, 1)
         w = tau[iu] * tau[ju]
         w = np.column_stack([w, np.maximum(1.0 - w.sum(axis=1), 0.0)])
         y = net.weights - net.weights.mean(axis=0)

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +23,48 @@ def bivariate_spec(seed=0, Q=(3, 5)):
         noise_var=(2.0, 2.0),
         seed=seed,
     )
+
+
+def mask_gen_network(params, sizes, rng):
+    """gen_network by full-size pair index arrays and one mask per law:
+    each block's within-block pairs in block order, then the cross-block
+    pairs, each law in one draw."""
+    n = int(sizes.sum())
+    labels = np.repeat(np.arange(params.Q), sizes)
+    iu, ju = np.triu_indices(n, 1)
+    li, lj = labels[iu], labels[ju]
+    X = np.empty((iu.size, params.K))
+    laws = [params.noise if q == params.noise_block else params.blocks[q] for q in range(params.Q)]
+    masks = [(li == q) & (lj == q) for q in range(params.Q)]
+    for law, mask in zip(laws + [params.noise], masks + [li != lj]):
+        if mask.any():
+            L = np.linalg.cholesky(law.covariance())
+            X[mask] = rng.standard_normal((mask.sum(), params.K)) @ L.T + law.mu
+    return X, labels
+
+
+def exp2_scaled(n):
+    """Experiment-2 parameters with block sizes scaled to n nodes."""
+    params, sizes = sbanm.experiment2_spec()
+    scaled = np.floor(sizes * n / sizes.sum()).astype(int)
+    scaled[0] += n - scaled.sum()
+    return params, scaled
+
+
+def random_k2():
+    return draw_candidate(bivariate_spec(seed=3), substream(3, "c"))
+
+
+def one_node_blocks():
+    params, _ = sbanm.experiment2_spec()
+    return params, np.array([1, 60, 1, 40])
+
+
+def no_noise_block():
+    # Block 0 keeps its own law, which differs from the cross-block noise.
+    params, sizes = random_k2()
+    noise = NoiseParams(mu=params.noise.mu + 1.5, var=params.noise.var * 2.0)
+    return dataclasses.replace(params, noise=noise, noise_block=None), sizes
 
 
 class TestGenParams:
@@ -62,7 +106,7 @@ class TestGenNetwork:
         params = gen_params(bivariate_spec(Q=2), substream(3, "p"))
         sizes = np.array([5, 5])
         net, labels = gen_network(params, sizes, substream(3, "n"))
-        iu, ju = net.pair_nodes()
+        iu, ju = np.triu_indices(net.n, 1)
         cross = labels[iu] != labels[ju]
         assert net.n_pairs == 45
         assert cross.sum() == 25  # 45 - 10 - 10
@@ -89,7 +133,7 @@ class TestGenNetwork:
             noise_block=0,
         )
         net, labels = gen_network(params, np.array([20, 80]), substream(5, "mc"))
-        iu, ju = net.pair_nodes()
+        iu, ju = np.triu_indices(net.n, 1)
         inb = (labels[iu] == 1) & (labels[ju] == 1)
         samples = net.weights[inb]
         n_samp = samples.shape[0]  # 3160 pairs
@@ -103,7 +147,7 @@ class TestGenNetwork:
     def test_noise_block_offdiagonal_near_zero(self):
         params, sizes = sbanm.experiment2_spec()
         net, labels = gen_network(params, sizes, substream(6, "nb"))
-        iu, ju = net.pair_nodes()
+        iu, ju = np.triu_indices(net.n, 1)
         nb = (labels[iu] == 0) & (labels[ju] == 0)
         samples = net.weights[nb]
         corr = np.corrcoef(samples.T)
@@ -114,6 +158,30 @@ class TestGenNetwork:
         params = gen_params(bivariate_spec(Q=2), substream(7, "p"))
         with pytest.raises(DataError):
             gen_network(params, np.array([0, 10]), substream(7, "n"))
+
+    @pytest.mark.parametrize(
+        "case",
+        [lambda: exp2_scaled(130), random_k2, one_node_blocks, no_noise_block],
+        ids=["exp2-n130", "random-k2", "one-node-blocks", "no-noise-block"],
+    )
+    def test_matches_mask_reference_bytes(self, case):
+        params, sizes = case()
+        net, labels = gen_network(params, sizes, substream(9, "n"))
+        want, want_labels = mask_gen_network(params, sizes, substream(9, "n"))
+        assert net.weights.tobytes() == want.tobytes()
+        assert np.array_equal(labels, want_labels)
+
+    def test_peak_memory_below_twice_the_weights(self):
+        # Only the weights are full-size; pair indices and law selections
+        # live one tile at a time.
+        params, sizes = exp2_scaled(400)
+        tracemalloc.start()
+        try:
+            net, _ = gen_network(params, sizes, substream(10, "n"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * net.weights.nbytes
 
     def test_seeded_determinism(self):
         params, sizes = draw_candidate(bivariate_spec(), substream(8, "c"))

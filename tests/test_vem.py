@@ -22,7 +22,7 @@ from sbanm import (
     m_step_noise,
 )
 from sbanm.errors import NumericalError
-from sbanm.model import EPS_PROB, clamp_rho, log_density, log_density_batch
+from sbanm.model import EPS_PROB, clamp_rho, log_density, log_density_batch, pairs_to_square
 from sbanm.rng import substream
 
 from conftest import offset_planted_network, planted_network
@@ -106,7 +106,7 @@ class TestEstimateTau:
                  for x in net.weights]
             ),
         }
-        iu, ju = net.pair_nodes()
+        iu, ju = np.triu_indices(net.n, 1)
 
         def complete_ll(z):
             z = np.asarray(z)
@@ -224,7 +224,7 @@ class TestMStepAlpha:
 def oracle_block_params(net, state, q, noise):
     """Direct double-sum oracle over ordered pairs i != j."""
     n, K = net.n, net.K
-    X = net.dense()
+    X = pairs_to_square(net.n, net.weights)
     tau, P_q = state.tau, state.P[q]
     wsum = 0.0
     mean = np.zeros(K)
@@ -264,7 +264,7 @@ class TestMStepBlock:
         tau[np.arange(12), labels] = 1.0
         state = VariationalState(tau=tau, P=[1 - EPS_PROB] * 3)
         got = m_step_block(net, state, 1, params.noise)
-        iu, ju = net.pair_nodes()
+        iu, ju = np.triu_indices(net.n, 1)
         in_block = (labels[iu] == 1) & (labels[ju] == 1)
         assert np.allclose(got.mu, net.weights[in_block].mean(axis=0), atol=1e-8)
 
@@ -303,7 +303,7 @@ class TestMStepBlock:
 def oracle_noise_params(net, state, psi):
     """Direct double-sum oracle for the ambient-noise update."""
     n, K, Q = net.n, net.K, state.Q
-    X = net.dense()
+    X = pairs_to_square(net.n, net.weights)
     tau, P = state.tau, state.P
 
     def sums(mu):
@@ -345,7 +345,7 @@ class TestMStepNoise:
         tau[2:, 1] = 1.0
         state = VariationalState(tau=tau, P=[1 - EPS_PROB] * 2)
         got = m_step_noise(net, state, 0.5)
-        iu, ju = net.pair_nodes()
+        iu, ju = np.triu_indices(net.n, 1)
         cross = (iu < 2) != (ju < 2)
         assert np.allclose(got.mu, net.weights[cross].mean(axis=0), atol=1e-7)
 
@@ -398,7 +398,7 @@ class TestElbo:
         tau[np.arange(15), labels] = 1.0
         P = np.array([EPS_PROB, 1 - EPS_PROB, 1 - EPS_PROB])
         state = VariationalState(tau=tau, P=P)
-        iu, ju = net.pair_nodes()
+        iu, ju = np.triu_indices(net.n, 1)
         complete = 0.0
         for p in range(net.n_pairs):
             i, j = iu[p], ju[p]
@@ -427,7 +427,7 @@ class TestElbo:
         tau[np.arange(net.n), labels] = 0.9
         P = np.array([0.1, 0.9, 0.8])
         state = VariationalState(tau=tau, P=P)
-        iu, ju = net.pair_nodes()
+        iu, ju = np.triu_indices(net.n, 1)
         w = tau[iu] * tau[ju]
         ld_noise = log_density_batch(net.weights, params.noise.mu, params.noise.covariance())
         parts = [np.maximum(1.0 - w.sum(axis=1), 0.0) * ld_noise]
@@ -488,7 +488,7 @@ class TestFit:
         # tau-weighted edge mean (the classical weighted-SBM update).
         net, _, params = planted_network(sizes=(6, 5, 4), seed=16)
         state = soft_state(net.n, 3, seed=16, P=[1 - EPS_PROB] * 3)
-        iu, ju = net.pair_nodes()
+        iu, ju = np.triu_indices(net.n, 1)
         for q in range(3):
             w = state.tau[iu, q] * state.tau[ju, q]
             classic = (w @ net.weights) / w.sum()
