@@ -2,6 +2,7 @@
 block, fit by hierarchical variational EM."""
 
 from .errors import DataError, NumericalError, SBANMError
+from .estep import e_step
 from .evaluate import (
     ParamReport,
     ari,
@@ -33,7 +34,7 @@ from .model import (
     NoiseParams,
     VariationalState,
     build_covariance,
-    log_density,
+    pair_moments,
     param_count,
     psi,
 )
@@ -51,8 +52,6 @@ from .vem import (
     FitConfig,
     FitResult,
     elbo,
-    estimate_P,
-    estimate_tau,
     fit,
     m_step_alpha,
     m_step_block,

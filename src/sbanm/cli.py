@@ -109,7 +109,8 @@ def _echo_config(args) -> None:
 
 def _fit(args, net, Q: int) -> vem.FitResult:
     """Fit Q blocks with the command's settings; warn when the returned hard
-    partition leaves blocks without a node."""
+    partition leaves blocks without a node, and when the ELBO fell between
+    iterations by more than --tol-elbo times its previous magnitude."""
     cfg = vem.FitConfig(
         Q=Q,
         max_outer=args.max_iter,
@@ -128,6 +129,14 @@ def _fit(args, net, Q: int) -> vem.FitResult:
     empty = ", ".join(str(q) for q in np.flatnonzero(sizes == 0))
     if empty:
         print(f"warning: Q={Q}: no node assigned to block(s) {empty}", file=sys.stderr)
+    # Entry t of the trace is iteration t of the iteration log; the fit
+    # stops on a non-finite ELBO term, so the trace is finite.
+    trace = result.elbo_trace
+    drop = -np.diff(trace) / np.abs(trace[:-1])
+    dropped = ", ".join(str(t + 1) for t in np.flatnonzero(drop > args.tol_elbo))
+    if dropped:
+        print(f"warning: Q={Q}: ELBO decreased at iteration(s) {dropped} "
+              f"(largest relative drop {drop.max():.2e})", file=sys.stderr)
     return result
 
 

@@ -128,9 +128,8 @@ def icl(net: MultilayerNetwork, fit: FitResult) -> float:
     n, K, Q = net.n, net.K, params.Q
     moments = pair_moments(net, np.eye(Q)[z])
     noise, laws = law_coefficients(params, net.center)
-    if params.noise_block is not None:
-        laws[params.noise_block] = noise
     # The last moment row holds the cross-block pairs; empty blocks add 0.
+    # A designated noise block's law is the noise law (ModelParams checks).
     ll = float(moments[Q] @ noise)
     for q in range(Q):
         if moments[q, 0] > 0.0:

@@ -17,22 +17,20 @@ from .model import MultilayerNetwork, VariationalState, clip_prob, packed_matvec
 from .rng import substream
 
 _DEGREE_FLOOR = 1e-12
+# Seeded k-means++ starts; the best by within-cluster sum of squares wins.
+KMEANS_RESTARTS = 10
+# Membership mass the softened init spreads over the unassigned blocks.
+SOFT_EPS = 0.05
 
 
 @dataclass
 class InitConfig:
     Q: int
-    kmeans_restarts: int = 10
     seed: int = 0
-    soft_eps: float = 0.05
 
     def __post_init__(self):
         if self.Q < 1:
             raise DataError("Q must be at least 1")
-        if self.kmeans_restarts < 1:
-            raise DataError("kmeans_restarts must be at least 1")
-        if not 0.0 < self.soft_eps < 1.0:
-            raise DataError("soft_eps must lie in (0, 1)")
 
 
 def spectral_embedding(net: MultilayerNetwork, Q: int) -> np.ndarray:
@@ -121,7 +119,7 @@ def kmeans(X: np.ndarray, Q: int, restarts: int, seed: int) -> np.ndarray:
 def spectral_init(net: MultilayerNetwork, cfg: InitConfig) -> VariationalState:
     """Initial variational state from spectral clustering of the sum graph.
 
-    tau gets 1 - soft_eps on the assigned cluster and soft_eps/(Q-1)
+    tau gets 1 - SOFT_EPS on the assigned cluster and SOFT_EPS/(Q-1)
     elsewhere; every P_q starts at 1 - 1/Q.
     """
     Q = cfg.Q
@@ -130,9 +128,9 @@ def spectral_init(net: MultilayerNetwork, cfg: InitConfig) -> VariationalState:
     if Q == 1:
         return VariationalState(tau=np.ones((net.n, 1)), P=clip_prob(np.zeros(1)))
     emb = spectral_embedding(net, Q)
-    labels = kmeans(emb, Q, cfg.kmeans_restarts, cfg.seed)
-    tau = np.full((net.n, Q), cfg.soft_eps / (Q - 1))
-    tau[np.arange(net.n), labels] = 1.0 - cfg.soft_eps
+    labels = kmeans(emb, Q, KMEANS_RESTARTS, cfg.seed)
+    tau = np.full((net.n, Q), SOFT_EPS / (Q - 1))
+    tau[np.arange(net.n), labels] = 1.0 - SOFT_EPS
     P = clip_prob(np.full(Q, 1.0 - 1.0 / Q))
     return VariationalState(tau=tau, P=P)
 

@@ -421,6 +421,8 @@ def read_params(path: str) -> tuple[ModelParams, dict]:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     try:
         params = ModelParams(
             Q=int(doc["Q"]),
@@ -433,9 +435,12 @@ def read_params(path: str) -> tuple[ModelParams, dict]:
             psi=float(doc["psi"]),
             noise_block=doc["noise_block"],
         )
+        K = int(doc["K"])
     except KeyError as exc:
         raise DataError(f"{path}: missing key {exc}") from exc
-    if params.K != int(doc["K"]):
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed value ({exc})") from exc
+    if params.K != K:
         raise DataError(f"{path}: K does not match block dimensions")
     extras = {"elbo": doc.get("elbo"), "icl": doc.get("icl"), "seed": doc.get("seed")}
     return params, extras

@@ -64,17 +64,6 @@ def pair_index(n: int, i, j):
     return i * (2 * n - i - 1) // 2 + (j - i - 1)
 
 
-def pairs_to_square(n: int, values: np.ndarray) -> np.ndarray:
-    """Expand per-pair values to a symmetric (n, n) matrix with zero diagonal."""
-    values = np.asarray(values)
-    out = np.zeros((n, n) + values.shape[1:], dtype=float)
-    # A boolean mask selects in C order, i.e. the pairs in lexicographic order.
-    upper = np.arange(n)[:, None] < np.arange(n)
-    out[upper] = values
-    out.swapaxes(0, 1)[upper] = values
-    return out
-
-
 def pair_tiles(m: int):
     """Split the lexicographic pairs of m nodes into tiles of whole rows,
     about PAIR_TILE pairs each (one row when a row is longer).
@@ -218,9 +207,7 @@ class BlockParams:
             raise DataError("mu and var must be 1-d vectors of equal length")
         if np.any(self.var <= 0):
             raise DataError("block variances must be positive")
-        K = self.mu.size
-        lo = -1.0 / (K - 1) if K > 1 else -1.0
-        if not (lo < self.rho < 1.0):
+        if not (rho_lower_bound(self.mu.size) < self.rho < 1.0):
             raise NumericalError("correlation violates positive definiteness")
 
     @property
@@ -333,6 +320,12 @@ class VariationalState:
         return np.argmax(self.tau, axis=1)
 
 
+def rho_lower_bound(K: int) -> float:
+    """-1/(K-1) (-1 when K = 1): an equicorrelation matrix of K layers is
+    positive definite exactly for rho in (rho_lower_bound(K), 1)."""
+    return -1.0 / (K - 1) if K > 1 else -1.0
+
+
 def build_covariance(var: np.ndarray, rho: float) -> np.ndarray:
     """Equicorrelation covariance: var on the diagonal, rho*sd_h*sd_k off it.
 
@@ -342,9 +335,7 @@ def build_covariance(var: np.ndarray, rho: float) -> np.ndarray:
     var = np.atleast_1d(np.asarray(var, dtype=float))
     if np.any(var <= 0):
         raise DataError("variances must be positive")
-    K = var.size
-    lo = -1.0 / (K - 1) if K > 1 else -1.0
-    if not (lo < rho < 1.0):
+    if not (rho_lower_bound(var.size) < rho < 1.0):
         raise NumericalError("correlation violates positive definiteness")
     sd = np.sqrt(var)
     cov = rho * np.outer(sd, sd)
@@ -354,25 +345,7 @@ def build_covariance(var: np.ndarray, rho: float) -> np.ndarray:
 
 def clamp_rho(rho: float, K: int) -> float:
     """Clamp an estimated correlation into the PD-safe interval."""
-    lo = (-1.0 / (K - 1) if K > 1 else -1.0) + RHO_MARGIN
-    return float(min(max(rho, lo), 1.0 - RHO_MARGIN))
-
-
-def log_density_batch(x: np.ndarray, mu: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Multivariate normal log-density for each row of x (shape (m, K))."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    K = mu.size
-    try:
-        L = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("covariance not positive definite") from exc
-    dev = x - mu
-    sol = solve_triangular(L, dev.T, lower=True)
-    quad = np.einsum("ij,ij->j", sol, sol)
-    logdet = 2.0 * np.sum(np.log(np.diag(L)))
-    return -0.5 * quad - 0.5 * logdet - 0.5 * K * LOG_2PI
+    return float(min(max(rho, rho_lower_bound(K) + RHO_MARGIN), 1.0 - RHO_MARGIN))
 
 
 def gaussian_coefficients(mu: np.ndarray, cov: np.ndarray, center: np.ndarray) -> np.ndarray:
@@ -406,11 +379,6 @@ def law_coefficients(params: ModelParams, center: np.ndarray) -> tuple[np.ndarra
         [gaussian_coefficients(b.mu, b.covariance(), center) for b in params.blocks]
     )
     return noise, blocks
-
-
-def log_density(x: np.ndarray, mu: np.ndarray, cov: np.ndarray) -> float:
-    """Log-density of a single length-K observation under N(mu, cov)."""
-    return float(log_density_batch(np.atleast_1d(x)[None, :], mu, cov)[0])
 
 
 def psi(Q: int) -> float:

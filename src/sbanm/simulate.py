@@ -132,11 +132,11 @@ def gen_network(
     n, Q = int(sizes.sum()), params.Q
     labels = np.repeat(np.arange(Q), sizes)
     X = np.empty((num_pairs(n), params.K))
-    laws = [params.noise if q == params.noise_block else b for q, b in enumerate(params.blocks)]
-    # Law Q, the noise law, is that of the cross-block pairs.  Each law
-    # draws its pairs in pair order, one tile at a time; chunked
-    # standard_normal draws give the values of one draw over all of them.
-    for q, law in enumerate(laws + [params.noise]):
+    # Law Q, the noise law, is that of the cross-block pairs (the noise
+    # block's law equals it; ModelParams checks that).  Each law draws its
+    # pairs in pair order, one tile at a time; chunked standard_normal
+    # draws give the values of one draw over all of them.
+    for q, law in enumerate(params.blocks + [params.noise]):
         L = np.linalg.cholesky(law.covariance())
         for p0, p1, I, J in pair_tiles(n):
             li = labels[I]

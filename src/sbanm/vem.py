@@ -38,13 +38,14 @@ from .svi import SviConfig, subsample_size, svi_e_step
 logger = logging.getLogger(__name__)
 
 _MASS_FLOOR = 1e-8
+# Most damped tau passes in one full-batch E-step.
+TAU_INNER_MAX = 50
 
 
 @dataclass
 class FitConfig:
     Q: int
     max_outer: int = 200
-    tau_inner_max: int = 50
     tol_tau: float = 1e-6
     tol_elbo: float = 1e-8
     damping: float = 0.7
@@ -57,8 +58,8 @@ class FitConfig:
             raise DataError("tolerances must be positive")
         if not 0.0 < self.damping <= 1.0:
             raise DataError("damping must lie in (0, 1]")
-        if self.max_outer < 1 or self.tau_inner_max < 1:
-            raise DataError("iteration limits must be at least 1")
+        if self.max_outer < 1:
+            raise DataError("max_outer must be at least 1")
 
 
 @dataclass
@@ -70,27 +71,6 @@ class FitResult:
     converged: bool
     elbo: float
     icl: float | None = None
-
-
-def estimate_tau(
-    net: MultilayerNetwork,
-    params: ModelParams,
-    state: VariationalState,
-    cfg: FitConfig,
-) -> np.ndarray:
-    """Full-batch memberships: the E-step's damped fixed point with
-    cfg.damping, stopped at cfg.tol_tau or cfg.tau_inner_max passes."""
-    return e_step(
-        net, params, state, inner=cfg.tau_inner_max, damping=cfg.damping, tol=cfg.tol_tau
-    )[0]
-
-
-def estimate_P(
-    net: MultilayerNetwork, params: ModelParams, state: VariationalState
-) -> np.ndarray:
-    """Signal probabilities at the current memberships: the E-step's P
-    update with no tau pass."""
-    return e_step(net, params, state, inner=0)[1]
 
 
 def m_step_alpha(state: VariationalState) -> np.ndarray:
@@ -112,16 +92,14 @@ def m_step_block(
     state: VariationalState,
     q: int,
     noise: NoiseParams,
-    moments: np.ndarray | None = None,
+    moments: np.ndarray,
 ) -> BlockParams:
     """Closed-form block update: tau-weighted moments blended with the
     noise parameters by P_q; the shared correlation is the largest
     normalized cross-layer moment (mutual coherence), PD-clamped.
 
-    `moments` is pair_moments(net, state.tau), computed here when None.
+    `moments` is pair_moments(net, state.tau).
     """
-    if moments is None:
-        moments = pair_moments(net, state.tau)
     K = net.K
     mass = moments[q, 0]
     P_q = state.P[q]
@@ -148,17 +126,15 @@ def m_step_noise(
     net: MultilayerNetwork,
     state: VariationalState,
     psi: float,
-    moments: np.ndarray | None = None,
+    moments: np.ndarray,
 ) -> NoiseParams:
     """Ambient-noise update: psi-blend of the cross-block weighted moments
     and the within-block (1-P_q)-weighted moments.
 
     Each side of the blend is renormalized by its own mass so the update
     stays defined when one side has no weight.  `moments` is
-    pair_moments(net, state.tau), computed here when None.
+    pair_moments(net, state.tau).
     """
-    if moments is None:
-        moments = pair_moments(net, state.tau)
     K, Q = net.K, state.Q
     cross, within = moments[Q], (1.0 - state.P) @ moments[:Q]
     mass_cross, mass_within = cross[0], within[0]
@@ -195,17 +171,15 @@ def elbo(
     net: MultilayerNetwork,
     params: ModelParams,
     state: VariationalState,
-    moments: np.ndarray | None = None,
+    moments: np.ndarray,
 ) -> float:
     """Hierarchical evidence lower bound.
 
     Expected log-likelihood (signal, within-noise-block, and interstitial
     parts) plus the membership prior, both entropy terms (entropies
     increase the bound), and the P-level prior term; all logs clamped.
-    `moments` is pair_moments(net, state.tau), computed here when None.
+    `moments` is pair_moments(net, state.tau).
     """
-    if moments is None:
-        moments = pair_moments(net, state.tau)
     tau, P = state.tau, state.P
     Q = state.Q
     with np.errstate(over="ignore", invalid="ignore"):  # caught by the finite check
@@ -283,8 +257,7 @@ def fit(
         full = svi is None or subsample_size(it, svi, net.n) >= net.n
         if full:
             tau, P = e_step(
-                net, params, state, inner=cfg.tau_inner_max, damping=cfg.damping,
-                tol=cfg.tol_tau,
+                net, params, state, inner=TAU_INNER_MAX, damping=cfg.damping, tol=cfg.tol_tau
             )
         else:
             tau, P = svi_e_step(net, params, state, it, svi)

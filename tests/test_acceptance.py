@@ -168,10 +168,15 @@ class TestCriterion5PropertySuites:
         state = sbanm.spectral_init(net60, sbanm.InitConfig(Q=3, seed=50))
         from sbanm.vem import _bootstrap_params
 
+        from sbanm.vem import TAU_INNER_MAX
+
         boot = _bootstrap_params(net60, state, sbanm.psi(3))
-        tau = sbanm.estimate_tau(net60, boot, state, sbanm.FitConfig(Q=3, seed=50))
+        cfg = sbanm.FitConfig(Q=3, seed=50)
+        tau, _ = sbanm.e_step(
+            net60, boot, state, inner=TAU_INNER_MAX, damping=cfg.damping, tol=cfg.tol_tau
+        )
         if np.max(np.abs(tau.sum(axis=1) - 1.0)) > 1e-10:
-            failures.append("tau rows not stochastic after estimate_tau")
+            failures.append("tau rows not stochastic after e_step")
         tau_svi, _ = sbanm.svi_e_step(net60, boot, state, 0, sbanm.SviConfig(a=20, seed=50))
         if np.max(np.abs(tau_svi.sum(axis=1) - 1.0)) > 1e-10:
             failures.append("tau rows not stochastic after svi_e_step")
@@ -194,7 +199,8 @@ class TestCriterion5PropertySuites:
         net10 = sbanm.MultilayerNetwork(n=10, K=3, weights=rng.normal(size=(45, 3)))
         st10 = soft_state(10, 3, seed=51)
         noise = sbanm.NoiseParams(mu=rng.normal(size=3), var=rng.uniform(0.5, 2, 3))
-        got = sbanm.m_step_block(net10, st10, 1, noise)
+        moments10 = sbanm.pair_moments(net10, st10.tau)
+        got = sbanm.m_step_block(net10, st10, 1, noise, moments10)
         mu_o, var_o, rho_o = oracle_block_params(net10, st10, 1, noise)
         if not (
             np.allclose(got.mu, mu_o, atol=1e-10)
@@ -202,7 +208,7 @@ class TestCriterion5PropertySuites:
             and abs(got.rho - rho_o) <= 1e-10
         ):
             failures.append("m_step_block differs from double-sum oracle")
-        got_noise = sbanm.m_step_noise(net10, st10, sbanm.psi(3))
+        got_noise = sbanm.m_step_noise(net10, st10, sbanm.psi(3), moments10)
         mu_n, var_n = oracle_noise_params(net10, st10, sbanm.psi(3))
         if not (
             np.allclose(got_noise.mu, mu_n, atol=1e-10)

@@ -101,7 +101,8 @@ class TestFitEvalRoundTrip:
 
     def test_empty_block_is_named(self, tmp_path, capsys):
         # On this separable candidate the fit empties block 2 in its first
-        # E-step and still converges.
+        # E-step, its ELBO falls by 22.1 from iteration 0 to 1, and it
+        # still converges.
         sim, out = tmp_path / "sim", tmp_path / "fit"
         assert run_cli("simulate", "--layers", "2", "--nodes", "300", "--blocks", "3",
                        "--candidates", "20", "--keep-frac", "0.05", "--seed", "37",
@@ -110,6 +111,10 @@ class TestFitEvalRoundTrip:
                        "--seed", "37", "--out", str(out)) == 0
         err = capsys.readouterr().err
         assert "warning: Q=3: no node assigned to block(s) 2\n" in err
+        assert (
+            "warning: Q=3: ELBO decreased at iteration(s) 1 (largest relative drop 1.38e-04)\n"
+            in err
+        )
         assert "did not converge" not in err
         assert (out / "memberships.csv").exists()
 
@@ -119,7 +124,9 @@ class TestFitEvalRoundTrip:
                        "--seed", "4", "--out", str(sim)) == 0
         assert run_cli("fit", "--input", str(sim / "net.tsv"), "--blocks", "4",
                        "--seed", "4", "--out", str(out)) == 0
-        assert "no node assigned" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "no node assigned" not in err
+        assert "ELBO decreased" not in err
 
 
 class TestSimulate:

@@ -6,10 +6,11 @@ from scipy.special import log_expit, logsumexp
 
 import sbanm
 from sbanm.estep import e_step
-from sbanm.model import EPS_PROB, log_density_batch, pairs_to_square
+from sbanm.model import EPS_PROB
 from sbanm.rng import substream
 
 from conftest import planted_network
+from reference import log_density_batch, pairs_to_square
 
 
 def dense_e_step(net, params, state, nodes, weight, inner, damping):

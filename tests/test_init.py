@@ -8,10 +8,11 @@ import sbanm
 from sbanm import InitConfig, MultilayerNetwork, spectral_init
 from sbanm.errors import DataError
 from sbanm.init import kmeans, spectral_embedding
-from sbanm.model import pair_index, pairs_to_square
+from sbanm.model import pair_index
 from sbanm.rng import substream
 
 from conftest import planted_network
+from reference import pairs_to_square
 
 
 def cliques(count=2, n_per=5):
@@ -68,7 +69,8 @@ class TestSpectralInit:
         assert np.allclose(state.P, 1 - 1 / 3)
 
     def test_soft_eps_values(self):
-        state = spectral_init(cliques(), InitConfig(Q=2, seed=0, soft_eps=0.05))
+        assert sbanm.init.SOFT_EPS == 0.05
+        state = spectral_init(cliques(), InitConfig(Q=2, seed=0))
         assert set(np.round(np.unique(state.tau), 6)) == {0.05, 0.95}
 
     def test_deterministic(self):

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import tempfile
@@ -479,6 +480,29 @@ class TestMembershipAndParamsFiles:
         assert np.array_equal(got.blocks[2].mu, params.blocks[2].mu)
         assert got.blocks[1].rho == params.blocks[1].rho
         assert extras == {"elbo": -1.5, "icl": -2.5, "seed": 7}
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            pytest.param(
+                lambda doc: {k: v for k, v in doc.items() if k != "K"}, "missing key 'K'",
+                id="missing-K",
+            ),
+            pytest.param(lambda doc: [1, 2], "expected a JSON object, got list", id="array"),
+            pytest.param(
+                lambda doc: {**doc, "noise": {**doc["noise"], "mu": ["a", 1.0, 2.0]}},
+                "malformed value (could not convert string to float: 'a')", id="text-mu",
+            ),
+        ],
+    )
+    def test_params_errors_name_the_file(self, tmp_path, edit, message):
+        params, _ = sbanm.experiment2_spec()
+        path = tmp_path / "p.json"
+        sbanm.write_params(str(path), params)
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        with pytest.raises(DataError) as info:
+            sbanm.read_params(str(path))
+        assert str(info.value) == f"{path}: {message}"
 
     def test_response_csv_parsing(self, tmp_path):
         path = tmp_path / "r.csv"

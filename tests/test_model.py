@@ -12,21 +12,15 @@ from sbanm import (
     NoiseParams,
     VariationalState,
     build_covariance,
-    log_density,
     param_count,
     psi,
 )
 from sbanm.errors import DataError, NumericalError
 from sbanm import model
-from sbanm.model import (
-    gaussian_coefficients,
-    log_density_batch,
-    pair_features,
-    pair_moments,
-    pair_tiles,
-    pairs_to_square,
-)
+from sbanm.model import gaussian_coefficients, pair_features, pair_moments, pair_tiles
 from sbanm.rng import substream
+
+from reference import log_density, log_density_batch, pairs_to_square
 
 
 def dense_log_density(x, mu, cov):

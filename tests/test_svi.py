@@ -5,7 +5,8 @@ import sbanm
 from sbanm import FitConfig, SviConfig, VariationalState, averaging_weight, subsample_size, svi_e_step
 from sbanm.errors import DataError
 from sbanm.rng import substream
-from sbanm.vem import _bootstrap_params, estimate_P, estimate_tau
+from sbanm.estep import e_step
+from sbanm.vem import _bootstrap_params
 
 from conftest import planted_network
 
@@ -97,9 +98,8 @@ class TestSviEStep:
         net, state, params = self.setup_instance(seed=3)
         cfg = SviConfig(a=net.n, seed=3)
         tau_svi, P_svi = svi_e_step(net, params, state, 0, cfg)
-        fit_cfg = FitConfig(Q=3, damping=1.0, tau_inner_max=1)
-        tau_full = estimate_tau(net, params, state, fit_cfg)
-        P_full = estimate_P(net, params, VariationalState(tau=tau_full, P=state.P))
+        tau_full, _ = e_step(net, params, state, inner=1, damping=1.0)
+        _, P_full = e_step(net, params, VariationalState(tau=tau_full, P=state.P), inner=0)
         assert np.allclose(tau_svi, tau_full, atol=1e-12)
         assert np.allclose(P_svi, P_full, atol=1e-12)
 

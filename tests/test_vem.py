@@ -13,19 +13,20 @@ from sbanm import (
     MultilayerNetwork,
     NoiseParams,
     VariationalState,
+    e_step,
     elbo,
-    estimate_P,
-    estimate_tau,
     fit,
     m_step_alpha,
     m_step_block,
     m_step_noise,
 )
 from sbanm.errors import NumericalError
-from sbanm.model import EPS_PROB, clamp_rho, log_density, log_density_batch, pairs_to_square
+from sbanm.model import EPS_PROB, clamp_rho, pair_moments
+from sbanm.vem import TAU_INNER_MAX
 from sbanm.rng import substream
 
 from conftest import offset_planted_network, planted_network
+from reference import log_density, log_density_batch, pairs_to_square
 
 
 def constant_network(n, K, value):
@@ -53,25 +54,39 @@ def twin_block_params(K=1, Q=2, mu=0.0, var=1.0):
     )
 
 
+def fit_e_step(net, params, state):
+    """Memberships from the fit's full-batch E-step at the default settings."""
+    cfg = FitConfig(Q=state.Q)
+    return e_step(
+        net, params, state, inner=TAU_INNER_MAX, damping=cfg.damping, tol=cfg.tol_tau
+    )[0]
+
+
+def p_update(net, params, state):
+    """Signal probabilities at the state's memberships: the E-step's P
+    update with no tau pass."""
+    return e_step(net, params, state, inner=0)[1]
+
+
 class TestEstimateTau:
     def test_q1_all_ones(self):
         net = constant_network(5, 1, 0.3)
         params = twin_block_params(Q=1)
         state = VariationalState(tau=np.ones((5, 1)), P=[0.5])
-        tau = estimate_tau(net, params, state, FitConfig(Q=1))
+        tau = fit_e_step(net, params, state)
         assert np.array_equal(tau, np.ones((5, 1)))
 
     def test_symmetric_instance_keeps_uniform_tau(self):
         net = constant_network(6, 1, 0.7)
         params = twin_block_params(Q=2, mu=0.7)
         state = VariationalState(tau=np.full((6, 2), 0.5), P=[0.5, 0.5])
-        tau = estimate_tau(net, params, state, FitConfig(Q=2))
+        tau = fit_e_step(net, params, state)
         assert np.max(np.abs(tau - 0.5)) < 1e-12
 
     def test_rows_stay_stochastic(self, planted60):
         net, _, params = planted60
         state = soft_state(net.n, 3, seed=1, P=[0.6, 0.7, 0.8])
-        tau = estimate_tau(net, params, state, FitConfig(Q=3))
+        tau = fit_e_step(net, params, state)
         assert np.max(np.abs(tau.sum(axis=1) - 1.0)) < 1e-10
 
     def test_divergence_reported(self):
@@ -80,7 +95,7 @@ class TestEstimateTau:
         params = twin_block_params(Q=2, var=1e-6)
         state = VariationalState(tau=np.full((3, 2), 0.5), P=[0.5, 0.5])
         with pytest.raises(NumericalError, match="tau update diverged"):
-            estimate_tau(net, params, state, FitConfig(Q=2))
+            fit_e_step(net, params, state)
 
     def test_brute_force_complete_likelihood_maximizer(self):
         # 12 nodes, noise block + one well-separated signal block.
@@ -149,7 +164,7 @@ class TestEstimateP:
         tau = np.zeros((24, 3))
         tau[np.arange(24), np.repeat([0, 1, 2], 8)] = 1.0
         state = VariationalState(tau=tau, P=[0.5, 0.5, 0.5])
-        P = estimate_P(net, params, state)
+        P = p_update(net, params, state)
         assert np.argmin(P) == 2
 
     def test_saturation_at_overwhelming_gap(self):
@@ -169,7 +184,7 @@ class TestEstimateP:
         tau[:2, 0] = 1.0
         tau[2:, 1] = 1.0
         state = VariationalState(tau=tau, P=[0.5, 0.5])
-        P = estimate_P(net, params, state)
+        P = p_update(net, params, state)
         assert P[0] == 1.0 - EPS_PROB
 
     def test_matches_scalar_hand_computation(self):
@@ -193,7 +208,7 @@ class TestEstimateP:
         tau[:2, 0] = 1.0
         tau[2:, 1] = 1.0
         state = VariationalState(tau=tau, P=[0.5, 0.5])
-        P = estimate_P(net, params, state)
+        P = p_update(net, params, state)
 
         def sigmoid(v):
             return 1.0 / (1.0 + math.exp(-v))
@@ -263,7 +278,7 @@ class TestMStepBlock:
         tau = np.zeros((12, 3))
         tau[np.arange(12), labels] = 1.0
         state = VariationalState(tau=tau, P=[1 - EPS_PROB] * 3)
-        got = m_step_block(net, state, 1, params.noise)
+        got = m_step_block(net, state, 1, params.noise, pair_moments(net, state.tau))
         iu, ju = np.triu_indices(net.n, 1)
         in_block = (labels[iu] == 1) & (labels[ju] == 1)
         assert np.allclose(got.mu, net.weights[in_block].mean(axis=0), atol=1e-8)
@@ -273,7 +288,7 @@ class TestMStepBlock:
         tau = np.zeros((12, 3))
         tau[np.arange(12), labels] = 1.0
         state = VariationalState(tau=tau, P=[EPS_PROB] * 3)
-        got = m_step_block(net, state, 0, params.noise)
+        got = m_step_block(net, state, 0, params.noise, pair_moments(net, state.tau))
         assert np.allclose(got.mu, params.noise.mu, atol=1e-8)
         assert np.allclose(got.var, params.noise.var, atol=1e-7)
         assert abs(got.rho) < 1e-6
@@ -284,7 +299,7 @@ class TestMStepBlock:
         net = MultilayerNetwork(n=8, K=3, weights=rng.normal(size=(28, 3)))
         state = soft_state(8, 2, seed=seed)
         noise = NoiseParams(mu=rng.normal(size=3), var=rng.uniform(0.5, 2.0, size=3))
-        got = m_step_block(net, state, 0, noise)
+        got = m_step_block(net, state, 0, noise, pair_moments(net, state.tau))
         mu, var, rho = oracle_block_params(net, state, 0, noise)
         assert np.allclose(got.mu, mu, atol=1e-10)
         assert np.allclose(got.var, var, atol=1e-10)
@@ -295,7 +310,7 @@ class TestMStepBlock:
         tau = np.full((12, 3), EPS_PROB)
         tau[:, 0] = 1.0 - 2 * EPS_PROB
         state = VariationalState(tau=tau, P=[0.5] * 3)
-        got = m_step_block(net, state, 2, params.noise)
+        got = m_step_block(net, state, 2, params.noise, pair_moments(net, state.tau))
         assert np.array_equal(got.mu, params.noise.mu)
         assert got.rho == 0.0
 
@@ -344,7 +359,7 @@ class TestMStepNoise:
         tau[:2, 0] = 1.0
         tau[2:, 1] = 1.0
         state = VariationalState(tau=tau, P=[1 - EPS_PROB] * 2)
-        got = m_step_noise(net, state, 0.5)
+        got = m_step_noise(net, state, 0.5, pair_moments(net, state.tau))
         iu, ju = np.triu_indices(net.n, 1)
         cross = (iu < 2) != (ju < 2)
         assert np.allclose(got.mu, net.weights[cross].mean(axis=0), atol=1e-7)
@@ -352,7 +367,7 @@ class TestMStepNoise:
     def test_constant_edges(self):
         net = constant_network(6, 2, 3.25)
         state = soft_state(6, 2, seed=12)
-        got = m_step_noise(net, state, 0.5)
+        got = m_step_noise(net, state, 0.5, pair_moments(net, state.tau))
         assert np.allclose(got.mu, 3.25, atol=1e-12)
         assert np.allclose(got.var, 1e-8)
 
@@ -361,7 +376,7 @@ class TestMStepNoise:
         rng = substream(seed, "mnoise")
         net = MultilayerNetwork(n=7, K=2, weights=rng.normal(size=(21, 2)))
         state = soft_state(7, 3, seed=seed)
-        got = m_step_noise(net, state, sbanm.psi(3))
+        got = m_step_noise(net, state, sbanm.psi(3), pair_moments(net, state.tau))
         mu, var = oracle_noise_params(net, state, sbanm.psi(3))
         assert np.allclose(got.mu, mu, atol=1e-10)
         assert np.allclose(got.var, var, atol=1e-10)
@@ -390,7 +405,8 @@ class TestElbo:
             - (P * math.log(P) + (1 - P) * math.log(1 - P))
             + 2 * (P * math.log(eps) + (1 - P) * math.log(1 - eps))
         )
-        assert elbo(net, params, state) == pytest.approx(expected, abs=1e-10)
+        got = elbo(net, params, state, pair_moments(net, state.tau))
+        assert got == pytest.approx(expected, abs=1e-10)
 
     def test_zero_entropy_limit_equals_complete_data_loglik(self):
         net, labels, params = planted_network(sizes=(6, 5, 4), seed=13)
@@ -415,7 +431,7 @@ class TestElbo:
         hier = float(
             counts @ (P * math.log(psi_c) + (1 - P) * math.log(1 - psi_c))
         )
-        got = elbo(net, params, state)
+        got = elbo(net, params, state, pair_moments(net, state.tau))
         assert got == pytest.approx(complete + prior + hier, rel=1e-6)
 
     @pytest.mark.parametrize("seed", [21, 22, 23])
@@ -442,7 +458,8 @@ class TestElbo:
             + tau.sum(axis=0) @ (P * math.log(psi) + (1 - P) * math.log(1 - psi))
         )
         expected = math.fsum(np.concatenate(parts)) + rest
-        assert elbo(net, params, state) == pytest.approx(expected, rel=1e-12, abs=0)
+        got = elbo(net, params, state, pair_moments(net, state.tau))
+        assert got == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 class TestFit:
@@ -492,14 +509,14 @@ class TestFit:
         for q in range(3):
             w = state.tau[iu, q] * state.tau[ju, q]
             classic = (w @ net.weights) / w.sum()
-            got = m_step_block(net, state, q, params.noise)
+            got = m_step_block(net, state, q, params.noise, pair_moments(net, state.tau))
             assert np.allclose(got.mu, classic, atol=1e-8)
 
     def test_fit_and_icl_make_one_moment_pass_per_m_step(self, planted60, monkeypatch):
-        # No per-pair log-density anywhere; one moment pass for the
-        # bootstrap M-step and one per outer iteration (shared by that
-        # iteration's M-step and ELBO, the last also by the final ELBO);
-        # one gap pass per E-step.
+        # One moment pass for the bootstrap M-step and one per outer
+        # iteration (shared by that iteration's M-step and ELBO, the last
+        # also by the final ELBO); one gap pass per E-step; one moment
+        # pass for the ICL.
         net, _, _ = planted60
         calls = {}
 
@@ -516,14 +533,13 @@ class TestFit:
                         if value is original:
                             monkeypatch.setattr(module, attr, counted)
 
-        count(sbanm.model.log_density_batch, "log_density_batch")
         count(sbanm.model.pair_moments, "pair_moments")
         count(sbanm.estep._gap_squares, "gaps")
         result = fit(net, FitConfig(Q=3, seed=2))
         T = len(result.elbo_trace)
-        assert calls == {"log_density_batch": 0, "pair_moments": T + 1, "gaps": T}
+        assert calls == {"pair_moments": T + 1, "gaps": T}
         sbanm.icl(net, result)
-        assert calls["log_density_batch"] == 0
+        assert calls == {"pair_moments": T + 2, "gaps": T}
 
     def test_hard_membership_is_row_argmax(self, planted60):
         net, _, _ = planted60
