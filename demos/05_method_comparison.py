@@ -15,7 +15,6 @@ from sbanm.rng import substream
 spec = sbanm.SimSpec(
     n=300, K=2, Q=(3, 5),
     prior_means=(0.0, 2.0), noise_mu=(-1.0, 0.0), noise_var=(2.0, 2.0),
-    seed=55,
 )
 candidates = [sbanm.draw_candidate(spec, substream(55, "candidate", i)) for i in range(60)]
 kept = sbanm.filter_separable([p for p, _ in candidates], 0.10)
@@ -25,9 +24,7 @@ rows = []
 for i in kept:
     params, sizes = candidates[i]
     net, labels = sbanm.gen_network(params, sizes, substream(55, "network", i))
-    spectral = sbanm.spectral_init(
-        net, sbanm.InitConfig(Q=params.Q, seed=55)
-    ).hard_membership()
+    spectral = sbanm.spectral_init(net, params.Q, 55).hard_membership()
     fitted = sbanm.fit(net, sbanm.FitConfig(Q=params.Q, seed=55)).hard_membership
     rows.append(
         (

@@ -12,7 +12,7 @@ from .evaluate import (
     optimal_matching,
     param_report,
 )
-from .init import InitConfig, spectral_embedding, spectral_init
+from .init import spectral_embedding, spectral_init
 from .io import (
     ResponseMatrix,
     build_similarity_network,
@@ -58,6 +58,17 @@ from .vem import (
     m_step_noise,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "BlockParams", "DataError", "FitConfig", "FitResult", "ModelParams", "MultilayerNetwork",
+    "NoiseParams", "NumericalError", "ParamReport", "ResponseMatrix", "SBANMError", "SimSpec",
+    "SviConfig", "VariationalState", "ari", "averaging_weight", "bhattacharyya",
+    "build_covariance", "build_similarity_network", "draw_candidate", "e_step", "elbo",
+    "exact_recovery", "experiment2_spec", "filter_separable", "fisher", "fit", "gen_network",
+    "gen_params", "icl", "m_step_alpha", "m_step_block", "m_step_noise", "nmi",
+    "normalize_logit", "optimal_matching", "pair_moments", "param_count", "param_report", "psi",
+    "read_memberships", "read_network", "read_params", "read_responses", "spectral_embedding",
+    "spectral_init", "subsample_size", "sum_layers", "svi_e_step", "write_memberships",
+    "write_network", "write_params",
+]
 
 __version__ = "0.1.0"

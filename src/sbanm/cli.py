@@ -162,19 +162,15 @@ def _cmd_simulate(args) -> int:
     else:
         preset = _EXP1_PRESETS.get(args.layers)
         if preset is None:
-            preset = {
-                "prior_means": tuple(np.zeros(args.layers)),
-                "noise_mu": tuple(np.full(args.layers, -1.0)),
-            }
+            # Empty for --layers below 1, which SimSpec rejects.
+            preset = {"prior_means": (0.0,) * args.layers, "noise_mu": (-1.0,) * args.layers}
         spec = simulate.SimSpec(
             n=args.nodes,
             K=args.layers,
             Q=args.blocks,
             prior_means=preset["prior_means"],
             noise_mu=preset["noise_mu"],
-            noise_var=np.full(args.layers, 2.0),
-            bhatt_keep_frac=args.keep_frac,
-            seed=args.seed,
+            noise_var=(2.0,) * args.layers,
         )
         candidates = [
             simulate.draw_candidate(spec, substream(args.seed, "candidate", i))

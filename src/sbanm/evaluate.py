@@ -18,7 +18,7 @@ from .errors import DataError
 from .model import (
     ModelParams,
     MultilayerNetwork,
-    law_coefficients,
+    expected_log_likelihood,
     pair_moments,
     safe_log,
 )
@@ -126,14 +126,10 @@ def icl(net: MultilayerNetwork, fit: FitResult) -> float:
     params = fit.params
     z = fit.hard_membership
     n, K, Q = net.n, net.K, params.Q
+    # With P = 1 each block's pairs are scored under its own law; a
+    # designated noise block's law is the noise law (ModelParams checks).
     moments = pair_moments(net, np.eye(Q)[z])
-    noise, laws = law_coefficients(params, net.center)
-    # The last moment row holds the cross-block pairs; empty blocks add 0.
-    # A designated noise block's law is the noise law (ModelParams checks).
-    ll = float(moments[Q] @ noise)
-    for q in range(Q):
-        if moments[q, 0] > 0.0:
-            ll += float(moments[q] @ laws[q])
+    ll = expected_log_likelihood(params, moments, np.ones(Q), net.center)
     ll += float(safe_log(params.alpha)[z].sum())
     middle = 0.5 * Q * (Q - 1) * math.log(n * max(K - 1, 1))
     pen = Q * math.log(n * (n - 1) * K / 2) + (Q * (Q - 1) / 2) * K * math.log(

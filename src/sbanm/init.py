@@ -7,8 +7,6 @@ fixed-point updates are never frozen by exact zeros.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
@@ -21,16 +19,6 @@ _DEGREE_FLOOR = 1e-12
 KMEANS_RESTARTS = 10
 # Membership mass the softened init spreads over the unassigned blocks.
 SOFT_EPS = 0.05
-
-
-@dataclass
-class InitConfig:
-    Q: int
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.Q < 1:
-            raise DataError("Q must be at least 1")
 
 
 def spectral_embedding(net: MultilayerNetwork, Q: int) -> np.ndarray:
@@ -116,19 +104,19 @@ def kmeans(X: np.ndarray, Q: int, restarts: int, seed: int) -> np.ndarray:
     return best_labels
 
 
-def spectral_init(net: MultilayerNetwork, cfg: InitConfig) -> VariationalState:
-    """Initial variational state from spectral clustering of the sum graph.
+def spectral_init(net: MultilayerNetwork, Q: int, seed: int) -> VariationalState:
+    """Initial variational state from spectral clustering of the sum graph,
+    with `seed` seeding the k-means starts.
 
     tau gets 1 - SOFT_EPS on the assigned cluster and SOFT_EPS/(Q-1)
     elsewhere; every P_q starts at 1 - 1/Q.
     """
-    Q = cfg.Q
     if net.n <= Q:
         raise DataError("need more nodes than blocks")
     if Q == 1:
         return VariationalState(tau=np.ones((net.n, 1)), P=clip_prob(np.zeros(1)))
     emb = spectral_embedding(net, Q)
-    labels = kmeans(emb, Q, KMEANS_RESTARTS, cfg.seed)
+    labels = kmeans(emb, Q, KMEANS_RESTARTS, seed)
     tau = np.full((net.n, Q), SOFT_EPS / (Q - 1))
     tau[np.arange(net.n), labels] = 1.0 - SOFT_EPS
     P = clip_prob(np.full(Q, 1.0 - 1.0 / Q))

@@ -22,7 +22,8 @@ Responses (CSV): header ``subject,<layer>:<item>,...``; cells in {1,0,NA}.
 Memberships (CSV): header ``node,block,tau_0,...,tau_{Q-1}``.
 
 Parameters (JSON): keys Q, K, alpha, psi, noise_block,
-blocks[{mu,var,rho}], noise{mu,var}, elbo, icl, seed.
+blocks[{mu,var,rho}], noise{mu,var}, elbo, icl, seed.  The reader checks
+Q against the number of blocks and psi against (Q-1)/Q.
 """
 
 from __future__ import annotations
@@ -425,21 +426,23 @@ def read_params(path: str) -> tuple[ModelParams, dict]:
         raise DataError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     try:
         params = ModelParams(
-            Q=int(doc["Q"]),
             blocks=[
                 BlockParams(mu=b["mu"], var=b["var"], rho=b["rho"])
                 for b in doc["blocks"]
             ],
             noise=NoiseParams(mu=doc["noise"]["mu"], var=doc["noise"]["var"]),
             alpha=doc["alpha"],
-            psi=float(doc["psi"]),
             noise_block=doc["noise_block"],
         )
-        K = int(doc["K"])
+        Q, K, psi = int(doc["Q"]), int(doc["K"]), float(doc["psi"])
     except KeyError as exc:
         raise DataError(f"{path}: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed value ({exc})") from exc
+    if params.Q != Q:
+        raise DataError(f"{path}: Q={Q} but {params.Q} blocks")
+    if not abs(params.psi - psi) <= 1e-12:
+        raise DataError(f"{path}: psi must equal (Q-1)/Q")
     if params.K != K:
         raise DataError(f"{path}: K does not match block dimensions")
     extras = {"elbo": doc.get("elbo"), "icl": doc.get("icl"), "seed": doc.get("seed")}

@@ -240,34 +240,35 @@ class NoiseParams:
     def covariance(self) -> np.ndarray:
         return np.diag(self.var)
 
+    def as_block(self) -> BlockParams:
+        """The noise law as a block law: the same means and variances, rho 0."""
+        return BlockParams(mu=self.mu.copy(), var=self.var.copy(), rho=0.0)
+
 
 @dataclass
 class ModelParams:
     """Complete parameter set: per-block Gaussians, the ambient-noise law,
-    block proportions alpha, the signal prior psi = (Q-1)/Q, and (once
-    designated) the index of the noise block.
+    block proportions alpha, and (once designated) the index of the noise
+    block.  Q = len(blocks) and the signal prior psi = (Q-1)/Q follow from
+    the blocks.
 
     noise_block is None while estimation is still running; a finished fit
     always sets it, and the designated entry of `blocks` mirrors `noise`.
     """
 
-    Q: int
     blocks: list[BlockParams]
     noise: NoiseParams
     alpha: np.ndarray
-    psi: float
     noise_block: int | None = None
 
     def __post_init__(self):
-        if self.Q < 1 or len(self.blocks) != self.Q:
-            raise DataError("need exactly Q block parameter sets")
+        if not self.blocks:
+            raise DataError("need at least one block parameter set")
         self.alpha = np.asarray(self.alpha, dtype=float)
         if self.alpha.shape != (self.Q,) or np.any(self.alpha < 0):
             raise DataError("alpha must be Q nonnegative entries")
         if abs(self.alpha.sum() - 1.0) > 1e-12:
             raise DataError("alpha must sum to 1")
-        if abs(self.psi - (self.Q - 1) / self.Q) > 1e-12:
-            raise DataError("psi must equal (Q-1)/Q")
         if self.noise_block is not None:
             q = self.noise_block
             if not 0 <= q < self.Q:
@@ -279,6 +280,14 @@ class ModelParams:
                 or not np.array_equal(b.var, self.noise.var)
             ):
                 raise DataError("designated noise block must mirror noise parameters")
+
+    @property
+    def Q(self) -> int:
+        return len(self.blocks)
+
+    @property
+    def psi(self) -> float:
+        return psi(self.Q)
 
     @property
     def K(self) -> int:
@@ -379,6 +388,24 @@ def law_coefficients(params: ModelParams, center: np.ndarray) -> tuple[np.ndarra
         [gaussian_coefficients(b.mu, b.covariance(), center) for b in params.blocks]
     )
     return noise, blocks
+
+
+def expected_log_likelihood(
+    params: ModelParams, moments: np.ndarray, P: np.ndarray, center: np.ndarray
+) -> float:
+    """Expected log-likelihood of the pairs behind `moments` (pair_moments
+    rows about `center`): the cross-block pairs and the (1 - P_q) share of
+    block q under the noise law, the P_q share under block q's law.
+
+    With P = 1 it is the complete-data log-likelihood of a hard partition;
+    an empty block's moment row is zero and adds nothing.
+    """
+    Q = params.Q
+    noise, signal = law_coefficients(params, center)
+    return float(
+        (moments[Q] + (1.0 - P) @ moments[:Q]) @ noise
+        + P @ np.einsum("qd,qd->q", moments[:Q], signal)
+    )
 
 
 def psi(Q: int) -> float:

@@ -22,7 +22,6 @@ from .model import (
     clamp_rho,
     num_pairs,
     pair_tiles,
-    psi as psi_of,
 )
 
 _SIZE_MIN = 3
@@ -49,10 +48,10 @@ class SimSpec:
     prior_sd: float = math.sqrt(5.0)
     dirichlet_conc: float = 5.0
     rho_range: tuple[float, float] = (0.0, 1.0)
-    bhatt_keep_frac: float = 0.10
-    seed: int = 0
 
     def __post_init__(self):
+        if self.K < 1:
+            raise DataError("K must be at least 1")
         self.prior_means = np.atleast_1d(np.asarray(self.prior_means, dtype=float))
         self.noise_mu = np.atleast_1d(np.asarray(self.noise_mu, dtype=float))
         self.noise_var = np.atleast_1d(np.asarray(self.noise_var, dtype=float))
@@ -65,8 +64,6 @@ class SimSpec:
             raise DataError("Q must be at least 2 (block 0 is the noise block)")
         if hi < lo:
             raise DataError("empty Q range")
-        if not 0.0 < self.bhatt_keep_frac <= 1.0:
-            raise DataError("bhatt_keep_frac must lie in (0, 1]")
         if not 0.0 <= self.rho_range[0] <= self.rho_range[1] <= 1.0:
             raise DataError("rho_range must satisfy 0 <= lo <= hi <= 1")
 
@@ -81,7 +78,7 @@ def gen_params(spec: SimSpec, rng: np.random.Generator) -> ModelParams:
     lo, hi = spec.q_bounds()
     Q = int(rng.integers(lo, hi + 1)) if hi > lo else lo
     noise = NoiseParams(mu=spec.noise_mu.copy(), var=spec.noise_var.copy())
-    blocks = [BlockParams(mu=spec.noise_mu.copy(), var=spec.noise_var.copy(), rho=0.0)]
+    blocks = [noise.as_block()]
     for _ in range(1, Q):
         mu = spec.prior_means + spec.prior_sd * rng.standard_normal(spec.K)
         var = np.maximum(
@@ -90,9 +87,7 @@ def gen_params(spec: SimSpec, rng: np.random.Generator) -> ModelParams:
         rho = clamp_rho(float(rng.uniform(*spec.rho_range)), spec.K)
         blocks.append(BlockParams(mu=mu, var=var, rho=rho))
     alpha = rng.dirichlet(np.full(Q, spec.dirichlet_conc))
-    return ModelParams(
-        Q=Q, blocks=blocks, noise=noise, alpha=alpha, psi=psi_of(Q), noise_block=0
-    )
+    return ModelParams(blocks=blocks, noise=noise, alpha=alpha, noise_block=0)
 
 
 def draw_sizes(
@@ -100,6 +95,9 @@ def draw_sizes(
 ) -> np.ndarray:
     """Multinomial block sizes with every block at least 3 nodes;
     degenerate draws are resampled."""
+    Q = len(alpha)
+    if n < _SIZE_MIN * Q:
+        raise DataError(f"n={n} is too small for {Q} blocks of at least {_SIZE_MIN} nodes")
     for _ in range(max_tries):
         sizes = rng.multinomial(n, alpha)
         if sizes.min() >= _SIZE_MIN:
@@ -179,6 +177,8 @@ def min_block_distance(params: ModelParams) -> float:
 def filter_separable(candidates, keep_frac: float) -> list[int]:
     """Indices of the top keep_frac fraction (ceiling) of candidates by
     minimum pairwise block distance; ties keep the earlier index."""
+    if not 0.0 < keep_frac <= 1.0:
+        raise DataError("keep_frac must lie in (0, 1]")
     scores = np.array([min_block_distance(p) for p in candidates])
     if scores.size == 0:
         raise DataError("no candidates to filter")
@@ -198,22 +198,13 @@ def experiment2_spec() -> tuple[ModelParams, np.ndarray]:
     rho = [0.00, 0.40, 0.15, 0.34]
     sizes = np.array([76, 97, 93, 34])
     noise = NoiseParams(mu=[mu_x[0], mu_y[0], mu_z[0]], var=[var_x[0], var_y[0], var_z[0]])
-    blocks = [
+    blocks = [noise.as_block()] + [
         BlockParams(
             mu=[mu_x[q], mu_y[q], mu_z[q]],
             var=[var_x[q], var_y[q], var_z[q]],
             rho=rho[q],
         )
-        for q in range(4)
+        for q in range(1, 4)
     ]
-    return (
-        ModelParams(
-            Q=4,
-            blocks=blocks,
-            noise=noise,
-            alpha=sizes / sizes.sum(),
-            psi=psi_of(4),
-            noise_block=0,
-        ),
-        sizes,
-    )
+    params = ModelParams(blocks=blocks, noise=noise, alpha=sizes / sizes.sum(), noise_block=0)
+    return params, sizes

@@ -11,13 +11,14 @@ P) is designated as the ambient-noise block.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, NumericalError
 from .estep import e_step
-from .init import InitConfig, spectral_init
+from .init import spectral_init
 from .model import (
     VAR_FLOOR,
     BlockParams,
@@ -26,7 +27,7 @@ from .model import (
     NoiseParams,
     VariationalState,
     clamp_rho,
-    law_coefficients,
+    expected_log_likelihood,
     pair_moments,
     psi as psi_of,
     psi_terms,
@@ -54,8 +55,8 @@ class FitConfig:
     def __post_init__(self):
         if self.Q < 1:
             raise DataError("Q must be at least 1")
-        if min(self.tol_tau, self.tol_elbo) <= 0:
-            raise DataError("tolerances must be positive")
+        if not (0.0 < self.tol_tau < math.inf and 0.0 < self.tol_elbo < math.inf):
+            raise DataError("tolerances must be finite and positive")
         if not 0.0 < self.damping <= 1.0:
             raise DataError("damping must lie in (0, 1]")
         if self.max_outer < 1:
@@ -105,7 +106,7 @@ def m_step_block(
     P_q = state.P[q]
     if mass < _MASS_FLOOR:
         logger.warning("block %d degenerate (mass %.3g); reset to noise parameters", q, mass)
-        return BlockParams(mu=noise.mu.copy(), var=noise.var.copy(), rho=0.0)
+        return noise.as_block()
     offset, cov = _moment_stats(moments[q], K)
     wmean = net.center + offset
     mu = P_q * wmean + (1.0 - P_q) * noise.mu
@@ -125,46 +126,25 @@ def m_step_block(
 def m_step_noise(
     net: MultilayerNetwork,
     state: VariationalState,
-    psi: float,
     moments: np.ndarray,
 ) -> NoiseParams:
     """Ambient-noise update: psi-blend of the cross-block weighted moments
     and the within-block (1-P_q)-weighted moments.
 
-    Each side of the blend is renormalized by its own mass so the update
-    stays defined when one side has no weight.  `moments` is
-    pair_moments(net, state.tau).
+    Each side of the blend is renormalized by its own mass and a side
+    without mass is left out, so the update stays defined when one side
+    has no weight.  `moments` is pair_moments(net, state.tau).
     """
-    K, Q = net.K, state.Q
-    cross, within = moments[Q], (1.0 - state.P) @ moments[:Q]
-    mass_cross, mass_within = cross[0], within[0]
-    if mass_cross < _MASS_FLOOR and mass_within < _MASS_FLOOR:
+    Q = state.Q
+    psi = psi_of(Q)
+    sides = [(psi, moments[Q]), (1.0 - psi, (1.0 - state.P) @ moments[:Q])]
+    kept = [(w, side / side[0]) for w, side in sides if side[0] >= _MASS_FLOOR]
+    if not kept:
         raise NumericalError("noise estimate undefined")
-
-    def blend(stat_cross, stat_within):
-        w1 = psi if mass_cross >= _MASS_FLOOR else 0.0
-        w2 = (1.0 - psi) if mass_within >= _MASS_FLOOR else 0.0
-        total = w1 + w2
-        if total == 0.0:
-            # psi = 0 with only cross mass (or vice versa): fall back to the
-            # side that exists.
-            return stat_cross if mass_cross >= _MASS_FLOOR else stat_within
-        return (w1 * stat_cross + w2 * stat_within) / total
-
-    def side_stats(side):
-        """(mean offset, per-layer variance) of one side; zeros without mass."""
-        if side[0] < _MASS_FLOOR:
-            return np.zeros(K), np.zeros(K)
-        offset, cov = _moment_stats(side, K)
-        h, k = np.triu_indices(K)
-        return offset, cov[h == k]
-
-    (off_c, var_c), (off_w, var_w) = side_stats(cross), side_stats(within)
-    offset = blend(off_c, off_w)
-    # Each side's weighted mean of (x - mu)^2 is its variance plus the
-    # squared distance of its mean from mu.
-    var = blend(var_c + (off_c - offset) ** 2, var_w + (off_w - offset) ** 2)
-    return NoiseParams(mu=net.center + offset, var=np.maximum(var, VAR_FLOOR))
+    row = sum(w * side for w, side in kept) / sum(w for w, _ in kept)
+    offset, cov = _moment_stats(row, net.K)
+    h, k = np.triu_indices(net.K)
+    return NoiseParams(mu=net.center + offset, var=np.maximum(cov[h == k], VAR_FLOOR))
 
 
 def elbo(
@@ -181,15 +161,8 @@ def elbo(
     `moments` is pair_moments(net, state.tau).
     """
     tau, P = state.tau, state.P
-    Q = state.Q
     with np.errstate(over="ignore", invalid="ignore"):  # caught by the finite check
-        noise, signal = law_coefficients(params, net.center)
-        # Cross-block pairs and the (1 - P_q) share of block q under the
-        # noise law, the P_q share under block q's law.
-        ll = float(
-            (moments[Q] + (1.0 - P) @ moments[:Q]) @ noise
-            + P @ np.einsum("qd,qd->q", moments[:Q], signal)
-        )
+        ll = expected_log_likelihood(params, moments, P, net.center)
     terms = {
         "likelihood": ll,
         "membership prior": float(np.sum(tau * safe_log(params.alpha)[None, :])),
@@ -203,23 +176,21 @@ def elbo(
     return float(sum(terms.values()))
 
 
-def _m_step(net, state, psi, moments, noise_prev=None) -> ModelParams:
+def _m_step(net, state, moments, noise_prev=None) -> ModelParams:
     """One full M-step from the state's pair moments: alpha, the noise
     update, and every block against the previous noise parameters (against
     the new ones when there are none)."""
     alpha = m_step_alpha(state)
-    noise = m_step_noise(net, state, psi, moments)
+    noise = m_step_noise(net, state, moments)
     against = noise if noise_prev is None else noise_prev
     blocks = [m_step_block(net, state, q, against, moments) for q in range(state.Q)]
-    return ModelParams(
-        Q=state.Q, blocks=blocks, noise=noise, alpha=alpha, psi=psi, noise_block=None
-    )
+    return ModelParams(blocks=blocks, noise=noise, alpha=alpha)
 
 
-def _bootstrap_params(net, state, psi) -> ModelParams:
+def _bootstrap_params(net, state) -> ModelParams:
     """Initial parameters from the initialized state: the loop's E-step needs
     model parameters, so run one M-step with noise estimated first."""
-    return _m_step(net, state, psi, pair_moments(net, state.tau))
+    return _m_step(net, state, pair_moments(net, state.tau))
 
 
 def fit(
@@ -239,13 +210,10 @@ def fit(
     """
     if net.n <= cfg.Q:
         raise DataError("need more nodes than blocks")
-    psi = psi_of(cfg.Q)
     if init_state is None:
-        init_state = spectral_init(
-            net, InitConfig(Q=cfg.Q, seed=derive_seed(cfg.seed, "init"))
-        )
+        init_state = spectral_init(net, cfg.Q, derive_seed(cfg.seed, "init"))
     state = init_state
-    params = _bootstrap_params(net, state, psi)
+    params = _bootstrap_params(net, state)
 
     trace: list[float] = []
     converged = False
@@ -264,7 +232,7 @@ def fit(
         delta_tau = float(np.max(np.abs(tau - state.tau)))
         state = VariationalState(tau=tau, P=P)
         moments = pair_moments(net, tau)
-        params = _m_step(net, state, psi, moments, params.noise)
+        params = _m_step(net, state, moments, params.noise)
         value = elbo(net, params, state, moments)
         trace.append(value)
         logger.info(
@@ -281,16 +249,9 @@ def fit(
 
     q_nb = int(np.argmin(state.P))
     blocks = list(params.blocks)
-    blocks[q_nb] = BlockParams(
-        mu=params.noise.mu.copy(), var=params.noise.var.copy(), rho=0.0
-    )
+    blocks[q_nb] = params.noise.as_block()
     params = ModelParams(
-        Q=cfg.Q,
-        blocks=blocks,
-        noise=params.noise,
-        alpha=params.alpha,
-        psi=psi,
-        noise_block=q_nb,
+        blocks=blocks, noise=params.noise, alpha=params.alpha, noise_block=q_nb
     )
     final = elbo(net, params, state, moments)
     return FitResult(

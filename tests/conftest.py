@@ -13,7 +13,6 @@ def separable_params_2layer():
     a test needs a fit that reliably recovers the planted partition.
     """
     return sbanm.ModelParams(
-        Q=3,
         blocks=[
             sbanm.BlockParams(mu=(-1.0, 0.0), var=(1.0, 1.0), rho=0.0),
             sbanm.BlockParams(mu=(2.5, 4.0), var=(0.8, 0.5), rho=0.4),
@@ -21,7 +20,6 @@ def separable_params_2layer():
         ],
         noise=sbanm.NoiseParams(mu=(-1.0, 0.0), var=(1.0, 1.0)),
         alpha=(0.4, 0.35, 0.25),
-        psi=sbanm.psi(3),
         noise_block=0,
     )
 
@@ -39,7 +37,6 @@ def offset_planted_network(seed=0):
     variance near 0.06 (block 0 noise): Gaussian sums over its pairs lose
     digits to cancellation unless the weights are centred."""
     params = sbanm.ModelParams(
-        Q=3,
         blocks=[
             sbanm.BlockParams(mu=(20.0, 20.1), var=(0.06, 0.07), rho=0.0),
             sbanm.BlockParams(mu=(20.6, 19.5), var=(0.05, 0.06), rho=0.3),
@@ -47,7 +44,6 @@ def offset_planted_network(seed=0):
         ],
         noise=sbanm.NoiseParams(mu=(20.0, 20.1), var=(0.06, 0.07)),
         alpha=(0.4, 0.3, 0.3),
-        psi=sbanm.psi(3),
         noise_block=0,
     )
     net, labels = sbanm.gen_network(

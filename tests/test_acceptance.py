@@ -79,7 +79,7 @@ class TestCriterion2BivariateRecovery:
     def test_filtered_bivariate_candidates(self):
         spec = sbanm.SimSpec(
             n=500, K=2, Q=(3, 5), prior_means=(0.0, 2.0), noise_mu=(-1.0, 0.0),
-            noise_var=(2.0, 2.0), seed=11,
+            noise_var=(2.0, 2.0),
         )
         cands = [sbanm.draw_candidate(spec, substream(11, "candidate", i))
                  for i in range(100)]
@@ -109,7 +109,7 @@ class TestCriterion3TrivariateRecovery:
     def test_filtered_trivariate_candidates(self):
         spec = sbanm.SimSpec(
             n=200, K=3, Q=(3, 5), prior_means=(-2.0, 0.0, 2.0),
-            noise_mu=(-3.0, -1.0, 1.0), noise_var=(2.0, 2.0, 2.0), seed=13,
+            noise_mu=(-3.0, -1.0, 1.0), noise_var=(2.0, 2.0, 2.0),
         )
         cands = [sbanm.draw_candidate(spec, substream(13, "candidate", i))
                  for i in range(100)]
@@ -138,7 +138,7 @@ class TestCriterion4IclSelection:
     def test_select_recovers_true_block_count(self, tmp_path, capsys):
         spec = sbanm.SimSpec(
             n=200, K=3, Q=5, prior_means=(-2.0, 0.0, 2.0),
-            noise_mu=(-3.0, -1.0, 1.0), noise_var=(2.0, 2.0, 2.0), seed=21,
+            noise_mu=(-3.0, -1.0, 1.0), noise_var=(2.0, 2.0, 2.0),
         )
         cands = [sbanm.draw_candidate(spec, substream(21, "candidate", i))
                  for i in range(50)]
@@ -165,12 +165,12 @@ class TestCriterion5PropertySuites:
 
         # tau rows stay stochastic after every update (checked to 1e-10).
         net60, labels60, params60 = planted_network(seed=50)
-        state = sbanm.spectral_init(net60, sbanm.InitConfig(Q=3, seed=50))
+        state = sbanm.spectral_init(net60, 3, 50)
         from sbanm.vem import _bootstrap_params
 
         from sbanm.vem import TAU_INNER_MAX
 
-        boot = _bootstrap_params(net60, state, sbanm.psi(3))
+        boot = _bootstrap_params(net60, state)
         cfg = sbanm.FitConfig(Q=3, seed=50)
         tau, _ = sbanm.e_step(
             net60, boot, state, inner=TAU_INNER_MAX, damping=cfg.damping, tol=cfg.tol_tau
@@ -208,7 +208,7 @@ class TestCriterion5PropertySuites:
             and abs(got.rho - rho_o) <= 1e-10
         ):
             failures.append("m_step_block differs from double-sum oracle")
-        got_noise = sbanm.m_step_noise(net10, st10, sbanm.psi(3), moments10)
+        got_noise = sbanm.m_step_noise(net10, st10, moments10)
         mu_n, var_n = oracle_noise_params(net10, st10, sbanm.psi(3))
         if not (
             np.allclose(got_noise.mu, mu_n, atol=1e-10)
@@ -290,7 +290,7 @@ class TestCriterion6SpectralSanity:
         net = sbanm.MultilayerNetwork(
             n=n, K=1, weights=np.where(same, 1.0, 0.0)[:, None]
         )
-        state = sbanm.spectral_init(net, sbanm.InitConfig(Q=2, seed=0))
+        state = sbanm.spectral_init(net, 2, 0)
         labels = state.hard_membership()
         ok = (
             len(set(labels[:n_per])) == 1

@@ -165,6 +165,26 @@ class TestSimulate:
                        "--experiment2", "--seed", "1", "--out", str(tmp_path / "x"))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            pytest.param(["--layers", "2", "--nodes", "5", "--blocks", "3"],
+                         "n=5 is too small for 3 blocks of at least 3 nodes", id="few-nodes"),
+            pytest.param(["--layers", "0", "--nodes", "30", "--blocks", "3"],
+                         "K must be at least 1", id="no-layers"),
+            pytest.param(["--layers", "-1", "--nodes", "30", "--blocks", "3"],
+                         "K must be at least 1", id="negative-layers"),
+            pytest.param(["--layers", "2", "--nodes", "30", "--blocks", "3", "--keep-frac", "0"],
+                         "keep_frac must lie in (0, 1]", id="keep-frac-0"),
+        ],
+    )
+    def test_impossible_settings_are_data_errors(self, tmp_path, capsys, flags, message):
+        code = run_cli("simulate", *flags, "--seed", "1", "--out", str(tmp_path / "x"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"sbanm: data error: {message}" in err
+        assert "kept candidates" not in err
+
 
 class TestSelect:
     def test_select_prints_table_and_argmax(self, planted_files, tmp_path, capsys):
@@ -248,6 +268,13 @@ class TestExitCodes:
         assert run_cli("fit", "--input", str(net_path), "--blocks", "3", "--svi",
                        "--svi-kappa-m", "-1", "--out", str(tmp_path / "o")) == 2
         assert "kappa_m must be nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--tol-elbo", "--tol-tau"])
+    def test_nan_tolerance_is_data_error(self, planted_files, tmp_path, capsys, flag):
+        net_path, _ = planted_files
+        assert run_cli("fit", "--input", str(net_path), "--blocks", "3", flag, "nan",
+                       "--out", str(tmp_path / "o")) == 2
+        assert "tolerances must be finite and positive" in capsys.readouterr().err
 
     def test_missing_file_is_plain_error(self, tmp_path):
         assert run_cli("fit", "--input", str(tmp_path / "nope.tsv"), "--blocks", "2",

@@ -51,9 +51,7 @@ def shrunk_params(params, factor):
         sbanm.BlockParams(mu=noise.mu + factor * (b.mu - noise.mu), var=b.var, rho=b.rho)
         for b in params.blocks
     ]
-    return sbanm.ModelParams(
-        Q=params.Q, blocks=blocks, noise=noise, alpha=params.alpha, psi=params.psi
-    )
+    return sbanm.ModelParams(blocks=blocks, noise=noise, alpha=params.alpha)
 
 
 def soft_state(n, Q, seed):

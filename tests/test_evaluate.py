@@ -142,14 +142,12 @@ class TestParamReport:
     def test_shifted_means(self):
         truth, _ = sbanm.experiment2_spec()
         shifted = sbanm.ModelParams(
-            Q=4,
             blocks=[
                 sbanm.BlockParams(mu=b.mu + 0.1, var=b.var, rho=b.rho)
                 for b in truth.blocks
             ],
             noise=truth.noise,
             alpha=truth.alpha,
-            psi=truth.psi,
         )
         rep = param_report(truth, shifted, {q: q for q in range(4)})
         assert np.allclose(rep.mu_err, 0.1, atol=1e-12)
@@ -159,8 +157,7 @@ class TestParamReport:
         perm = [0, 2, 3, 1]  # fitted block perm[q] corresponds to truth q
         blocks = [truth.blocks[q] for q in np.argsort(perm)]
         fitted = sbanm.ModelParams(
-            Q=4, blocks=blocks, noise=truth.noise,
-            alpha=truth.alpha[np.argsort(perm)], psi=truth.psi,
+            blocks=blocks, noise=truth.noise, alpha=truth.alpha[np.argsort(perm)],
         )
         rep = param_report(truth, fitted, {q: perm[q] for q in range(4)})
         assert np.all(rep.mu_err == 0)
@@ -169,14 +166,12 @@ class TestParamReport:
         truth, _ = sbanm.experiment2_spec()
         assert truth.blocks[0].rho == 0.0
         fitted = sbanm.ModelParams(
-            Q=4,
             blocks=[
                 sbanm.BlockParams(mu=b.mu, var=b.var, rho=b.rho + 0.005)
                 for b in truth.blocks
             ],
             noise=truth.noise,
             alpha=truth.alpha,
-            psi=truth.psi,
         )
         rep = param_report(truth, fitted, {q: q for q in range(4)})
         assert rep.rho_ape[0] == pytest.approx(0.005 / 0.01, abs=1e-12)
@@ -184,11 +179,9 @@ class TestParamReport:
     def test_q_mismatch_rejected(self):
         truth, _ = sbanm.experiment2_spec()
         other = sbanm.ModelParams(
-            Q=2,
             blocks=[truth.blocks[0], truth.blocks[1]],
             noise=truth.noise,
             alpha=[0.5, 0.5],
-            psi=0.5,
         )
         with pytest.raises(DataError):
             param_report(truth, other, {0: 0, 1: 1})
@@ -253,6 +246,32 @@ class TestIcl:
             mask = signal & (li == q)
             ld[mask] = log_density_batch(net.weights[mask], b.mu, b.covariance())
         ll = math.fsum(ld) + float(np.log(params.alpha)[labels].sum())
+        n, K, Q = net.n, net.K, 3
+        middle = 0.5 * Q * (Q - 1) * math.log(n * (K - 1))
+        pen = Q * math.log(n * (n - 1) * K / 2) + (Q * (Q - 1) / 2) * K * math.log(
+            n * (n - 1) / 2
+        )
+        assert sbanm.icl(net, result) == pytest.approx(ll - middle - pen, rel=1e-12, abs=0)
+
+    def test_empty_block_matches_per_pair_reference(self):
+        # Block 2's nodes moved into block 1: block 2 has no pair, and
+        # block 1's pairs are scored under block 1's law.
+        net, labels, params = offset_planted_network(seed=25)
+        z = np.where(labels == 2, 1, labels)
+        result = sbanm.FitResult(
+            params=params,
+            state=sbanm.VariationalState(tau=np.eye(3)[z], P=[1e-9, 0.9, 0.9]),
+            hard_membership=z,
+            elbo_trace=np.array([]),
+            converged=True,
+            elbo=0.0,
+        )
+        iu, ju = np.triu_indices(net.n, 1)
+        ld = np.empty(net.n_pairs)
+        for p, (i, j) in enumerate(zip(iu, ju)):
+            law = params.blocks[z[i]] if z[i] == z[j] else params.noise
+            ld[p] = log_density(net.weights[p], law.mu, law.covariance())
+        ll = math.fsum(ld) + float(np.log(params.alpha)[z].sum())
         n, K, Q = net.n, net.K, 3
         middle = 0.5 * Q * (Q - 1) * math.log(n * (K - 1))
         pen = Q * math.log(n * (n - 1) * K / 2) + (Q * (Q - 1) / 2) * K * math.log(

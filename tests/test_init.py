@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 import sbanm
-from sbanm import InitConfig, MultilayerNetwork, spectral_init
+from sbanm import MultilayerNetwork, spectral_init
 from sbanm.errors import DataError
 from sbanm.init import kmeans, spectral_embedding
 from sbanm.model import pair_index
@@ -55,7 +55,7 @@ def permute_network(net, perm):
 
 class TestSpectralInit:
     def test_two_disjoint_cliques_recovered(self):
-        state = spectral_init(cliques(), InitConfig(Q=2, seed=0))
+        state = spectral_init(cliques(), 2, 0)
         labels = state.hard_membership()
         assert len(set(labels[:5])) == 1
         assert len(set(labels[5:])) == 1
@@ -63,29 +63,28 @@ class TestSpectralInit:
 
     def test_rows_stochastic_and_interior(self):
         net, _, _ = planted_network(seed=3)
-        state = spectral_init(net, InitConfig(Q=3, seed=1))
+        state = spectral_init(net, 3, 1)
         assert np.max(np.abs(state.tau.sum(axis=1) - 1.0)) < 1e-10
         assert np.all(state.tau > 0) and np.all(state.tau < 1)
         assert np.allclose(state.P, 1 - 1 / 3)
 
     def test_soft_eps_values(self):
         assert sbanm.init.SOFT_EPS == 0.05
-        state = spectral_init(cliques(), InitConfig(Q=2, seed=0))
+        state = spectral_init(cliques(), 2, 0)
         assert set(np.round(np.unique(state.tau), 6)) == {0.05, 0.95}
 
     def test_deterministic(self):
         net, _, _ = planted_network(seed=4)
-        cfg = InitConfig(Q=3, seed=9)
-        a = spectral_init(net, cfg)
-        b = spectral_init(net, cfg)
+        a = spectral_init(net, 3, 9)
+        b = spectral_init(net, 3, 9)
         assert np.array_equal(a.tau, b.tau) and np.array_equal(a.P, b.P)
 
     def test_permutation_equivariance(self):
         net, _, _ = planted_network(seed=5)
         rng = substream(5, "perm")
         perm = rng.permutation(net.n)
-        state = spectral_init(net, InitConfig(Q=3, seed=2))
-        state_p = spectral_init(permute_network(net, perm), InitConfig(Q=3, seed=2))
+        state = spectral_init(net, 3, 2)
+        state_p = spectral_init(permute_network(net, perm), 3, 2)
         labels = state.hard_membership()
         labels_p = state_p.hard_membership()
         # Same partition of the same nodes, up to block relabeling.
@@ -93,16 +92,16 @@ class TestSpectralInit:
 
     def test_q1_returns_all_ones(self):
         net, _, _ = planted_network(seed=6)
-        state = spectral_init(net, InitConfig(Q=1, seed=0))
+        state = spectral_init(net, 1, 0)
         assert np.array_equal(state.tau, np.ones((net.n, 1)))
 
     def test_needs_more_nodes_than_blocks(self):
         net = cliques(n_per=2)
         with pytest.raises(DataError):
-            spectral_init(net, InitConfig(Q=4, seed=0))
+            spectral_init(net, 4, 0)
 
     def test_isolated_node_handled_by_degree_floor(self):
-        state = spectral_init(isolated_node_network(), InitConfig(Q=2, seed=0))
+        state = spectral_init(isolated_node_network(), 2, 0)
         assert np.max(np.abs(state.tau.sum(axis=1) - 1.0)) < 1e-10
 
 

@@ -23,7 +23,7 @@ from sbanm import io as sbanm_io
 from sbanm.errors import DataError
 from sbanm.model import pair_tiles
 
-from conftest import random_network
+from conftest import random_network, separable_params_2layer
 
 
 def responses_from_rows(rows):
@@ -500,6 +500,21 @@ class TestMembershipAndParamsFiles:
         path = tmp_path / "p.json"
         sbanm.write_params(str(path), params)
         path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        with pytest.raises(DataError) as info:
+            sbanm.read_params(str(path))
+        assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            pytest.param("psi", 0.5, "psi must equal (Q-1)/Q", id="psi-half"),
+            pytest.param("Q", 2, "Q=2 but 3 blocks", id="Q-2"),
+        ],
+    )
+    def test_params_q_and_psi_checked_against_blocks(self, tmp_path, key, value, message):
+        path = tmp_path / "p.json"
+        sbanm.write_params(str(path), separable_params_2layer())
+        path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
         with pytest.raises(DataError) as info:
             sbanm.read_params(str(path))
         assert str(info.value) == f"{path}: {message}"

@@ -218,15 +218,10 @@ class TestDomainTypes:
             BlockParams(mu=[2.0], var=[1.0], rho=0.0),
         ]
         with pytest.raises(DataError, match="sum to 1"):
-            ModelParams(Q=2, blocks=blocks, noise=noise, alpha=[0.6, 0.6], psi=0.5)
+            ModelParams(blocks=blocks, noise=noise, alpha=[0.6, 0.6])
         with pytest.raises(DataError, match="mirror"):
-            ModelParams(
-                Q=2, blocks=blocks, noise=noise, alpha=[0.5, 0.5], psi=0.5,
-                noise_block=1,
-            )
-        ok = ModelParams(
-            Q=2, blocks=blocks, noise=noise, alpha=[0.5, 0.5], psi=0.5, noise_block=0
-        )
+            ModelParams(blocks=blocks, noise=noise, alpha=[0.5, 0.5], noise_block=1)
+        ok = ModelParams(blocks=blocks, noise=noise, alpha=[0.5, 0.5], noise_block=0)
         assert ok.K == 1
 
     def test_state_validates_rows_and_P(self):

@@ -13,7 +13,7 @@ from sbanm.rng import substream
 from sbanm.simulate import draw_candidate, draw_sizes, min_block_distance
 
 
-def bivariate_spec(seed=0, Q=(3, 5)):
+def bivariate_spec(Q=(3, 5)):
     return SimSpec(
         n=120,
         K=2,
@@ -21,7 +21,6 @@ def bivariate_spec(seed=0, Q=(3, 5)):
         prior_means=(0.0, 2.0),
         noise_mu=(-1.0, 0.0),
         noise_var=(2.0, 2.0),
-        seed=seed,
     )
 
 
@@ -52,7 +51,7 @@ def exp2_scaled(n):
 
 
 def random_k2():
-    return draw_candidate(bivariate_spec(seed=3), substream(3, "c"))
+    return draw_candidate(bivariate_spec(), substream(3, "c"))
 
 
 def one_node_blocks():
@@ -68,6 +67,11 @@ def no_noise_block():
 
 
 class TestGenParams:
+    @pytest.mark.parametrize("K", [0, -1])
+    def test_spec_needs_a_layer(self, K):
+        with pytest.raises(DataError, match="K must be at least 1"):
+            SimSpec(n=30, K=K, Q=3, prior_means=(), noise_mu=(), noise_var=())
+
     def test_block0_is_noise(self):
         params = gen_params(bivariate_spec(), substream(0, "p"))
         assert params.noise_block == 0
@@ -122,14 +126,12 @@ class TestGenNetwork:
     def test_within_block_moments_converge(self):
         # One large signal block: empirical mean within 3 SE per layer.
         params = sbanm.ModelParams(
-            Q=2,
             blocks=[
                 BlockParams(mu=[0.0, 0.0], var=[1.0, 1.0], rho=0.0),
                 BlockParams(mu=[3.0, -2.0], var=[2.0, 0.5], rho=0.6),
             ],
             noise=NoiseParams(mu=[0.0, 0.0], var=[1.0, 1.0]),
             alpha=[0.5, 0.5],
-            psi=0.5,
             noise_block=0,
         )
         net, labels = gen_network(params, np.array([20, 80]), substream(5, "mc"))
@@ -228,20 +230,24 @@ class TestFilterSeparable:
         kept = filter_separable([params] * 10, 0.25)
         assert kept == [0, 1, 2]  # ceil(2.5) = 3, earliest indices
 
+    @pytest.mark.parametrize("keep_frac", [0.0, -0.1, 1.5, float("nan")])
+    def test_keep_frac_outside_unit_interval_rejected(self, keep_frac):
+        cands = [gen_params(bivariate_spec(), substream(s, "f")) for s in range(3)]
+        with pytest.raises(DataError, match=r"keep_frac must lie in \(0, 1\]"):
+            filter_separable(cands, keep_frac)
+
     def test_500_candidates_keep_50(self):
         scores = np.linspace(0, 1, 500)
         cands = []
         for s in scores:
             cands.append(
                 sbanm.ModelParams(
-                    Q=2,
                     blocks=[
                         BlockParams(mu=[0.0], var=[1.0], rho=0.0),
                         BlockParams(mu=[s * 10], var=[1.0], rho=0.0),
                     ],
                     noise=NoiseParams(mu=[0.0], var=[1.0]),
                     alpha=[0.5, 0.5],
-                    psi=0.5,
                     noise_block=0,
                 )
             )
@@ -274,3 +280,7 @@ class TestDrawSizes:
         for _ in range(50):
             sizes = draw_sizes(40, np.array([0.8, 0.1, 0.1]), rng)
             assert sizes.min() >= 3 and sizes.sum() == 40
+
+    def test_fewer_than_three_nodes_per_block_is_data_error(self):
+        with pytest.raises(DataError, match="n=8 is too small for 3 blocks"):
+            draw_sizes(8, np.full(3, 1 / 3), substream(12, "sizes"))

@@ -65,8 +65,8 @@ class TestSchedules:
 class TestSviEStep:
     def setup_instance(self, seed=0):
         net, labels, params_true = planted_network(sizes=(24, 20, 16), seed=seed)
-        state = sbanm.spectral_init(net, sbanm.InitConfig(Q=3, seed=seed))
-        params = _bootstrap_params(net, state, sbanm.psi(3))
+        state = sbanm.spectral_init(net, 3, seed)
+        params = _bootstrap_params(net, state)
         return net, state, params
 
     def test_deterministic_sample(self):

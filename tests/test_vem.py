@@ -20,7 +20,7 @@ from sbanm import (
     m_step_block,
     m_step_noise,
 )
-from sbanm.errors import NumericalError
+from sbanm.errors import DataError, NumericalError
 from sbanm.model import EPS_PROB, clamp_rho, pair_moments
 from sbanm.vem import TAU_INNER_MAX
 from sbanm.rng import substream
@@ -46,11 +46,9 @@ def twin_block_params(K=1, Q=2, mu=0.0, var=1.0):
     """Q identical signal blocks matching the noise law."""
     blocks = [BlockParams(mu=[mu] * K, var=[var] * K, rho=0.0) for _ in range(Q)]
     return ModelParams(
-        Q=Q,
         blocks=blocks,
         noise=NoiseParams(mu=[mu] * K, var=[var] * K),
         alpha=np.full(Q, 1.0 / Q),
-        psi=sbanm.psi(Q),
     )
 
 
@@ -100,14 +98,12 @@ class TestEstimateTau:
     def test_brute_force_complete_likelihood_maximizer(self):
         # 12 nodes, noise block + one well-separated signal block.
         params = ModelParams(
-            Q=2,
             blocks=[
                 BlockParams(mu=[0.0, 0.0], var=[1.0, 1.0], rho=0.0),
                 BlockParams(mu=[5.0, 6.0], var=[0.5, 0.8], rho=0.3),
             ],
             noise=NoiseParams(mu=[0.0, 0.0], var=[1.0, 1.0]),
             alpha=[0.5, 0.5],
-            psi=0.5,
             noise_block=0,
         )
         net, truth = sbanm.gen_network(params, np.array([6, 6]), substream(3, "n12"))
@@ -139,7 +135,6 @@ class TestEstimateP:
         # Three blocks; block 2's parameters equal the noise law exactly.
         rng = substream(4, "pnet")
         params = ModelParams(
-            Q=3,
             blocks=[
                 BlockParams(mu=[3.0], var=[0.5], rho=0.0),
                 BlockParams(mu=[-3.0], var=[0.5], rho=0.0),
@@ -147,15 +142,12 @@ class TestEstimateP:
             ],
             noise=NoiseParams(mu=[0.0], var=[1.0]),
             alpha=[1 / 3, 1 / 3, 1 / 3],
-            psi=sbanm.psi(3),
         )
         net, _ = sbanm.gen_network(
             ModelParams(
-                Q=3,
                 blocks=params.blocks,
                 noise=params.noise,
                 alpha=params.alpha,
-                psi=params.psi,
                 noise_block=2,
             ),
             np.array([8, 8, 8]),
@@ -170,14 +162,12 @@ class TestEstimateP:
     def test_saturation_at_overwhelming_gap(self):
         # One pair with an enormous signal-noise gap for block 0.
         params = ModelParams(
-            Q=2,
             blocks=[
                 BlockParams(mu=[200.0], var=[1.0], rho=0.0),
                 BlockParams(mu=[0.0], var=[1.0], rho=0.0),
             ],
             noise=NoiseParams(mu=[0.0], var=[1.0]),
             alpha=[0.5, 0.5],
-            psi=0.5,
         )
         net = constant_network(4, 1, 200.0)
         tau = np.zeros((4, 2))
@@ -191,14 +181,12 @@ class TestEstimateP:
         # K=1, sd 1 everywhere: f_sig - f_noise = mu*x - mu^2/2, so the
         # block gaps are exactly +2 and -2 by construction.
         params = ModelParams(
-            Q=2,
             blocks=[
                 BlockParams(mu=[1.0], var=[1.0], rho=0.0),
                 BlockParams(mu=[1.0], var=[1.0], rho=0.0),
             ],
             noise=NoiseParams(mu=[0.0], var=[1.0]),
             alpha=[0.5, 0.5],
-            psi=0.5,
         )
         weights = np.zeros((6, 1))
         weights[0, 0] = 2.5        # pair (0,1): gap for block 0 = 2.5 - 0.5 = +2
@@ -359,7 +347,7 @@ class TestMStepNoise:
         tau[:2, 0] = 1.0
         tau[2:, 1] = 1.0
         state = VariationalState(tau=tau, P=[1 - EPS_PROB] * 2)
-        got = m_step_noise(net, state, 0.5, pair_moments(net, state.tau))
+        got = m_step_noise(net, state, pair_moments(net, state.tau))
         iu, ju = np.triu_indices(net.n, 1)
         cross = (iu < 2) != (ju < 2)
         assert np.allclose(got.mu, net.weights[cross].mean(axis=0), atol=1e-7)
@@ -367,7 +355,7 @@ class TestMStepNoise:
     def test_constant_edges(self):
         net = constant_network(6, 2, 3.25)
         state = soft_state(6, 2, seed=12)
-        got = m_step_noise(net, state, 0.5, pair_moments(net, state.tau))
+        got = m_step_noise(net, state, pair_moments(net, state.tau))
         assert np.allclose(got.mu, 3.25, atol=1e-12)
         assert np.allclose(got.var, 1e-8)
 
@@ -376,10 +364,25 @@ class TestMStepNoise:
         rng = substream(seed, "mnoise")
         net = MultilayerNetwork(n=7, K=2, weights=rng.normal(size=(21, 2)))
         state = soft_state(7, 3, seed=seed)
-        got = m_step_noise(net, state, sbanm.psi(3), pair_moments(net, state.tau))
+        got = m_step_noise(net, state, pair_moments(net, state.tau))
         mu, var = oracle_noise_params(net, state, sbanm.psi(3))
         assert np.allclose(got.mu, mu, atol=1e-10)
         assert np.allclose(got.var, var, atol=1e-10)
+
+    def test_q1_uses_the_within_block_side_alone(self):
+        # Q=1: every pair lies in the one block, so the cross side has no
+        # mass and the update is the (1-P)-weighted within-block moments.
+        rng = substream(5, "mnoise-q1")
+        net = MultilayerNetwork(n=6, K=2, weights=rng.normal(size=(15, 2)))
+        state = VariationalState(tau=np.ones((6, 1)), P=[0.3])
+        moments = pair_moments(net, state.tau)
+        assert moments[1, 0] == 0.0
+        got = m_step_noise(net, state, moments)
+        w = np.full(net.n_pairs, 1.0 - 0.3)
+        mu = w @ net.weights / w.sum()
+        var = w @ (net.weights - mu) ** 2 / w.sum()
+        assert np.allclose(got.mu, mu, atol=1e-12)
+        assert np.allclose(got.var, var, atol=1e-12)
 
 
 class TestElbo:
@@ -388,11 +391,9 @@ class TestElbo:
         x, mu, var = 0.4, -0.2, 1.5
         net = MultilayerNetwork(n=2, K=1, weights=np.array([[x]]))
         params = ModelParams(
-            Q=1,
             blocks=[BlockParams(mu=[mu], var=[var], rho=0.0)],
             noise=NoiseParams(mu=[mu], var=[var]),
             alpha=[1.0],
-            psi=0.0,
         )
         P = 0.25
         state = VariationalState(tau=np.ones((2, 1)), P=[P])
@@ -481,6 +482,12 @@ class TestFit:
             diffs = np.diff(result.elbo_trace)
             assert diffs.size == 0 or diffs.min() > -1e-6
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1e-9])
+    @pytest.mark.parametrize("field", ["tol_tau", "tol_elbo"])
+    def test_tolerance_must_be_finite_and_positive(self, field, value):
+        with pytest.raises(DataError, match="tolerances must be finite and positive"):
+            FitConfig(Q=2, **{field: value})
+
     def test_q1_collapses_to_global_noise(self):
         net, _, _ = planted_network(sizes=(8, 7, 5), seed=14)
         result = fit(net, FitConfig(Q=1, seed=0))
@@ -491,7 +498,7 @@ class TestFit:
 
     def test_initial_column_permutation_permutes_blocks(self):
         net, _, _ = planted_network(seed=15)
-        state = sbanm.spectral_init(net, sbanm.InitConfig(Q=3, seed=4))
+        state = sbanm.spectral_init(net, 3, 4)
         perm = [2, 0, 1]
         permuted = VariationalState(tau=state.tau[:, perm], P=state.P[perm])
         a = fit(net, FitConfig(Q=3, seed=4), init_state=state)
