@@ -24,6 +24,7 @@ from .model import (
     pair_index,
     psi_terms,
     safe_log,
+    tile_endpoints,
 )
 
 
@@ -37,8 +38,12 @@ def _gap_squares(net: MultilayerNetwork, params: ModelParams, nodes) -> np.ndarr
         noise, blocks = law_coefficients(params, net.center)
         coef = blocks - noise
 
-        def tile_gaps(p0, p1, I, J):
-            rows = slice(p0, p1) if nodes is None else pair_index(net.n, nodes[I], nodes[J])
+        def tile_gaps(p0, p1, r0, r1):
+            if nodes is None:
+                rows = slice(p0, p1)
+            else:
+                I, J = tile_endpoints(m, r0, r1)
+                rows = pair_index(net.n, nodes[I], nodes[J])
             return coef @ pair_features(net.weights[rows], net.center)
 
         return packed_pairs(m, tile_gaps, (params.Q,))

@@ -35,9 +35,13 @@ def spectral_embedding(net: MultilayerNetwork, Q: int) -> np.ndarray:
     """
     if not 1 <= Q < net.n:
         raise DataError(f"spectral embedding needs 1 <= Q < n, got Q={Q}, n={net.n}")
-    flat = net.weights.sum(axis=1)
+    # Layer by layer: the sums of sum(axis=1), in its order, without its
+    # slow reduction over a short inner axis.
+    flat = net.weights[:, 0].copy()
+    for layer in net.weights.T[1:]:
+        flat += layer
     flat -= flat.min()
-    A = packed_pairs(net.n, lambda p0, p1, I, J: flat[p0:p1])
+    A = packed_pairs(net.n, lambda p0, p1, r0, r1: flat[p0:p1])
     dinv = 1.0 / np.sqrt(np.maximum(packed_matvec(A, np.ones(net.n)), _DEGREE_FLOOR))
     M = LinearOperator(
         (net.n, net.n), matvec=lambda x: dinv * packed_matvec(A, dinv * x.ravel()), dtype=float

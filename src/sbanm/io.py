@@ -50,6 +50,7 @@ from .model import (
     NoiseParams,
     num_pairs,
     pair_tiles,
+    tile_endpoints,
 )
 
 _R_CLAMP = 1e-7   # keeps agreement ratios inside atanh's domain
@@ -198,7 +199,8 @@ def _network_chunks(net: MultilayerNetwork) -> Iterator[str]:
     tile, each a single %-format of the row template over the tile."""
     yield f"#sbanm-net v1 n={net.n} K={net.K}\n"
     row = "%d\t%d" + "\t%.17g" * net.K + "\n"
-    for p0, p1, I, J in pair_tiles(net.n):
+    for p0, p1, r0, r1 in pair_tiles(net.n):
+        I, J = tile_endpoints(net.n, r0, r1)
         fields = np.empty((p1 - p0, 2 + net.K), dtype=object)
         fields[:, 0] = I
         fields[:, 1] = J
@@ -238,7 +240,8 @@ def _read_pairs(fh: TextIO, n: int, K: int) -> np.ndarray | None:
         return None
     if not np.isfinite(rows["w"]).all():
         return None
-    for p0, p1, I, J in pair_tiles(n):
+    for p0, p1, r0, r1 in pair_tiles(n):
+        I, J = tile_endpoints(n, r0, r1)
         if not (np.array_equal(rows["i"][p0:p1], I) and np.array_equal(rows["j"][p0:p1], J)):
             return None
     return np.ascontiguousarray(rows["w"])

@@ -68,21 +68,29 @@ def pair_tiles(m: int):
     """Split the lexicographic pairs of m nodes into tiles of whole rows,
     about PAIR_TILE pairs each (one row when a row is longer).
 
-    Yields (p0, p1, I, J): the tile is pairs p0 <= p < p1 and pair p has
-    endpoints I[p - p0] < J[p - p0].
+    Yields (p0, p1, r0, r1): the tile is pairs p0 <= p < p1, which are the
+    whole rows r0 <= i < r1, row i holding the m - 1 - i pairs (i, j > i).
     """
-    lengths = m - 1 - np.arange(m)
-    starts = np.concatenate(([0], np.cumsum(lengths)))
-    r0 = 0
+    r0 = p0 = 0
     while r0 < m - 1:
-        r1 = int(np.searchsorted(starts, starts[r0] + PAIR_TILE, side="right")) - 1
-        r1 = min(max(r1, r0 + 1), m - 1)
-        p0, p1 = int(starts[r0]), int(starts[r1])
-        I = np.repeat(np.arange(r0, r1), lengths[r0:r1])
-        # Pair p of row i is (i, j) with p = starts[i] + j - i - 1.
-        J = np.arange(p0, p1) - starts[I] + I + 1
-        yield p0, p1, I, J
-        r0 = r1
+        r1, p1 = r0 + 1, p0 + m - 1 - r0
+        while r1 < m - 1 and p1 + m - 1 - r1 <= p0 + PAIR_TILE:
+            p1 += m - 1 - r1
+            r1 += 1
+        yield p0, p1, r0, r1
+        r0, p0 = r1, p1
+
+
+def tile_endpoints(m: int, r0: int, r1: int) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints (I, J), I < J, of the pairs of rows r0 <= i < r1 of m nodes,
+    in pair order."""
+    rows = np.arange(r0, r1)
+    lengths = m - 1 - rows
+    I = np.repeat(rows, lengths)
+    # Pair k of the tile is (i, j) with k = (pairs of the tile's rows before
+    # row i) + j - i - 1.
+    J = np.arange(I.size) + np.repeat(rows + 1 - (np.cumsum(lengths) - lengths), lengths)
+    return I, J
 
 
 def packed_pairs(m: int, tile_values, lead: tuple = ()) -> np.ndarray:
@@ -90,11 +98,19 @@ def packed_pairs(m: int, tile_values, lead: tuple = ()) -> np.ndarray:
     of the upper triangle one after another, each starting at its (zero)
     diagonal entry.  That is the memory of BLAS's column-major lower packed
     layout, which packed_matvec takes.  The entries of the pairs p0 <= p <
-    p1 of each pair_tiles(m) tile are tile_values(p0, p1, I, J)."""
+    p1 of each pair_tiles(m) tile (p0, p1, r0, r1) are
+    tile_values(p0, p1, r0, r1); each of its rows goes to its packed slot
+    as one slice."""
     A = np.zeros(lead + (m * (m + 1) // 2,))
-    for p0, p1, I, J in pair_tiles(m):
-        # Rows 0..i hold i + 1 diagonal entries before pair p of row i.
-        A[..., np.arange(p0 + 1, p1 + 1) + I] = tile_values(p0, p1, I, J)
+    for p0, p1, r0, r1 in pair_tiles(m):
+        values = tile_values(p0, p1, r0, r1)
+        p = p0
+        for i in range(r0, r1):
+            # Rows 0..i hold i + 1 diagonal entries before pair p of row i.
+            A[..., p + i + 1 : p + m] = values[..., p - p0 : p - p0 + m - 1 - i]
+            p += m - 1 - i
+        # Free this tile's values before the next tile's are built.
+        del values
     return A
 
 
@@ -126,24 +142,33 @@ def pair_features(x: np.ndarray, center: np.ndarray) -> np.ndarray:
 
 
 def pair_moments(net: "MultilayerNetwork", tau: np.ndarray) -> np.ndarray:
-    """Membership-weighted sums of the centred pair features, shape (Q+1, D).
+    """Membership-weighted sums of the centred pair features, shape (Q+1, D),
+    for row-stochastic memberships tau of shape (n, Q).
 
     Row q is sum_{i<j} tau_iq tau_jq phi(x_ij - net.center); the last row
-    weights each pair by its cross-block mass max(1 - sum_q tau_iq tau_jq, 0).
+    weights each pair by its cross-block mass 1 - sum_q tau_iq tau_jq, and
+    is taken once as the sum over all pairs minus the Q within-block rows.
     Every Gaussian log-density sum the fit needs is a dot product of such a
     row with gaussian_coefficients(..., net.center).
     """
-    tau = np.asarray(tau, dtype=float)
-    Q = tau.shape[1]
-    out = np.zeros((feature_dim(net.K), Q + 1))
-    ones = np.ones(Q)
-    for p0, p1, I, J in pair_tiles(net.n):
-        w = np.empty((p1 - p0, Q + 1))
-        np.multiply(np.take(tau, I, axis=0), np.take(tau, J, axis=0), out=w[:, :Q])
-        # A product with ones is much faster than sum(axis=1) over Q columns.
-        np.maximum(1.0 - w[:, :Q] @ ones, 0.0, out=w[:, Q])
-        out += pair_features(net.weights[p0:p1], net.center) @ w
-    return out.T
+    n = net.n
+    # Memberships block by block: each block's row of tau_t is contiguous.
+    tau_t = np.ascontiguousarray(np.transpose(tau), dtype=float)
+    Q = tau_t.shape[0]
+    out = np.zeros((Q + 1, feature_dim(net.K)))
+    for p0, p1, r0, r1 in pair_tiles(n):
+        # Column p - p0 of w weights pair p: row i of the tile pairs node i
+        # with each of the nodes i+1.., a contiguous slice of tau_t.
+        w = np.empty((Q + 1, p1 - p0))
+        np.multiply(
+            np.repeat(tau_t[:, r0:r1], n - 1 - np.arange(r0, r1), axis=1),
+            np.concatenate([tau_t[:, i + 1 :] for i in range(r0, r1)], axis=1),
+            out=w[:Q],
+        )
+        w[Q] = 1.0
+        out += w @ pair_features(net.weights[p0:p1], net.center).T
+    out[Q] -= out[:Q].sum(axis=0)
+    return out
 
 
 @dataclass

@@ -22,6 +22,7 @@ from .model import (
     clamp_rho,
     num_pairs,
     pair_tiles,
+    tile_endpoints,
 )
 
 _SIZE_MIN = 3
@@ -136,7 +137,8 @@ def gen_network(
     # draws give the values of one draw over all of them.
     for q, law in enumerate(params.blocks + [params.noise]):
         L = np.linalg.cholesky(law.covariance())
-        for p0, p1, I, J in pair_tiles(n):
+        for p0, p1, r0, r1 in pair_tiles(n):
+            I, J = tile_endpoints(n, r0, r1)
             li = labels[I]
             sel = np.flatnonzero(np.where(li == labels[J], li, Q) == q)
             if sel.size:

@@ -7,6 +7,7 @@ tau rows and P into the running estimates with a decaying weight.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +28,9 @@ class SviConfig:
     def __post_init__(self):
         if self.a < 2:
             raise DataError("base subsample size must be at least 2")
-        if not self.kappa_m >= 0:
-            raise DataError("kappa_m must be nonnegative")
+        # With kappa_m = inf the subsample would stay at a nodes for good.
+        if not 0 <= self.kappa_m < math.inf:
+            raise DataError("kappa_m must be nonnegative and finite")
         if not 0.5 < self.kappa_w <= 1.0:
             raise DataError("kappa_w must lie in (0.5, 1]")
 

@@ -269,6 +269,12 @@ class TestExitCodes:
                        "--svi-kappa-m", "-1", "--out", str(tmp_path / "o")) == 2
         assert "kappa_m must be nonnegative" in capsys.readouterr().err
 
+    def test_infinite_svi_kappa_m_is_data_error(self, planted_files, tmp_path, capsys):
+        net_path, _ = planted_files
+        assert run_cli("fit", "--input", str(net_path), "--blocks", "3", "--svi",
+                       "--svi-kappa-m", "inf", "--out", str(tmp_path / "o")) == 2
+        assert "kappa_m must be nonnegative and finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", ["--tol-elbo", "--tol-tau"])
     def test_nan_tolerance_is_data_error(self, planted_files, tmp_path, capsys, flag):
         net_path, _ = planted_files

@@ -5,6 +5,7 @@ import pytest
 from scipy.special import log_expit, logsumexp
 
 import sbanm
+from sbanm import model
 from sbanm.estep import e_step
 from sbanm.model import EPS_PROB
 from sbanm.rng import substream
@@ -61,17 +62,15 @@ def soft_state(n, Q, seed):
     return sbanm.VariationalState(tau=tau, P=rng.uniform(0.2, 0.8, size=Q))
 
 
+CASES = [
+    pytest.param(None, 1.0, 5, 0.7, id="full-batch"),
+    pytest.param(80, 0.6, 1, 1.0, id="svi-subset"),
+]
+
+
 class TestPackedGapsAgainstDenseReference:
-    # n = 105 spans two pair tiles, so rows meet at a tile boundary.
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize(
-        "subset, weight, inner, damping",
-        [
-            pytest.param(None, 1.0, 5, 0.7, id="full-batch"),
-            pytest.param(80, 0.6, 1, 1.0, id="svi-subset"),
-        ],
-    )
-    def test_matches_dense_e_step(self, seed, subset, weight, inner, damping):
+    @staticmethod
+    def check_against_dense_e_step(seed, subset, weight, inner, damping):
         net, _, params = planted_network(sizes=(40, 35, 30), seed=seed)
         params = shrunk_params(params, 0.01)
         state = soft_state(net.n, 3, seed)
@@ -82,6 +81,23 @@ class TestPackedGapsAgainstDenseReference:
         tau_ref, P_ref = dense_e_step(net, params, state, nodes, weight, inner, damping)
         assert np.max(np.abs(tau - tau_ref)) <= 1e-12
         assert np.max(np.abs(P - P_ref)) <= 1e-12
+
+    # n = 105 spans two pair tiles, so rows meet at a tile boundary.
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("subset, weight, inner, damping", CASES)
+    def test_matches_dense_e_step(self, seed, subset, weight, inner, damping):
+        self.check_against_dense_e_step(seed, subset, weight, inner, damping)
+
+    # Tiles shorter than the longest rows (104 pairs) hold one row each
+    # until the rows get shorter than the tile.
+    @pytest.mark.parametrize("tile", [50, 7])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("subset, weight, inner, damping", CASES)
+    def test_matches_dense_e_step_in_small_tiles(
+        self, seed, subset, weight, inner, damping, tile, monkeypatch
+    ):
+        monkeypatch.setattr(model, "PAIR_TILE", tile)
+        self.check_against_dense_e_step(seed, subset, weight, inner, damping)
 
 
 def test_e_step_peak_memory_below_dense_gap_squares():

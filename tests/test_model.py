@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,13 @@ from sbanm import (
 )
 from sbanm.errors import DataError, NumericalError
 from sbanm import model
-from sbanm.model import gaussian_coefficients, pair_features, pair_moments, pair_tiles
+from sbanm.model import (
+    gaussian_coefficients,
+    pair_features,
+    pair_moments,
+    pair_tiles,
+    tile_endpoints,
+)
 from sbanm.rng import substream
 
 from reference import log_density, log_density_batch, pairs_to_square
@@ -110,12 +117,18 @@ class TestPairPasses:
         tiles = list(pair_tiles(m))
         iu, ju = np.triu_indices(m, 1)
         assert [p0 for p0, _, _, _ in tiles] == [0] + [p1 for _, p1, _, _ in tiles[:-1]]
-        assert tiles[-1][1] == iu.size
-        assert np.array_equal(np.concatenate([I for *_, I, _ in tiles]), iu)
-        assert np.array_equal(np.concatenate([J for *_, J in tiles]), ju)
+        assert [r0 for _, _, r0, _ in tiles] == [0] + [r1 for *_, r1 in tiles[:-1]]
+        assert tiles[-1][1] == iu.size and tiles[-1][3] == m - 1
+        ends = [tile_endpoints(m, r0, r1) for _, _, r0, r1 in tiles]
+        for (p0, p1, r0, r1), (I, J) in zip(tiles, ends):
+            assert I.size == p1 - p0
+            assert np.array_equal(np.unique(I), np.arange(r0, r1))
+            assert p1 - p0 <= tile or r1 == r0 + 1
+        assert np.array_equal(np.concatenate([I for I, _ in ends]), iu)
+        assert np.array_equal(np.concatenate([J for _, J in ends]), ju)
 
-    def test_moments_match_per_pair_sums(self):
-        # 4950 pairs: the moment pass spans two tiles.
+    @staticmethod
+    def check_moments_against_per_pair_sums():
         rng = substream(5, "moments")
         n, K, Q = 100, 3, 4
         net = MultilayerNetwork(n=n, K=K, weights=rng.normal(size=(n * (n - 1) // 2, K)))
@@ -127,6 +140,49 @@ class TestPairPasses:
         h, k = np.triu_indices(K)
         phi = np.column_stack([np.ones(len(y)), y, y[:, h] * y[:, k]])
         assert np.allclose(pair_moments(net, tau), w.T @ phi, rtol=1e-12, atol=1e-10)
+
+    def test_moments_match_per_pair_sums(self):
+        # 4950 pairs: the moment pass spans two tiles.
+        self.check_moments_against_per_pair_sums()
+
+    @pytest.mark.parametrize("tile", [50, 7])
+    def test_moments_match_per_pair_sums_in_small_tiles(self, tile, monkeypatch):
+        # Tiles shorter than the longest row (99 pairs) hold one row each
+        # until the rows get shorter than the tile.
+        monkeypatch.setattr(model, "PAIR_TILE", tile)
+        self.check_moments_against_per_pair_sums()
+
+    def test_q1_cross_block_row_is_zero(self):
+        # One block holds every pair: the cross row, all pairs minus the
+        # within row, cancels to rounding.
+        rng = substream(7, "moments-q1")
+        n, K = 120, 2
+        net = MultilayerNetwork(
+            n=n, K=K, weights=20.0 + rng.normal(size=(n * (n - 1) // 2, K))
+        )
+        moments = pair_moments(net, np.ones((n, 1)))
+        assert moments[0, 0] == net.n_pairs
+        assert np.all(np.abs(moments[1]) <= 1e-12 * np.abs(moments[0]).max())
+
+    def test_moment_pass_memory_is_one_tile(self):
+        # Traced peak: one tile of features (D per pair) and of weights
+        # (Q + 1 per pair, plus the two Q-per-pair factors of their
+        # product) and O(n Q) more.  One full-size index array (8 n^2/2 bytes) exceeds
+        # the bound at n = 600.
+        K, Q = 3, 4
+        for n in (200, 600):
+            rng = substream(n, "moments-memory")
+            net = MultilayerNetwork(n=n, K=K, weights=rng.normal(size=(n * (n - 1) // 2, K)))
+            tau = rng.dirichlet(np.ones(Q), size=n)
+            net.center  # cached on first use; not part of the pass's memory
+            tracemalloc.start()
+            try:
+                pair_moments(net, tau)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            tile = max(model.PAIR_TILE, n - 1)
+            assert peak < 8 * (tile * (model.feature_dim(K) + 3 * Q + 1) + 4 * n * Q) + 2**16
 
     def test_pairs_to_square_matches_index_fill(self):
         rng = substream(6, "square")

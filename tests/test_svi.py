@@ -56,7 +56,7 @@ class TestSchedules:
         with pytest.raises(DataError):
             SviConfig(kappa_w=0.5)
 
-    @pytest.mark.parametrize("kappa_m", [-1.0, -1e-12, float("nan")])
+    @pytest.mark.parametrize("kappa_m", [-1.0, -1e-12, float("nan"), float("inf")])
     def test_negative_or_nan_kappa_m_rejected(self, kappa_m):
         with pytest.raises(DataError, match="kappa_m"):
             SviConfig(kappa_m=kappa_m)
