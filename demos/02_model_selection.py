@@ -11,7 +11,6 @@ spec = sbanm.SimSpec(
     n=150, K=3, Q=4,
     prior_means=(-2.0, 0.0, 2.0),
     noise_mu=(-3.0, -1.0, 1.0),
-    noise_var=(2.0, 2.0, 2.0),
 )
 candidates = [sbanm.draw_candidate(spec, substream(33, "candidate", i)) for i in range(30)]
 kept = sbanm.filter_separable([p for p, _ in candidates], 0.10)

@@ -14,7 +14,7 @@ from sbanm.rng import substream
 
 spec = sbanm.SimSpec(
     n=300, K=2, Q=(3, 5),
-    prior_means=(0.0, 2.0), noise_mu=(-1.0, 0.0), noise_var=(2.0, 2.0),
+    prior_means=(0.0, 2.0), noise_mu=(-1.0, 0.0),
 )
 candidates = [sbanm.draw_candidate(spec, substream(55, "candidate", i)) for i in range(60)]
 kept = sbanm.filter_separable([p for p, _ in candidates], 0.10)

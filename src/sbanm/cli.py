@@ -170,7 +170,6 @@ def _cmd_simulate(args) -> int:
             Q=args.blocks,
             prior_means=preset["prior_means"],
             noise_mu=preset["noise_mu"],
-            noise_var=(2.0,) * args.layers,
         )
         candidates = [
             simulate.draw_candidate(spec, substream(args.seed, "candidate", i))

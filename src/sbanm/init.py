@@ -17,6 +17,8 @@ from .rng import substream
 _DEGREE_FLOOR = 1e-12
 # Seeded k-means++ starts; the best by within-cluster sum of squares wins.
 KMEANS_RESTARTS = 10
+# Most Lloyd iterations per start.
+LLOYD_MAX_ITER = 100
 # Membership mass the softened init spreads over the unassigned blocks.
 SOFT_EPS = 0.05
 
@@ -72,10 +74,10 @@ def _kmeans_pp(X: np.ndarray, Q: int, rng: np.random.Generator) -> np.ndarray:
     return centers
 
 
-def _lloyd(X: np.ndarray, centers: np.ndarray, max_iter: int = 100):
+def _lloyd(X: np.ndarray, centers: np.ndarray):
     n, Q = X.shape[0], centers.shape[0]
     labels = np.zeros(n, dtype=int)
-    for _ in range(max_iter):
+    for _ in range(LLOYD_MAX_ITER):
         d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_labels = np.argmin(d2, axis=1)
         for q in range(Q):
@@ -96,11 +98,11 @@ def _lloyd(X: np.ndarray, centers: np.ndarray, max_iter: int = 100):
     return labels, wcss
 
 
-def kmeans(X: np.ndarray, Q: int, restarts: int, seed: int) -> np.ndarray:
-    """Seeded k-means: k-means++ starts, best of `restarts` by within-cluster
-    sum of squares; ties keep the lowest restart index."""
+def kmeans(X: np.ndarray, Q: int, seed: int) -> np.ndarray:
+    """Seeded k-means: k-means++ starts, best of KMEANS_RESTARTS by
+    within-cluster sum of squares; ties keep the lowest restart index."""
     best_labels, best_wcss = None, np.inf
-    for r in range(restarts):
+    for r in range(KMEANS_RESTARTS):
         rng = substream(seed, "kmeans", r)
         labels, wcss = _lloyd(X, _kmeans_pp(X, Q, rng))
         if wcss < best_wcss:
@@ -115,12 +117,10 @@ def spectral_init(net: MultilayerNetwork, Q: int, seed: int) -> VariationalState
     tau gets 1 - SOFT_EPS on the assigned cluster and SOFT_EPS/(Q-1)
     elsewhere; every P_q starts at 1 - 1/Q.
     """
-    if net.n <= Q:
-        raise DataError("need more nodes than blocks")
     if Q == 1:
         return VariationalState(tau=np.ones((net.n, 1)), P=clip_prob(np.zeros(1)))
     emb = spectral_embedding(net, Q)
-    labels = kmeans(emb, Q, KMEANS_RESTARTS, seed)
+    labels = kmeans(emb, Q, seed)
     tau = np.full((net.n, Q), SOFT_EPS / (Q - 1))
     tau[np.arange(net.n), labels] = 1.0 - SOFT_EPS
     P = clip_prob(np.full(Q, 1.0 - 1.0 / Q))

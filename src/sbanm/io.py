@@ -42,7 +42,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NumericalError
 from .model import (
     BlockParams,
     ModelParams,
@@ -420,11 +420,21 @@ def write_params(
 
 def read_params(path: str) -> tuple[ModelParams, dict]:
     """Returns (ModelParams, extras) where extras holds elbo/icl/seed."""
+
+    def finite(token: str) -> float:
+        # JSON floats and the NaN/Infinity literals Python's json admits.
+        value = float(token)
+        if not math.isfinite(value):
+            raise DataError(f"{path}: non-finite number {token}")
+        return value
+
     with _open_utf8(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: invalid JSON ({exc})") from exc
+        text = fh.read()
+    try:
+        doc = json.loads(text, parse_float=finite, parse_constant=finite)
+    except ValueError as exc:
+        # JSONDecodeError, or an integer past Python's digit limit.
+        raise DataError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise DataError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     try:
@@ -440,7 +450,7 @@ def read_params(path: str) -> tuple[ModelParams, dict]:
         Q, K, psi = int(doc["Q"]), int(doc["K"]), float(doc["psi"])
     except KeyError as exc:
         raise DataError(f"{path}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError, DataError, NumericalError) as exc:
         raise DataError(f"{path}: malformed value ({exc})") from exc
     if params.Q != Q:
         raise DataError(f"{path}: Q={Q} but {params.Q} blocks")

@@ -171,6 +171,18 @@ def pair_moments(net: "MultilayerNetwork", tau: np.ndarray) -> np.ndarray:
     return out
 
 
+def moment_stats(row: np.ndarray, center: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, covariance) of the weights behind one pair_moments row about
+    `center` with positive mass: their weighted mean (length K) and their
+    weighted covariance about it (K x K)."""
+    K = np.size(center)
+    offset = row[1 : K + 1] / row[0]
+    h, k = np.triu_indices(K)
+    cov = np.empty((K, K))
+    cov[h, k] = cov[k, h] = row[K + 1 :] / row[0] - offset[h] * offset[k]
+    return center + offset, cov
+
+
 @dataclass
 class MultilayerNetwork:
     """Dense symmetric K-layer weighted graph on n registered nodes.

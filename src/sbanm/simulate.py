@@ -26,7 +26,15 @@ from .model import (
 )
 
 _SIZE_MIN = 3
+# Multinomial size draws tried before giving up on the minimum block size.
+_SIZE_TRIES = 1000
 _VAR_PRIOR_FLOOR = 0.05
+# Per-layer variance of the noise law.
+NOISE_VAR = 2.0
+# Standard deviation of the signal-block mean and variance priors.
+PRIOR_SD = math.sqrt(5.0)
+# Symmetric Dirichlet concentration of the block proportions.
+DIRICHLET_CONC = 5.0
 
 
 @dataclass
@@ -35,9 +43,10 @@ class SimSpec:
 
     Q may be a fixed block count or an inclusive (lo, hi) range to draw
     from per candidate.  Signal-block means are drawn N(prior_means[k],
-    prior_sd^2) per layer, variances half-normal(prior_sd) floored, and
-    correlations uniform on rho_range; the noise law is fixed at
-    (noise_mu, noise_var).
+    PRIOR_SD^2) per layer, variances half-normal(PRIOR_SD) floored, and
+    correlations uniform on [0, 1) before clamp_rho; the noise law is fixed
+    at (noise_mu, NOISE_VAR) and the block proportions are
+    Dirichlet(DIRICHLET_CONC).
     """
 
     n: int
@@ -45,28 +54,19 @@ class SimSpec:
     Q: int | tuple[int, int]
     prior_means: np.ndarray
     noise_mu: np.ndarray
-    noise_var: np.ndarray
-    prior_sd: float = math.sqrt(5.0)
-    dirichlet_conc: float = 5.0
-    rho_range: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self):
         if self.K < 1:
             raise DataError("K must be at least 1")
         self.prior_means = np.atleast_1d(np.asarray(self.prior_means, dtype=float))
         self.noise_mu = np.atleast_1d(np.asarray(self.noise_mu, dtype=float))
-        self.noise_var = np.atleast_1d(np.asarray(self.noise_var, dtype=float))
-        if not (self.prior_means.shape == self.noise_mu.shape == self.noise_var.shape == (self.K,)):
-            raise DataError("prior_means, noise_mu, noise_var must be length-K")
-        if np.any(self.noise_var <= 0):
-            raise DataError("noise variances must be positive")
+        if not (self.prior_means.shape == self.noise_mu.shape == (self.K,)):
+            raise DataError("prior_means, noise_mu must be length-K")
         lo, hi = self.q_bounds()
         if lo < 2:
             raise DataError("Q must be at least 2 (block 0 is the noise block)")
         if hi < lo:
             raise DataError("empty Q range")
-        if not 0.0 <= self.rho_range[0] <= self.rho_range[1] <= 1.0:
-            raise DataError("rho_range must satisfy 0 <= lo <= hi <= 1")
 
     def q_bounds(self) -> tuple[int, int]:
         if isinstance(self.Q, tuple):
@@ -78,28 +78,24 @@ def gen_params(spec: SimSpec, rng: np.random.Generator) -> ModelParams:
     """Draw one ground-truth parameter set; block 0 is the noise block."""
     lo, hi = spec.q_bounds()
     Q = int(rng.integers(lo, hi + 1)) if hi > lo else lo
-    noise = NoiseParams(mu=spec.noise_mu.copy(), var=spec.noise_var.copy())
+    noise = NoiseParams(mu=spec.noise_mu.copy(), var=np.full(spec.K, NOISE_VAR))
     blocks = [noise.as_block()]
     for _ in range(1, Q):
-        mu = spec.prior_means + spec.prior_sd * rng.standard_normal(spec.K)
-        var = np.maximum(
-            np.abs(spec.prior_sd * rng.standard_normal(spec.K)), _VAR_PRIOR_FLOOR
-        )
-        rho = clamp_rho(float(rng.uniform(*spec.rho_range)), spec.K)
+        mu = spec.prior_means + PRIOR_SD * rng.standard_normal(spec.K)
+        var = np.maximum(np.abs(PRIOR_SD * rng.standard_normal(spec.K)), _VAR_PRIOR_FLOOR)
+        rho = clamp_rho(float(rng.uniform(0.0, 1.0)), spec.K)
         blocks.append(BlockParams(mu=mu, var=var, rho=rho))
-    alpha = rng.dirichlet(np.full(Q, spec.dirichlet_conc))
+    alpha = rng.dirichlet(np.full(Q, DIRICHLET_CONC))
     return ModelParams(blocks=blocks, noise=noise, alpha=alpha, noise_block=0)
 
 
-def draw_sizes(
-    n: int, alpha: np.ndarray, rng: np.random.Generator, max_tries: int = 1000
-) -> np.ndarray:
+def draw_sizes(n: int, alpha: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Multinomial block sizes with every block at least 3 nodes;
     degenerate draws are resampled."""
     Q = len(alpha)
     if n < _SIZE_MIN * Q:
         raise DataError(f"n={n} is too small for {Q} blocks of at least {_SIZE_MIN} nodes")
-    for _ in range(max_tries):
+    for _ in range(_SIZE_TRIES):
         sizes = rng.multinomial(n, alpha)
         if sizes.min() >= _SIZE_MIN:
             return sizes

@@ -28,6 +28,7 @@ from .model import (
     VariationalState,
     clamp_rho,
     expected_log_likelihood,
+    moment_stats,
     pair_moments,
     psi as psi_of,
     psi_terms,
@@ -79,15 +80,6 @@ def m_step_alpha(state: VariationalState) -> np.ndarray:
     return state.tau.mean(axis=0)
 
 
-def _moment_stats(moments: np.ndarray, K: int):
-    """(mean offset, covariance) of the weights behind one moment row with
-    positive mass: the weighted mean is net.center + offset and the
-    covariance about it is returned as its row-major upper triangle."""
-    offset = moments[1 : K + 1] / moments[0]
-    h, k = np.triu_indices(K)
-    return offset, moments[K + 1 :] / moments[0] - offset[h] * offset[k]
-
-
 def m_step_block(
     net: MultilayerNetwork,
     state: VariationalState,
@@ -107,19 +99,16 @@ def m_step_block(
     if mass < _MASS_FLOOR:
         logger.warning("block %d degenerate (mass %.3g); reset to noise parameters", q, mass)
         return noise.as_block()
-    offset, cov = _moment_stats(moments[q], K)
-    wmean = net.center + offset
+    wmean, cov = moment_stats(moments[q], net.center)
     mu = P_q * wmean + (1.0 - P_q) * noise.mu
     # The weighted mean of (x - mu)(x - mu)^T is cov + d d^T.
     d = wmean - mu
-    h, k = np.triu_indices(K)
-    scatter = P_q * (cov + d[h] * d[k])
-    diag = h == k
-    var = np.maximum(scatter[diag] + (1.0 - P_q) * noise.var, VAR_FLOOR)
+    scatter = P_q * (cov + np.outer(d, d))
+    var = np.maximum(np.diag(scatter) + (1.0 - P_q) * noise.var, VAR_FLOOR)
     rho = 0.0
     if K > 1:
-        off = ~diag
-        rho = clamp_rho(float(np.max(scatter[off] / np.sqrt(var[h[off]] * var[k[off]]))), K)
+        off = ~np.eye(K, dtype=bool)
+        rho = clamp_rho(float(np.max(scatter[off] / np.sqrt(np.outer(var, var)[off]))), K)
     return BlockParams(mu=mu, var=var, rho=rho)
 
 
@@ -142,9 +131,8 @@ def m_step_noise(
     if not kept:
         raise NumericalError("noise estimate undefined")
     row = sum(w * side for w, side in kept) / sum(w for w, _ in kept)
-    offset, cov = _moment_stats(row, net.K)
-    h, k = np.triu_indices(net.K)
-    return NoiseParams(mu=net.center + offset, var=np.maximum(cov[h == k], VAR_FLOOR))
+    mean, cov = moment_stats(row, net.center)
+    return NoiseParams(mu=mean, var=np.maximum(np.diag(cov), VAR_FLOOR))
 
 
 def elbo(
@@ -212,6 +200,8 @@ def fit(
         raise DataError("need more nodes than blocks")
     if init_state is None:
         init_state = spectral_init(net, cfg.Q, derive_seed(cfg.seed, "init"))
+    elif init_state.tau.shape != (net.n, cfg.Q):
+        raise DataError(f"init_state tau is {init_state.tau.shape}, need ({net.n}, {cfg.Q})")
     state = init_state
     params = _bootstrap_params(net, state)
 

@@ -79,7 +79,6 @@ class TestCriterion2BivariateRecovery:
     def test_filtered_bivariate_candidates(self):
         spec = sbanm.SimSpec(
             n=500, K=2, Q=(3, 5), prior_means=(0.0, 2.0), noise_mu=(-1.0, 0.0),
-            noise_var=(2.0, 2.0),
         )
         cands = [sbanm.draw_candidate(spec, substream(11, "candidate", i))
                  for i in range(100)]
@@ -109,7 +108,7 @@ class TestCriterion3TrivariateRecovery:
     def test_filtered_trivariate_candidates(self):
         spec = sbanm.SimSpec(
             n=200, K=3, Q=(3, 5), prior_means=(-2.0, 0.0, 2.0),
-            noise_mu=(-3.0, -1.0, 1.0), noise_var=(2.0, 2.0, 2.0),
+            noise_mu=(-3.0, -1.0, 1.0),
         )
         cands = [sbanm.draw_candidate(spec, substream(13, "candidate", i))
                  for i in range(100)]
@@ -138,7 +137,7 @@ class TestCriterion4IclSelection:
     def test_select_recovers_true_block_count(self, tmp_path, capsys):
         spec = sbanm.SimSpec(
             n=200, K=3, Q=5, prior_means=(-2.0, 0.0, 2.0),
-            noise_mu=(-3.0, -1.0, 1.0), noise_var=(2.0, 2.0, 2.0),
+            noise_mu=(-3.0, -1.0, 1.0),
         )
         cands = [sbanm.draw_candidate(spec, substream(21, "candidate", i))
                  for i in range(50)]

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -503,6 +504,53 @@ class TestMembershipAndParamsFiles:
         with pytest.raises(DataError) as info:
             sbanm.read_params(str(path))
         assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize(
+        "where, text, message",
+        [
+            pytest.param(("blocks", 1, "var", 0), "NaN", "non-finite number NaN", id="nan-var"),
+            pytest.param(
+                ("blocks", 2, "mu", 1), "-Infinity", "non-finite number -Infinity", id="inf-mu"
+            ),
+            pytest.param(("alpha", 3), "NaN", "non-finite number NaN", id="nan-alpha"),
+            pytest.param(("noise", "var", 2), "NaN", "non-finite number NaN", id="nan-noise-var"),
+            pytest.param(("noise", "mu", 0), "1e999", "non-finite number 1e999", id="overflow-mu"),
+            pytest.param(
+                ("blocks", 1, "mu", 0), "1" + "0" * 400,
+                "malformed value (int too large to convert to float)", id="huge-int-mu",
+            ),
+            pytest.param(
+                ("blocks", 1, "var", 2), "-1.0",
+                "malformed value (block variances must be positive)",
+                id="negative-var",
+            ),
+            pytest.param(
+                ("blocks", 1, "rho"), "-0.9",
+                "malformed value (correlation violates positive definiteness)",
+                id="rho-not-pd",
+            ),
+        ],
+    )
+    def test_params_bad_numbers_name_the_file(self, tmp_path, where, text, message):
+        params, _ = sbanm.experiment2_spec()
+        path = tmp_path / "p.json"
+        sbanm.write_params(str(path), params)
+        doc = json.loads(path.read_text())
+        *parents, last = where
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = "VALUE"
+        path.write_text(json.dumps(doc).replace('"VALUE"', text))
+        with pytest.raises(DataError) as info:
+            sbanm.read_params(str(path))
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_params_oversized_integer_names_the_file(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text('{"Q": ' + "1" * 5000 + "}")
+        with pytest.raises(DataError, match=re.escape(f"{path}: ")):
+            sbanm.read_params(str(path))
 
     @pytest.mark.parametrize(
         "key, value, message",

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import trapezoid
 
 from sbanm import (
     BlockParams,
@@ -20,6 +21,7 @@ from sbanm.errors import DataError, NumericalError
 from sbanm import model
 from sbanm.model import (
     gaussian_coefficients,
+    moment_stats,
     pair_features,
     pair_moments,
     pair_tiles,
@@ -81,7 +83,7 @@ class TestLogDensity:
     def test_integrates_to_one_on_grid(self):
         grid = np.linspace(-10, 10, 20001)
         dens = np.exp(log_density_batch(grid[:, None], [0.3], [[1.7]]))
-        assert np.trapezoid(dens, grid) == pytest.approx(1.0, abs=1e-4)
+        assert trapezoid(dens, grid) == pytest.approx(1.0, abs=1e-4)
 
     def test_non_spd_covariance_rejected(self):
         with pytest.raises(NumericalError, match="not positive definite"):
@@ -192,6 +194,23 @@ class TestPairPasses:
         want[iu, ju] = values
         want[ju, iu] = values
         assert np.array_equal(pairs_to_square(6, values), want)
+
+
+class TestMomentStats:
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    @pytest.mark.parametrize("far", [False, True], ids=["centred", "far-from-centre"])
+    def test_matches_weighted_mean_and_covariance(self, K, far):
+        # Far from the centre, every value sits near 20 with spread 0.25 (as
+        # in offset_planted_network) while the centre is the origin.
+        rng = substream(K, "moment-stats", far)
+        x = (20.0 if far else 0.0) + 0.25 * rng.normal(size=(500, K)) @ rng.normal(size=(K, K))
+        w = rng.uniform(0.0, 3.0, size=500)
+        center = np.zeros(K) if far else x.mean(axis=0)
+        mean, cov = moment_stats(pair_features(x, center) @ w, center)
+        assert cov.shape == (K, K)
+        assert np.allclose(mean, np.average(x, axis=0, weights=w), rtol=1e-12, atol=1e-12)
+        ref = np.atleast_2d(np.cov(x.T, aweights=w, bias=True))
+        assert np.allclose(cov, ref, rtol=1e-8, atol=0)
 
 
 class TestBuildCovariance:

@@ -20,7 +20,6 @@ def bivariate_spec(Q=(3, 5)):
         Q=Q,
         prior_means=(0.0, 2.0),
         noise_mu=(-1.0, 0.0),
-        noise_var=(2.0, 2.0),
     )
 
 
@@ -70,7 +69,7 @@ class TestGenParams:
     @pytest.mark.parametrize("K", [0, -1])
     def test_spec_needs_a_layer(self, K):
         with pytest.raises(DataError, match="K must be at least 1"):
-            SimSpec(n=30, K=K, Q=3, prior_means=(), noise_mu=(), noise_var=())
+            SimSpec(n=30, K=K, Q=3, prior_means=(), noise_mu=())
 
     def test_block0_is_noise(self):
         params = gen_params(bivariate_spec(), substream(0, "p"))
@@ -78,14 +77,6 @@ class TestGenParams:
         assert np.array_equal(params.blocks[0].mu, params.noise.mu)
         assert np.array_equal(params.blocks[0].var, params.noise.var)
         assert params.blocks[0].rho == 0.0
-
-    def test_collapsed_rho_range(self):
-        spec = bivariate_spec()
-        spec.rho_range = (0.0, 0.0)
-        params = gen_params(spec, substream(1, "p"))
-        # rho draws collapse to 0 (the PD clamp nudges by at most 1e-6).
-        for b in params.blocks[1:]:
-            assert abs(b.rho) <= 1e-6
 
     def test_seeded_reproducibility(self):
         a = gen_params(bivariate_spec(), substream(2, "p"))

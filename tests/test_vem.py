@@ -496,6 +496,16 @@ class TestFit:
             result.params.noise.mu, net.weights.mean(axis=0), atol=1e-6
         )
 
+    @pytest.mark.parametrize(
+        "rows, cols", [(0, 3), (-1, 4)], ids=["too-few-blocks", "too-few-nodes"]
+    )
+    def test_init_state_must_be_n_by_Q(self, rows, cols):
+        net, _, _ = planted_network(seed=15)
+        state = soft_state(net.n + rows, cols, seed=15)
+        shape = rf"\({net.n + rows}, {cols}\)"
+        with pytest.raises(DataError, match=f"init_state tau is {shape}, need \\({net.n}, 4\\)"):
+            fit(net, FitConfig(Q=4, seed=15), init_state=state)
+
     def test_initial_column_permutation_permutes_blocks(self):
         net, _, _ = planted_network(seed=15)
         state = sbanm.spectral_init(net, 3, 4)
