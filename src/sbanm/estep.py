@@ -9,7 +9,6 @@ and averages the result into the running estimates.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import log_expit, logsumexp
 
 from .errors import NumericalError
 from .model import (
@@ -49,6 +48,23 @@ def _gap_squares(net: MultilayerNetwork, params: ModelParams, nodes) -> np.ndarr
         return packed_pairs(m, tile_gaps, (params.Q,))
 
 
+def softmax_rows(logits: np.ndarray) -> np.ndarray:
+    """exp(logits) with each row normalized to sum to one; the row maximum
+    is subtracted first, so no entry overflows and the largest is 1."""
+    out = np.exp(logits - logits.max(axis=1, keepdims=True))
+    out /= out.sum(axis=1, keepdims=True)
+    return out
+
+
+def signal_probs(gaps: np.ndarray, psi: float) -> np.ndarray:
+    """P* from the block gaps: noise weights sigmoid(-gap_q + log((1-psi)/psi))
+    normalized to sum to one, P* = 1 - N, clamped."""
+    psi_c = clip_prob(psi)
+    # log sigmoid(x) = -log(1 + e^-x), evaluated without overflow.
+    log_nhat = -np.logaddexp(0.0, gaps - np.log((1.0 - psi_c) / psi_c))
+    return clip_prob(1.0 - np.exp(log_nhat - np.logaddexp.reduce(log_nhat)))
+
+
 def e_step(
     net: MultilayerNetwork,
     params: ModelParams,
@@ -64,17 +80,16 @@ def e_step(
 
     Iterates log tau*_iq = log alpha_q + P_q sum_j tau_jq (f_sig - f_noise)
         - 1 + P_q log(psi) + (1-P_q) log(1-psi)
-    over j in `nodes`, self term excluded, rows normalized by log-sum-exp,
+    over j in `nodes`, self term excluded, rows normalized by softmax_rows,
     with tau <- damping*tau* + (1-damping)*tau renormalized, for at most
     `inner` passes or until the max-abs change drops below `tol`.  (The
     mean-field likelihood term sum_j [tau_jq (P_q f_sig + (1-P_q) f_noise)
     + sum_{l != q} tau_jl f_noise] exceeds the gap term by sum_j f_noise,
     which is the same for every q and cancels in the normalization.)  At the
-    new tau each block's noise weight is sigmoid(-gap_q + log((1-psi)/psi))
-    with gap_q = sum_{i<j} tau_iq tau_jq (f_sig - f_noise); the noise
-    weights are normalized to sum to one and P* = 1 - N, clamped.  Finally
-    tau[nodes] and P move to weight * new + (1 - weight) * previous and the
-    rows of tau are renormalized; rows outside `nodes` are kept unchanged.
+    new tau, P* = signal_probs(gap, psi) with gap_q = sum_{i<j} tau_iq tau_jq
+    (f_sig - f_noise).  Finally tau[nodes] and P move to weight * new +
+    (1 - weight) * previous and the rows of tau are renormalized; rows
+    outside `nodes` are kept unchanged.
     """
     gap_sq = _gap_squares(net, params, nodes)
     rows = slice(None) if nodes is None else nodes
@@ -89,8 +104,7 @@ def e_step(
         logits += const
         if not np.all(np.isfinite(logits)):
             raise NumericalError(f"tau update diverged at inner iteration {it}")
-        tau_star = np.exp(logits - logsumexp(logits, axis=1, keepdims=True))
-        damped = damping * tau_star + (1.0 - damping) * tau_new
+        damped = damping * softmax_rows(logits) + (1.0 - damping) * tau_new
         damped /= damped.sum(axis=1, keepdims=True)
         delta = np.max(np.abs(damped - tau_new))
         tau_new = damped
@@ -101,9 +115,7 @@ def e_step(
     gaps = np.array(
         [0.5 * (tau @ packed_matvec(gap, tau)) for tau, gap in zip(tau_new.T, gap_sq)]
     )
-    psi_c = clip_prob(params.psi)
-    log_nhat = log_expit(-gaps + np.log((1.0 - psi_c) / psi_c))
-    p_star = clip_prob(1.0 - np.exp(log_nhat - logsumexp(log_nhat)))
+    p_star = signal_probs(gaps, params.psi)
 
     tau = state.tau.copy()
     tau[rows] = weight * tau_new + (1.0 - weight) * tau_prev

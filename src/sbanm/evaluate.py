@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import DataError
 from .model import (
@@ -96,6 +95,9 @@ def optimal_matching(truth, fitted) -> dict[int, int]:
     Solved as an assignment problem on the confusion matrix; unmatched
     labels (unequal cluster counts) are simply absent from the map.
     """
+    # Imported here: a fit, ICL or `sbanm eval` never needs scipy.optimize.
+    from scipy.optimize import linear_sum_assignment
+
     truth, fitted = _as_labels(truth), _as_labels(fitted)
     if truth.size != fitted.size:
         raise DataError("partitions must have equal length")
@@ -107,11 +109,13 @@ def optimal_matching(truth, fitted) -> dict[int, int]:
 
 
 def exact_recovery(truth, fitted) -> bool:
-    """True iff some label bijection makes the partitions identical."""
+    """True iff some label bijection makes the partitions identical: every
+    row and every column of the contingency table has one nonzero cell."""
     truth, fitted = _as_labels(truth), _as_labels(fitted)
-    mapping = optimal_matching(truth, fitted)
-    relabeled = np.array([mapping.get(z, -1) for z in truth])
-    return bool(np.array_equal(relabeled, fitted))
+    if truth.size != fitted.size:
+        raise DataError("partitions must have equal length")
+    nonzero = _contingency(truth, fitted) > 0
+    return bool(np.all(nonzero.sum(axis=0) == 1) and np.all(nonzero.sum(axis=1) == 1))
 
 
 def icl(net: MultilayerNetwork, fit: FitResult) -> float:

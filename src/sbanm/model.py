@@ -223,8 +223,11 @@ class MultilayerNetwork:
     def center(self) -> np.ndarray:
         """Per-layer mean weight.  Pair features are taken relative to it:
         moment sums of weights far from zero would otherwise cancel
-        digits away when they are turned into variances and densities."""
-        return self.weights.mean(axis=0)
+        digits away when they are turned into variances and densities.
+        Each column is summed on its own, so numpy sums it pairwise; a
+        reduction over axis 0 adds the rows one after another instead."""
+        w = self.weights
+        return np.array([np.add.reduce(w[:, k]) for k in range(self.K)]) / w.shape[0]
 
 
 @dataclass

@@ -48,6 +48,18 @@ class TestFitEvalRoundTrip:
         assert float(lines["ari"]) == 1.0
         assert float(lines["nmi"]) == 1.0
 
+    def test_eval_rejects_merge_into_negative_block(self, planted_files, tmp_path, capsys):
+        # The prediction merges truth blocks 1 and 2 into block -1.
+        _, truth_path = planted_files
+        _, truth, tau = sbanm.read_memberships(str(truth_path))
+        pred_path = tmp_path / "pred.csv"
+        sbanm.write_memberships(str(pred_path), np.where(truth == 0, 0, -1), tau)
+        assert run_cli("eval", "--truth", str(truth_path), "--pred", str(pred_path)) == 0
+        lines = dict(
+            line.split("\t") for line in capsys.readouterr().out.strip().splitlines()
+        )
+        assert lines["exact_recovery"] == "false"
+
     def test_params_json_contract(self, planted_files, tmp_path):
         net_path, _ = planted_files
         out = tmp_path / "fit"

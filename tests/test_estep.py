@@ -2,11 +2,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import log_expit, logsumexp
+from scipy.special import log_expit, logsumexp, softmax
 
 import sbanm
 from sbanm import model
-from sbanm.estep import e_step
+from sbanm.estep import e_step, signal_probs, softmax_rows
 from sbanm.model import EPS_PROB
 from sbanm.rng import substream
 
@@ -116,3 +116,50 @@ def test_e_step_peak_memory_below_dense_gap_squares():
     finally:
         tracemalloc.stop()
     assert peak < 4 * net.n**2 * 8
+
+
+class TestNormalisersAgainstScipy:
+    """The E-step's numpy row softmax and P update against scipy.special at
+    saturating inputs."""
+
+    LOGITS = [
+        np.array([[1e3, -1e3, 0.0], [-1e3, -1e3, 1e3], [1e3, 1e3, -1e3]]),
+        np.array([[2.5, 2.5, -1.0], [0.0, 0.0, 0.0], [-1e3, -1e3, -1e3], [1e3, 1e3, 1e3]]),
+        substream(4, "logits").uniform(-1e3, 1e3, size=(40, 4)),
+    ]
+
+    @pytest.mark.parametrize("logits", LOGITS, ids=["pm1e3", "ties", "uniform1e3"])
+    def test_row_softmax(self, logits):
+        tau = softmax_rows(logits)
+        assert np.all(np.isfinite(tau))
+        assert np.max(np.abs(tau.sum(axis=1) - 1.0)) <= 1e-15
+        # exp(logits - logsumexp(logits)) is no oracle here: at |logits| of
+        # 1e3 the rounding of the log-sum-exp alone moves tau by ~3e-14.
+        assert np.max(np.abs(tau - softmax(logits, axis=1))) <= 1e-15
+        # Tied maxima share the mass equally.
+        for row, tied in zip(tau, logits == logits.max(axis=1, keepdims=True)):
+            assert np.all(row[tied] == row[tied][0])
+
+    GAPS = [
+        np.array([1e4, -1e4, 0.0, 3.0]),
+        np.array([1e4, 1e4, 1e4]),
+        np.array([-1e4, -1e4, -1e4]),
+        np.array([-1e4, 1e4]),
+        np.array([0.0, 0.0, 0.0, 0.0]),
+        np.array([5.0]),
+        substream(5, "gaps").uniform(-1e4, 1e4, size=6),
+    ]
+
+    @staticmethod
+    def scipy_signal_probs(gaps, psi):
+        psi = np.clip(psi, EPS_PROB, 1 - EPS_PROB)
+        log_nhat = log_expit(-gaps + np.log((1 - psi) / psi))
+        return np.clip(1 - np.exp(log_nhat - logsumexp(log_nhat)), EPS_PROB, 1 - EPS_PROB)
+
+    @pytest.mark.parametrize("gaps", GAPS, ids=["mixed", "pos", "neg", "pm", "zero", "q1", "uniform"])
+    def test_p_update(self, gaps):
+        psi = sbanm.psi(gaps.size)
+        P = signal_probs(gaps, psi)
+        assert np.all(np.isfinite(P))
+        assert np.all((P >= EPS_PROB) & (P <= 1 - EPS_PROB))
+        assert np.max(np.abs(P - self.scipy_signal_probs(gaps, psi))) <= 1e-15

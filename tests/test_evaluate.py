@@ -130,6 +130,21 @@ class TestExactRecovery:
         assert ari(a, b) == 1.0
         assert nmi(a, b) == pytest.approx(1.0, abs=1e-12)
 
+    def test_merged_blocks_with_negative_label(self):
+        # Two truth blocks share fitted block -1: no bijection exists.
+        assert not exact_recovery([0, 1, 2], [0, -1, -1])
+        assert exact_recovery([0, 1, 2], [5, -1, -7])
+
+    def test_length_mismatch(self):
+        with pytest.raises(DataError):
+            exact_recovery([0, 1], [0, 1, 1])
+
+    @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_bijection_property(self, pairs):
+        a, b = (list(x) for x in zip(*pairs))
+        assert exact_recovery(a, b) == (len(set(zip(a, b))) == len(set(a)) == len(set(b)))
+
 
 class TestParamReport:
     def test_exact_fit_gives_zero_errors(self):

@@ -196,6 +196,19 @@ class TestPairPasses:
         assert np.array_equal(pairs_to_square(6, values), want)
 
 
+class TestCenter:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_fsum_reference(self, seed):
+        # Experiment-2-like weights on n = 800 nodes: a row-by-row sum of
+        # the 319600 pairs drifts by ~1e-14 relative; a pairwise one does not.
+        n, K = 800, 3
+        rng = substream(seed, "center")
+        w = rng.normal(rng.uniform(10, 20, size=K), 3.0, size=(n * (n - 1) // 2, K))
+        center = MultilayerNetwork(n=n, K=K, weights=w).center
+        ref = np.array([math.fsum(w[:, k]) for k in range(K)]) / w.shape[0]
+        assert np.max(np.abs(center - ref) / np.abs(ref)) <= 2.3e-16
+
+
 class TestMomentStats:
     @pytest.mark.parametrize("K", [1, 2, 3])
     @pytest.mark.parametrize("far", [False, True], ids=["centred", "far-from-centre"])
