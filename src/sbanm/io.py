@@ -127,8 +127,12 @@ def normalize_logit(net: MultilayerNetwork) -> MultilayerNetwork:
     (0, 1), and mapped through log(p/(1-p)).
     """
     w = net.weights
-    if np.any(w < 0):
-        raise ValueError("strength normalization requires nonnegative weights")
+    negative = np.flatnonzero((w < 0).any(axis=0))
+    if negative.size:
+        raise DataError(
+            f"strength normalization requires nonnegative weights; layer {negative[0]} "
+            "has a negative weight"
+        )
     sums = w.sum(axis=0)
     if np.any(sums <= 0):
         raise DataError("layer has no trips")

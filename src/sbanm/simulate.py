@@ -15,14 +15,14 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .model import (
+    PAIR_TILE,
     BlockParams,
     ModelParams,
     MultilayerNetwork,
     NoiseParams,
     clamp_rho,
     num_pairs,
-    pair_tiles,
-    tile_endpoints,
+    pair_index,
 )
 
 _SIZE_MIN = 3
@@ -124,22 +124,45 @@ def gen_network(
         raise DataError("need one size per block")
     if np.any(sizes < 1):
         raise DataError("every block needs at least one node")
-    n, Q = int(sizes.sum()), params.Q
-    labels = np.repeat(np.arange(Q), sizes)
+    n = int(sizes.sum())
+    labels = np.repeat(np.arange(params.Q), sizes)
     X = np.empty((num_pairs(n), params.K))
-    # Law Q, the noise law, is that of the cross-block pairs (the noise
-    # block's law equals it; ModelParams checks that).  Each law draws its
-    # pairs in pair order, one tile at a time; chunked standard_normal
-    # draws give the values of one draw over all of them.
-    for q, law in enumerate(params.blocks + [params.noise]):
-        L = np.linalg.cholesky(law.covariance())
-        for p0, p1, r0, r1 in pair_tiles(n):
-            I, J = tile_endpoints(n, r0, r1)
-            li = labels[I]
-            sel = np.flatnonzero(np.where(li == labels[J], li, Q) == q)
-            if sel.size:
-                X[p0 + sel] = rng.standard_normal((sel.size, params.K)) @ L.T + law.mu
+    # Row i's pairs (i, j > i) start at pair_index(n, i, i + 1).  Nodes are
+    # laid out block by block, so they are one run j < end of i's block,
+    # drawn by that block's law, then one run of cross-block pairs, drawn
+    # by the noise law (the noise block's law equals it; ModelParams checks
+    # that).  Each law draws its runs in pair order.
+    ends = np.cumsum(sizes).tolist()
+    starts = [0] + ends[:-1]
+    row_start = pair_index(n, np.arange(n), np.arange(1, n + 1)).tolist()
+    cross = []
+    for law, s, e in zip(params.blocks, starts, ends):
+        _draw_runs(X, [(row_start[i], e - 1 - i) for i in range(s, e - 1)], law, rng)
+        if e < n:
+            cross += [(row_start[i] + e - 1 - i, n - e) for i in range(s, e)]
+    _draw_runs(X, cross, params.noise, rng)
     return MultilayerNetwork(n=n, K=params.K, weights=X), labels
+
+
+def _draw_runs(X: np.ndarray, runs: list, law, rng: np.random.Generator) -> None:
+    """Fill the pair runs X[p : p + length] from one Gaussian law, in run
+    order.  Runs are drawn in batches of about PAIR_TILE pairs (one run
+    when a run is longer); chunked standard_normal draws give the values
+    of one draw over all of them."""
+    L = np.linalg.cholesky(law.covariance())
+    b0 = 0
+    while b0 < len(runs):
+        b1, total = b0 + 1, runs[b0][1]
+        while b1 < len(runs) and total + runs[b1][1] <= PAIR_TILE:
+            total += runs[b1][1]
+            b1 += 1
+        Z = rng.standard_normal((total, law.mu.size)) @ L.T
+        Z += law.mu
+        z = 0
+        for p, length in runs[b0:b1]:
+            X[p : p + length] = Z[z : z + length]
+            z += length
+        b0 = b1
 
 
 def bhattacharyya(p, q) -> float:

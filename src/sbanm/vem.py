@@ -198,6 +198,9 @@ def fit(
     """
     if net.n <= cfg.Q:
         raise DataError("need more nodes than blocks")
+    # SVI step 0 takes min(a, n) nodes; fail before the init, not after it.
+    if svi is not None and svi.a < cfg.Q:
+        raise DataError("subsample too small for Q blocks")
     if init_state is None:
         init_state = spectral_init(net, cfg.Q, derive_seed(cfg.seed, "init"))
     elif init_state.tau.shape != (net.n, cfg.Q):

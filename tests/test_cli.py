@@ -287,6 +287,27 @@ class TestExitCodes:
                        "--svi-kappa-m", "inf", "--out", str(tmp_path / "o")) == 2
         assert "kappa_m must be nonnegative and finite" in capsys.readouterr().err
 
+    def test_svi_base_size_below_q_is_data_error(self, planted_files, tmp_path, capsys,
+                                                 monkeypatch):
+        def no_init(*args):
+            raise AssertionError("spectral_init reached")
+
+        monkeypatch.setattr(sbanm.vem, "spectral_init", no_init)
+        net_path, _ = planted_files
+        assert run_cli("fit", "--input", str(net_path), "--blocks", "3", "--svi",
+                       "--svi-a", "2", "--out", str(tmp_path / "o")) == 2
+        assert "subsample too small for Q blocks" in capsys.readouterr().err
+
+    def test_negative_counts_for_logit_strength_are_data_error(self, tmp_path, capsys):
+        counts = sbanm.MultilayerNetwork(
+            n=3, K=2, weights=np.array([[1.0, 2.0], [3.0, -1.0], [0.0, 1.0]])
+        )
+        src = tmp_path / "counts.tsv"
+        sbanm.write_network(counts, str(src))
+        assert run_cli("build-net", "--responses", str(src), "--transform", "logit-strength",
+                       "--out", str(tmp_path / "norm")) == 2
+        assert "layer 1 has a negative weight" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", ["--tol-elbo", "--tol-tau"])
     def test_nan_tolerance_is_data_error(self, planted_files, tmp_path, capsys, flag):
         net_path, _ = planted_files

@@ -121,7 +121,13 @@ class TestNormalizeLogit:
 
     def test_negative_weights_rejected(self):
         net = MultilayerNetwork(n=2, K=1, weights=np.array([[-1.0]]))
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
+            normalize_logit(net)
+
+    def test_negative_weight_names_first_layer(self):
+        weights = np.array([[1.0, 2.0, 3.0], [1.0, 0.5, -1.0], [0.0, -2.0, 1.0]])
+        net = MultilayerNetwork(n=3, K=3, weights=weights)
+        with pytest.raises(DataError, match="layer 1 has a negative weight"):
             normalize_logit(net)
 
 

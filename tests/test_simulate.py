@@ -4,11 +4,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sbanm
 from sbanm import SimSpec, bhattacharyya, filter_separable, gen_network, gen_params
 from sbanm.errors import DataError
-from sbanm.model import BlockParams, NoiseParams
+from sbanm.model import BlockParams, NoiseParams, clamp_rho
 from sbanm.rng import substream
 from sbanm.simulate import draw_candidate, draw_sizes, min_block_distance
 
@@ -63,6 +65,33 @@ def no_noise_block():
     params, sizes = random_k2()
     noise = NoiseParams(mu=params.noise.mu + 1.5, var=params.noise.var * 2.0)
     return dataclasses.replace(params, noise=noise, noise_block=None), sizes
+
+
+@st.composite
+def generator_cases(draw):
+    """Random block sizes (1-6 blocks of 1-15 nodes, at least 2 nodes in
+    all), K in 1..3, the noise block at any position and random laws."""
+    sizes = draw(
+        st.lists(st.integers(1, 15), min_size=1, max_size=6).filter(lambda s: sum(s) >= 2)
+    )
+    K = draw(st.integers(1, 3))
+    noise_block = draw(st.integers(0, len(sizes) - 1))
+    rng = substream(draw(st.integers(0, 2**32 - 1)), "generator-case")
+    noise = NoiseParams(mu=rng.normal(size=K), var=rng.uniform(0.5, 2.0, K))
+    blocks = [
+        BlockParams(
+            mu=rng.normal(size=K),
+            var=rng.uniform(0.5, 2.0, K),
+            rho=clamp_rho(float(rng.uniform(0.0, 1.0)), K),
+        )
+        for _ in sizes
+    ]
+    blocks[noise_block] = noise.as_block()
+    sizes = np.array(sizes)
+    params = sbanm.ModelParams(
+        blocks=blocks, noise=noise, alpha=sizes / sizes.sum(), noise_block=noise_block
+    )
+    return params, sizes
 
 
 class TestGenParams:
@@ -163,6 +192,15 @@ class TestGenNetwork:
         want, want_labels = mask_gen_network(params, sizes, substream(9, "n"))
         assert net.weights.tobytes() == want.tobytes()
         assert np.array_equal(labels, want_labels)
+
+    @given(generator_cases(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_mask_reference_on_random_layouts(self, case, seed):
+        params, sizes = case
+        net, labels = gen_network(params, sizes, substream(seed, "n"))
+        want, want_labels = mask_gen_network(params, sizes, substream(seed, "n"))
+        assert net.weights.tobytes() == want.tobytes()
+        assert labels.tobytes() == want_labels.tobytes()
 
     def test_peak_memory_below_twice_the_weights(self):
         # Only the weights are full-size; pair indices and law selections

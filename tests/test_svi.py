@@ -108,6 +108,15 @@ class TestSviEStep:
         with pytest.raises(DataError, match="subsample too small"):
             svi_e_step(net, params, state, 0, SviConfig(a=2, seed=0))
 
+    def test_fit_rejects_base_size_below_q_before_init(self, monkeypatch):
+        def no_init(*args):
+            raise AssertionError("spectral_init reached")
+
+        monkeypatch.setattr(sbanm.vem, "spectral_init", no_init)
+        net, _, _ = planted_network(sizes=(10, 10, 10), seed=4)
+        with pytest.raises(DataError, match="subsample too small for Q blocks"):
+            sbanm.fit(net, FitConfig(Q=3, seed=0), svi=SviConfig(a=2, seed=0))
+
     def test_svi_fit_reaches_full_batch_partition(self):
         params, sizes = sbanm.experiment2_spec()
         net, labels = sbanm.gen_network(params, sizes, substream(42, "network"))
