@@ -27,10 +27,10 @@ from .model import (
 )
 
 
-def _gap_squares(net: MultilayerNetwork, params: ModelParams, nodes) -> np.ndarray:
+def _gap_squares(net: MultilayerNetwork, params: ModelParams, nodes) -> list:
     """Each block's signal-minus-noise log-density gap over the pairs inside
-    `nodes` (all nodes when None), as Q packed symmetric m x m matrices
-    (model.packed_pairs) of shape (Q, m(m+1)/2)."""
+    `nodes` (all nodes when None), as Q symmetric m x m matrices, each a
+    list of model.packed_pairs row blocks."""
     m = net.n if nodes is None else nodes.size
     # Overflow or inf - inf here is caught by the E-step's finite check.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -45,7 +45,8 @@ def _gap_squares(net: MultilayerNetwork, params: ModelParams, nodes) -> np.ndarr
                 rows = pair_index(net.n, nodes[I], nodes[J])
             return coef @ pair_features(net.weights[rows], net.center)
 
-        return packed_pairs(m, tile_gaps, (params.Q,))
+        blocks = packed_pairs(m, tile_gaps, (params.Q,))
+    return [[(r0, T[q]) for r0, T in blocks] for q in range(params.Q)]
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:

@@ -7,8 +7,9 @@ fixed-point updates are never frozen by exact zeros.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .errors import DataError, NumericalError
 from .model import MultilayerNetwork, VariationalState, clip_prob, packed_matvec, packed_pairs
@@ -21,6 +22,103 @@ KMEANS_RESTARTS = 10
 LLOYD_MAX_ITER = 100
 # Membership mass the softened init spreads over the unassigned blocks.
 SOFT_EPS = 0.05
+# A Ritz pair of top_eigenpairs has converged once its residual norm is at
+# most this share of the largest Ritz value's magnitude.
+LANCZOS_TOL = 1e-12
+# Restarts after which top_eigenpairs gives up.
+LANCZOS_MAX_RESTARTS = 1000
+# A new Lanczos vector that keeps less than this share of the product it
+# came from spans nothing new: the basis is an invariant subspace.
+_BREAKDOWN = 1e-12
+
+
+def _orthogonalize(w: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Coefficients h of w on the orthonormal rows of V, with w <- w - h @ V
+    in place; two passes, so w ends orthogonal to V to working precision."""
+    h = V @ w
+    w -= h @ V
+    c = V @ w
+    w -= c @ V
+    return h + c
+
+
+def top_eigenpairs(matvec, v0: np.ndarray, Q: int) -> np.ndarray:
+    """Eigenvectors (n x Q, by descending eigenvalue) of the Q largest
+    eigenvalues of the symmetric operator x -> matvec(x) on R^n, n = v0.size.
+
+    Thick-restart Lanczos (Wu & Simon 2000) from v0 with full
+    reorthogonalization.  The basis holds at most ncv = max(2Q + 1, 20)
+    vectors (n at most), as ARPACK's default.  When it is full, the top Q
+    Ritz pairs of its projection have converged once each residual norm is
+    at most LANCZOS_TOL * max |theta|.  Until then, the top
+    Q + (ncv - Q) // 2 Ritz vectors and the residual direction start the
+    next basis.  A breakdown (an invariant subspace) goes on from a seeded
+    random vector.
+
+    A single start vector meets the eigenspace of a repeated eigenvalue in
+    one direction only, so a converged basis may still lack eigenvalues
+    above its top Q.  Unless the basis is all of R^n, the Q converged
+    vectors and a seeded random vector start a check: (ncv - Q) // 2
+    Lanczos steps, after which the converged vectors are returned if no top
+    Q Ritz value has grown; otherwise the basis fills up and goes on.
+
+    Raises NumericalError on a non-finite product or after
+    LANCZOS_MAX_RESTARTS restarts without a result.
+    """
+    n = v0.size
+    ncv = min(n, max(2 * Q + 1, 20))
+    keep = Q + (ncv - Q) // 2
+    seeds = itertools.count()
+
+    def fresh(basis):
+        """A seeded random unit vector orthogonal to the rows of basis."""
+        w = substream(0, "lanczos-fresh", next(seeds)).uniform(-1.0, 1.0, n)
+        _orthogonalize(w, basis)
+        return w / np.linalg.norm(w)
+
+    V = np.empty((ncv + 1, n))
+    V[0] = v0 / np.linalg.norm(v0)
+    # H = V^T M V, lower triangle; row j is filled when vector j is expanded.
+    H = np.zeros((ncv, ncv))
+    # The basis grows from `start` to `stop` vectors; `accepted` holds the
+    # top Q Ritz values under check, whose vectors are V[:Q].
+    start, stop, accepted = 0, ncv, None
+    for _ in range(LANCZOS_MAX_RESTARTS + 1):
+        for j in range(start, stop):
+            w = matvec(V[j])
+            scale = np.linalg.norm(w)
+            H[j, : j + 1] = _orthogonalize(w, V[: j + 1])
+            beta = np.linalg.norm(w)
+            if not np.isfinite(beta):
+                raise NumericalError("spectral initialization: non-finite Lanczos vector")
+            if beta > _BREAKDOWN * scale:
+                V[j + 1] = w / beta
+            else:
+                beta = 0.0
+                if j + 1 < n:
+                    V[j + 1] = fresh(V[: j + 1])
+        theta, S = np.linalg.eigh(H[:stop, :stop])
+        tol = LANCZOS_TOL * np.max(np.abs(theta))
+        if accepted is not None:
+            if np.all(theta[-Q:] <= accepted + tol):
+                return V[Q - 1 :: -1].T
+            start, stop, accepted = stop, ncv, None
+            continue
+        # The residual of Ritz pair i is beta times the last entry of S[:, i].
+        if np.all(beta * np.abs(S[-1, -Q:]) <= tol):
+            if ncv == n:
+                return V[:ncv].T @ S[:, ::-1][:, :Q]
+            accepted, kept, stop = theta[-Q:], Q, keep
+        else:
+            kept = keep
+        V[:kept] = S[:, -kept:].T @ V[:ncv]
+        V[kept] = V[ncv] if accepted is None else fresh(V[:kept])
+        H[:] = 0.0
+        H[:kept, :kept] = np.diag(theta[-kept:])
+        start = kept
+    raise NumericalError(
+        f"spectral initialization did not converge in {LANCZOS_MAX_RESTARTS} restarts"
+    )
 
 
 def spectral_embedding(net: MultilayerNetwork, Q: int) -> np.ndarray:
@@ -29,11 +127,12 @@ def spectral_embedding(net: MultilayerNetwork, Q: int) -> np.ndarray:
     The summed graph is shifted to nonnegative affinities (Fisher-type
     weights can be negative), then L = I - D^{-1/2} A D^{-1/2} with a
     degree floor for isolated nodes.  The eigenvectors of L's Q smallest
-    eigenvalues are those of M = D^{-1/2} A D^{-1/2}'s Q largest; Lanczos
-    (ARPACK) finds them with O(n^2) work per product with M, taken as
-    D^{-1/2} applied on both sides of a product with A, which is kept as a
-    packed triangle (model.packed_pairs).  Its start vector is fixed, so
-    the embedding is a deterministic function of the network.
+    eigenvalues are those of M = D^{-1/2} A D^{-1/2}'s Q largest;
+    top_eigenpairs (Lanczos) finds them with O(n^2) work per product with
+    M, taken as D^{-1/2} applied on both sides of a product with A, which
+    is kept as row blocks of its upper triangle (model.packed_pairs).  Its
+    start vector is fixed, so the embedding is a deterministic function of
+    the network.
     """
     if not 1 <= Q < net.n:
         raise DataError(f"spectral embedding needs 1 <= Q < n, got Q={Q}, n={net.n}")
@@ -44,17 +143,11 @@ def spectral_embedding(net: MultilayerNetwork, Q: int) -> np.ndarray:
         flat += layer
     flat -= flat.min()
     A = packed_pairs(net.n, lambda p0, p1, r0, r1: flat[p0:p1])
+    # Free the pair vector before the Lanczos basis is allocated.
+    del flat
     dinv = 1.0 / np.sqrt(np.maximum(packed_matvec(A, np.ones(net.n)), _DEGREE_FLOOR))
-    M = LinearOperator(
-        (net.n, net.n), matvec=lambda x: dinv * packed_matvec(A, dinv * x.ravel()), dtype=float
-    )
     v0 = substream(0, "spectral-start").uniform(-1.0, 1.0, net.n)
-    try:
-        _, vecs = eigsh(M, k=Q, which="LA", v0=v0)
-    except ArpackError as exc:
-        raise NumericalError("spectral initialization failed") from exc
-    # eigsh returns ascending eigenvalues of M; L's smallest come first.
-    vecs = vecs[:, ::-1]
+    vecs = top_eigenpairs(lambda x: dinv * packed_matvec(A, dinv * x), v0, Q)
     norms = np.maximum(np.linalg.norm(vecs, axis=1), _DEGREE_FLOOR)
     return vecs / norms[:, None]
 

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.blas import dspmv
 
 from .errors import DataError, NumericalError
 
@@ -35,6 +33,10 @@ LOG_2PI = math.log(2.0 * math.pi)
 # per-pair feature arrays live one tile at a time, so their memory stays
 # O(PAIR_TILE * D) whatever n is.
 PAIR_TILE = 4096
+# Rows per block of the symmetric matrices of packed_pairs.  At n = 1200 a
+# block is 1.2 MB, so the second of packed_matvec's two passes over it
+# reads it from a 2 MB L2 cache.
+PACKED_BLOCK_ROWS = 128
 
 
 def clip_prob(x):
@@ -93,31 +95,46 @@ def tile_endpoints(m: int, r0: int, r1: int) -> tuple[np.ndarray, np.ndarray]:
     return I, J
 
 
-def packed_pairs(m: int, tile_values, lead: tuple = ()) -> np.ndarray:
-    """Packed symmetric m x m matrices of shape lead + (m(m+1)/2,): the rows
-    of the upper triangle one after another, each starting at its (zero)
-    diagonal entry.  That is the memory of BLAS's column-major lower packed
-    layout, which packed_matvec takes.  The entries of the pairs p0 <= p <
-    p1 of each pair_tiles(m) tile (p0, p1, r0, r1) are
-    tile_values(p0, p1, r0, r1); each of its rows goes to its packed slot
-    as one slice."""
-    A = np.zeros(lead + (m * (m + 1) // 2,))
+def packed_pairs(m: int, tile_values, lead: tuple = ()) -> list[tuple[int, np.ndarray]]:
+    """Symmetric zero-diagonal m x m matrices (one per index of `lead`) as
+    row blocks: a list of (r0, T), T of shape lead + (r1 - r0, m - r0)
+    holding rows r0 <= i < r1 from column r0 on, zero at and below the
+    diagonal.  Blocks are PACKED_BLOCK_ROWS rows high (the last one may be
+    lower), cover rows 0..m-2 and are views of one zeroed buffer.  The
+    entries of the pairs p0 <= p < p1 of each pair_tiles(m) tile (p0, p1,
+    r0, r1) are tile_values(p0, p1, r0, r1); each of its rows goes to its
+    block as one slice."""
+    starts = range(0, m - 1, PACKED_BLOCK_ROWS)
+    shapes = [lead + (min(PACKED_BLOCK_ROWS, m - 1 - r0), m - r0) for r0 in starts]
+    buffer = np.zeros(sum(math.prod(shape) for shape in shapes))
+    blocks, offset = [], 0
+    for r0, shape in zip(starts, shapes):
+        blocks.append((r0, buffer[offset : offset + math.prod(shape)].reshape(shape)))
+        offset += math.prod(shape)
     for p0, p1, r0, r1 in pair_tiles(m):
         values = tile_values(p0, p1, r0, r1)
         p = p0
         for i in range(r0, r1):
-            # Rows 0..i hold i + 1 diagonal entries before pair p of row i.
-            A[..., p + i + 1 : p + m] = values[..., p - p0 : p - p0 + m - 1 - i]
+            b0, T = blocks[i // PACKED_BLOCK_ROWS]
+            T[..., i - b0, i + 1 - b0 :] = values[..., p - p0 : p - p0 + m - 1 - i]
             p += m - 1 - i
         # Free this tile's values before the next tile's are built.
         del values
-    return A
+    return blocks
 
 
-def packed_matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The product of a packed symmetric matrix A (packed_pairs layout)
-    with the vector x."""
-    return dspmv(x.size, 1.0, A, x, lower=1)
+def packed_matvec(A: list[tuple[int, np.ndarray]], x: np.ndarray) -> np.ndarray:
+    """The product of one symmetric matrix A, stored as packed_pairs row
+    blocks without lead axes, with the vector x."""
+    # A strided x (a column of tau) would slow every block's product.
+    x = np.ascontiguousarray(x)
+    y = np.zeros(x.shape)
+    for r0, T in A:
+        r1 = r0 + T.shape[0]
+        # The stored upper part, then its mirror image below the diagonal.
+        y[r0:r1] += T @ x[r0:]
+        y[r0:] += x[r0:r1] @ T
+    return y
 
 
 def feature_dim(K: int) -> int:
@@ -407,7 +424,7 @@ def gaussian_coefficients(mu: np.ndarray, cov: np.ndarray, center: np.ndarray) -
         L = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("covariance not positive definite") from exc
-    L_inv = solve_triangular(L, np.eye(K), lower=True)
+    L_inv = np.linalg.inv(L)
     prec = L_inv.T @ L_inv
     # With y = x - center and d = center - mu, x - mu = y + d.
     s = L_inv @ (np.asarray(center, dtype=float) - mu)

@@ -16,7 +16,7 @@ from reference import log_density_batch, pairs_to_square
 
 def dense_e_step(net, params, state, nodes, weight, inner, damping):
     """e_step on dense (m, m) gap matrices filled from per-pair
-    log-densities (no pair features, no packing, no BLAS packed product)."""
+    log-densities (no pair features, no row blocks, no blocked product)."""
     rows = np.arange(net.n) if nodes is None else nodes
     noise = log_density_batch(net.weights, params.noise.mu, params.noise.covariance())
     gaps = [
@@ -101,8 +101,8 @@ class TestPackedGapsAgainstDenseReference:
 
 
 def test_e_step_peak_memory_below_dense_gap_squares():
-    # Q dense n x n gap matrices take Q n^2 8 bytes; the packed upper
-    # triangles plus one tile of pair features take about half of that.
+    # Q dense n x n gap matrices take Q n^2 8 bytes; the row blocks of the
+    # upper triangles plus one tile of pair features take about half of that.
     params, _ = sbanm.experiment2_spec()
     net, labels = sbanm.gen_network(params, np.full(4, 100), substream(3, "network"))
     tau = np.full((net.n, 4), 0.05 / 3)

@@ -6,8 +6,9 @@ import scipy.linalg
 
 import sbanm
 from sbanm import MultilayerNetwork, spectral_init
-from sbanm.errors import DataError
-from sbanm.init import kmeans, spectral_embedding
+from sbanm import init
+from sbanm.errors import DataError, NumericalError
+from sbanm.init import kmeans, spectral_embedding, top_eigenpairs
 from sbanm.model import pair_index
 from sbanm.rng import substream
 
@@ -110,7 +111,7 @@ class TestSpectralEmbedding:
         "net, Q",
         [
             *[pytest.param(planted_network(seed=s)[0], 3, id=f"planted-{s}") for s in (0, 1, 2)],
-            # n = 90 exceeds the 20 Lanczos vectors ARPACK keeps, and
+            # n = 90 exceeds the 20 vectors the Lanczos basis keeps, and
             # eigenvalue 1 of D^-1/2 A D^-1/2 has multiplicity 3.
             pytest.param(cliques(3, 30), 3, id="three-cliques"),
             pytest.param(isolated_node_network(), 2, id="isolated-node"),
@@ -130,7 +131,7 @@ class TestSpectralEmbedding:
             spectral_embedding(cliques(n_per=4), Q)
 
     def test_peak_memory_below_two_squares(self):
-        # Lanczos keeps at most max(2Q + 1, 20) n-vectors beside the
+        # Lanczos keeps at most max(2Q + 1, 20) + 1 n-vectors beside the
         # affinities.
         net, _, _ = planted_network(sizes=(140, 140, 120), seed=1)
         tracemalloc.start()
@@ -142,8 +143,9 @@ class TestSpectralEmbedding:
         assert peak < 2 * net.n**2 * 8
 
     def test_peak_memory_below_one_and_a_quarter_squares(self):
-        # The affinities are one packed triangle plus the pair vector it is
-        # filled from, n^2 entries in all; no n x n array is built.
+        # The affinities are the row blocks of one triangle plus the pair
+        # vector they are filled from, about n^2 entries in all; no n x n
+        # array is built.
         net, _, _ = planted_network(sizes=(140, 140, 120), seed=1)
         tracemalloc.start()
         try:
@@ -152,6 +154,72 @@ class TestSpectralEmbedding:
         finally:
             tracemalloc.stop()
         assert peak < 1.25 * net.n**2 * 8
+
+
+def symmetric_with_spectrum(eigenvalues, seed):
+    """A dense symmetric matrix with the given eigenvalues in a seeded
+    random orthonormal basis."""
+    n = len(eigenvalues)
+    U, _ = np.linalg.qr(substream(seed, "spectrum").normal(size=(n, n)))
+    return (U * np.asarray(eigenvalues)) @ U.T
+
+
+class TestTopEigenpairs:
+    """top_eigenpairs (thick-restart Lanczos) against np.linalg.eigh."""
+
+    @staticmethod
+    def check_top_subspace(M, Q, products=None):
+        n = M.shape[0]
+        v0 = substream(1, "oracle-start").uniform(-1.0, 1.0, n)
+
+        def matvec(x):
+            if products is not None:
+                products.append(1)
+            return M @ x
+
+        vecs = top_eigenpairs(matvec, v0, Q)
+        vals, ref = np.linalg.eigh(M)
+        ref = ref[:, ::-1][:, :Q]
+        assert vecs.shape == (n, Q)
+        assert np.max(np.abs(vecs.T @ vecs - np.eye(Q))) <= 1e-12
+        # One subspace, whatever basis of a repeated eigenvalue each picks.
+        assert np.max(np.abs(vecs @ vecs.T - ref @ ref.T)) <= 1e-10
+        # Columns by descending eigenvalue.
+        rayleigh = np.einsum("iq,iq->q", vecs, M @ vecs)
+        assert np.allclose(rayleigh, vals[::-1][:Q], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("Q", [1, 3, 5, 6])
+    def test_top_eigenvalue_repeated_Q_times(self, Q):
+        # A single start vector meets each eigenspace in one direction: the
+        # other Q - 1 copies come from the seeded vectors of the checks that
+        # follow convergence.  ARPACK's eigsh, from the same start, returns
+        # a wrong subspace at Q = 6.
+        spectrum = np.concatenate([np.ones(Q), np.linspace(-0.5, 0.5, 60 - Q)])
+        self.check_top_subspace(symmetric_with_spectrum(spectrum, Q), Q)
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_all_but_one_eigenvector_of_a_tiny_matrix(self, n):
+        spectrum = substream(n, "tiny").normal(size=n)
+        self.check_top_subspace(symmetric_with_spectrum(spectrum, n), n - 1)
+
+    def test_clustered_spectrum_needs_restarts(self):
+        # 300 eigenvalues evenly spread: the top 4 converge only after
+        # several restarts of the 20-vector basis.
+        products = []
+        self.check_top_subspace(
+            symmetric_with_spectrum(np.linspace(0.0, 1.0, 300), 3), 4, products
+        )
+        assert len(products) > 3 * 20
+
+    def test_too_few_restarts_raise(self, monkeypatch):
+        monkeypatch.setattr(init, "LANCZOS_MAX_RESTARTS", 2)
+        with pytest.raises(NumericalError, match="did not converge"):
+            self.check_top_subspace(symmetric_with_spectrum(np.linspace(0.0, 1.0, 300), 3), 4)
+
+    def test_nan_product_raises(self):
+        v0 = np.ones(30)
+        with pytest.raises(NumericalError, match="non-finite"):
+            top_eigenpairs(lambda x: np.full(x.size, np.nan), v0, 2)
 
 
 def oracle_kmeans(X, Q, n_starts=200, seed=1234):
