@@ -5,21 +5,29 @@ File formats
 ------------
 Network (TSV, UTF-8): header line ``#sbanm-net v1 n=<n> K=<K>``, then
 exactly n(n-1)/2 lines ``i<TAB>j<TAB>w1<TAB>...<TAB>wK`` with 0-based
-integer i < j in lexicographic pair order and finite weights; floats
-printed with 17 significant digits so write(read(f)) reproduces f byte
-for byte.  The reader accepts exactly this grammar, with numbers in
-any spelling Python's int() and float() take: no blank line, no index
-written as a float (``1.0``), no missing or extra pair.  A file
-that breaks it raises DataError naming the offending line, before
-anything sized by the header is allocated.  The writer formats a tile
-of pairs at a time and streams the tiles into the atomic temp file; the
-reader parses the pair lines with one streaming np.loadtxt call, checks
-them vectorised, and re-reads the file line by line only to report an
-error.
+integer i < j in lexicographic pair order and finite weights; each
+weight is printed as Python's format(w, ".17g") prints it, 17
+significant digits, so write(read(f)) reproduces f byte for byte.  The
+reader accepts exactly this grammar, with numbers in any spelling
+Python's int() and float() take: no blank line, no index written as a
+float (``1.0``), no missing or extra pair.  A file that breaks it raises
+DataError naming the offending line, before anything sized by the header
+is allocated.  The reader parses the pair lines with one streaming
+np.loadtxt call, checks them vectorised, and re-reads the file line by
+line only to report an error.
+
+The writer builds the text of one pair tile at a time with numpy and
+streams the tiles, as ASCII bytes, into the atomic temp file.  A weight
+with 1e-4 <= |w| < 1e14 gets its 17 digits from exact two-limb uint64
+arithmetic (round half to even, as Python's float formatting does) and
+prints in fixed notation; every other weight goes through format() one
+at a time.  sbanm.text holds these kernels; the membership writer
+formats tau through the same code.
 
 Responses (CSV): header ``subject,<layer>:<item>,...``; cells in {1,0,NA}.
 
-Memberships (CSV): header ``node,block,tau_0,...,tau_{Q-1}``.
+Memberships (CSV): header ``node,block,tau_0,...,tau_{Q-1}``; tau cells
+printed as format(t, ".17g") prints them.
 
 Parameters (JSON): keys Q, K, alpha, psi, noise_block,
 blocks[{mu,var,rho}], noise{mu,var}, elbo, icl, seed.  The reader checks
@@ -52,6 +60,7 @@ from .model import (
     pair_tiles,
     tile_endpoints,
 )
+from .text import float_text, int_text, table_text
 
 _R_CLAMP = 1e-7   # keeps agreement ratios inside atanh's domain
 _P_CLAMP = 1e-12  # keeps strength ratios inside logit's domain
@@ -152,24 +161,20 @@ def sum_layers(net: MultilayerNetwork) -> MultilayerNetwork:
     )
 
 
-def _atomic_write(path: str, text: str | Iterable[str]) -> None:
-    """Write text, or a stream of text chunks, via a temp file in the same
+def _atomic_write(path: str, data: bytes | Iterable[bytes]) -> None:
+    """Write bytes, or a stream of byte chunks, via a temp file in the same
     directory, then rename; on any error the temp file is removed and an
     existing file at path keeps its bytes."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines([text] if isinstance(text, str) else text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.writelines([data] if isinstance(data, bytes) else data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _undecodable(path: str) -> DataError:
@@ -198,18 +203,15 @@ def _open_utf8(path: str, newline: str | None = None) -> Iterator[TextIO]:
             raise _undecodable(path) from exc
 
 
-def _network_chunks(net: MultilayerNetwork) -> Iterator[str]:
-    """The canonical text of a network: the header, then one chunk per pair
-    tile, each a single %-format of the row template over the tile."""
-    yield f"#sbanm-net v1 n={net.n} K={net.K}\n"
-    row = "%d\t%d" + "\t%.17g" * net.K + "\n"
+def _network_chunks(net: MultilayerNetwork) -> Iterator[bytes]:
+    """The canonical text of a network as ASCII: the header, then the lines
+    of one pair tile at a time."""
+    yield f"#sbanm-net v1 n={net.n} K={net.K}\n".encode()
+    width = len(str(net.n - 1))
     for p0, p1, r0, r1 in pair_tiles(net.n):
         I, J = tile_endpoints(net.n, r0, r1)
-        fields = np.empty((p1 - p0, 2 + net.K), dtype=object)
-        fields[:, 0] = I
-        fields[:, 1] = J
-        fields[:, 2:] = net.weights[p0:p1]
-        yield (row * (p1 - p0)) % tuple(fields.ravel().tolist())
+        weight_text = float_text(net.weights[p0:p1].T)
+        yield table_text([int_text(I, width), int_text(J, width), *weight_text], "\t")
 
 
 def write_network(net: MultilayerNetwork, path: str) -> None:
@@ -368,9 +370,10 @@ def write_memberships(
     buf = StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["node", "block"] + [f"tau_{q}" for q in range(Q)])
+    rows = table_text(list(float_text(tau.T)), ",").decode("ascii").splitlines()
     for i in range(n):
-        writer.writerow([names[i], hard[i]] + [_fmt(v) for v in tau[i]])
-    _atomic_write(path, buf.getvalue())
+        writer.writerow([names[i], hard[i]] + rows[i].split(","))
+    _atomic_write(path, buf.getvalue().encode("utf-8"))
 
 
 def read_memberships(path: str) -> tuple[list[str], np.ndarray, np.ndarray]:
@@ -419,7 +422,7 @@ def write_params(
         "icl": icl,
         "seed": seed,
     }
-    _atomic_write(path, json.dumps(doc, indent=2) + "\n")
+    _atomic_write(path, (json.dumps(doc, indent=2) + "\n").encode("utf-8"))
 
 
 def read_params(path: str) -> tuple[ModelParams, dict]:

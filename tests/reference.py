@@ -1,9 +1,13 @@
-"""Per-pair references the tests check the library's moment and packed
-passes against: Gaussian log-densities evaluated pair by pair, and the
-dense symmetric matrix of per-pair values.  The library computes neither;
-its tests import them from here.  Their own tests are in test_model.py.
+"""References the tests check the library against: Gaussian log-densities
+evaluated pair by pair and the dense symmetric matrix of per-pair values
+(for the moment and packed passes), and the network and membership file
+texts built one value at a time with Python's format(v, ".17g") (for the
+vectorised writers).  The library computes none of them; its tests import
+them from here.  The numeric ones have their own tests in test_model.py.
 """
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -45,3 +49,23 @@ def pairs_to_square(n: int, values) -> np.ndarray:
     out[upper] = values
     out.swapaxes(0, 1)[upper] = values
     return out
+
+
+def reference_network_text(net) -> str:
+    """The canonical network text, written one pair at a time."""
+    iu, ju = np.triu_indices(net.n, 1)
+    lines = [f"#sbanm-net v1 n={net.n} K={net.K}"]
+    for p in range(net.n_pairs):
+        vals = "\t".join(format(float(v), ".17g") for v in net.weights[p])
+        lines.append(f"{iu[p]}\t{ju[p]}\t{vals}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_memberships_text(names, hard, tau) -> str:
+    """The memberships CSV, written one row at a time by csv.writer."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["node", "block"] + [f"tau_{q}" for q in range(tau.shape[1])])
+    for name, label, row in zip(names, hard, tau):
+        writer.writerow([name, int(label)] + [format(float(v), ".17g") for v in row])
+    return buf.getvalue()

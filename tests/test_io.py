@@ -2,11 +2,14 @@ import json
 import math
 import os
 import re
+import struct
 import tempfile
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import sbanm
@@ -23,8 +26,10 @@ from sbanm import (
 from sbanm import io as sbanm_io
 from sbanm.errors import DataError
 from sbanm.model import pair_tiles
+from sbanm.text import float_text, table_text
 
 from conftest import random_network, separable_params_2layer
+from reference import reference_memberships_text, reference_network_text
 
 
 def responses_from_rows(rows):
@@ -211,6 +216,77 @@ class TestNetworkFile:
                 assert f1.read() == f2.read()
 
 
+def float_texts(values):
+    """The text the network and membership writers give each value."""
+    x = np.asarray(values, dtype=float).reshape(1, -1)
+    return table_text(list(float_text(x)), ",").decode("ascii").splitlines()
+
+
+def dyadic_ties(rng, size):
+    """Doubles whose exact decimal expansion has 18 significant digits, the
+    last a 5, so rounding to 17 digits is a half-way tie; spread over the
+    writer's fixed-notation range 1e-4 <= x < 1e14.  x = b / 2**j has the
+    digits of b * 5**j, 18 of them ending in 5 for odd b in
+    [1e17 / 5**j, 1e18 / 5**j), so x lies in [10**(17-j), 10**(18-j))."""
+    j = rng.integers(4, 22, size)
+    low, high = np.ceil(1e17 / 5.0**j), np.floor(1e18 / 5.0**j)
+    b = np.floor(rng.uniform(low, high) / 2) * 2 + 1
+    return np.ldexp(b, -j)
+
+
+def around(v):
+    """v and its two neighbouring doubles."""
+    return [math.nextafter(v, 0.0), v, math.nextafter(v, math.inf)]
+
+
+# Signed zeros, the smallest subnormal, the smallest normal, a tie below the
+# fixed-notation range, an in-range tie, 1e-14 (the double nearest 10**-14
+# lies below it yet rounds to "1e-14" at 17 digits: a carry), and every
+# power of ten from 1e-4 (the range's lower edge) through 1e14 (its upper
+# edge), 1e16 and 1e17, with both neighbours and both signs.
+EDGE_VALUES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.0**-25, 1e-14,
+    12345678901234.0625,
+    *(s * u for k in range(-4, 18) for u in around(float(f"1e{k}")) for s in (1, -1)),
+]
+
+
+class TestFloatText:
+    """The writers' vectorised float text is format(v, ".17g") byte for byte."""
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_format(self, values):
+        assert float_texts(values) == [format(v, ".17g") for v in values]
+
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_format_on_bit_patterns(self, patterns):
+        values = [struct.unpack("<d", p.to_bytes(8, "little"))[0] for p in patterns]
+        values = [v for v in values if math.isfinite(v)]
+        assume(values)
+        assert float_texts(values) == [format(v, ".17g") for v in values]
+
+    def test_matches_format_on_seeded_sample(self):
+        rng = np.random.default_rng(17)
+        patterns = rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(np.float64)
+        magnitudes = 10.0 ** rng.uniform(-12, 17, 120_000) * rng.choice([-1.0, 1.0], 120_000)
+        ties = dyadic_ties(rng, 40_000)
+        values = np.concatenate([patterns[np.isfinite(patterns)], magnitudes, ties, -ties])
+        assert values.size >= 200_000
+        assert float_texts(values) == [format(v, ".17g") for v in values.tolist()]
+
+    def test_ties_are_ties(self):
+        ties = dyadic_ties(np.random.default_rng(3), 200).tolist() + [12345678901234.0625]
+        for v in ties:
+            digits = Decimal(v).as_tuple().digits  # the exact binary value
+            assert len(digits) == 18 and digits[-1] == 5
+
+    def test_matches_format_on_edge_values(self):
+        assert Fraction(1e-14) < Fraction(1, 10**14) and format(1e-14, ".17g") == "1e-14"
+        assert float_texts(EDGE_VALUES) == [format(v, ".17g") for v in EDGE_VALUES]
+
+
 def read_by_line(path):
     """The line-by-line parser run on a whole network file."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -225,16 +301,6 @@ def outcome(read, path):
         return read(path).tobytes(), None
     except DataError as exc:
         return None, str(exc)
-
-
-def reference_network_text(net):
-    """The canonical text, written one pair at a time."""
-    iu, ju = np.triu_indices(net.n, 1)
-    lines = [f"#sbanm-net v1 n={net.n} K={net.K}"]
-    for p in range(net.n_pairs):
-        vals = "\t".join(format(float(v), ".17g") for v in net.weights[p])
-        lines.append(f"{iu[p]}\t{ju[p]}\t{vals}")
-    return "\n".join(lines) + "\n"
 
 
 class TestNetworkFileErrors:
@@ -394,11 +460,18 @@ class TestNetworkFileFastPath:
             assert fast == outcome(read_by_line, path)
 
     def test_round_trip_across_tiles_is_byte_identical(self, tmp_path):
-        net = random_network(130, 2, seed=5)
+        rng = np.random.default_rng(5)
+        net = random_network(130, 3, seed=5)
         assert len(list(pair_tiles(net.n))) == 3
+        # Magnitudes 1e-7..1e16 of both signs, with the edge values and
+        # +-1e300, +-1e-300 scattered over all three tiles.
+        net.weights *= 10.0 ** rng.uniform(-7, 16, net.weights.shape)
+        special = EDGE_VALUES + [1e300, -1e300, 1e-300, -1e-300]
+        spots = rng.choice(net.weights.size, 20 * len(special), replace=False)
+        net.weights.flat[spots] = np.resize(special, spots.size)
         p1, p2 = tmp_path / "a.tsv", tmp_path / "b.tsv"
         write_network(net, str(p1))
-        assert p1.read_text() == reference_network_text(net)
+        assert p1.read_bytes() == reference_network_text(net).encode("ascii")
         back = read_network(str(p1))
         assert np.array_equal(back.weights, net.weights)
         write_network(back, str(p2))
@@ -477,6 +550,24 @@ class TestMembershipAndParamsFiles:
         assert names == ["0", "1", "2"]
         assert hard.tolist() == [0, 1, 0]
         assert np.array_equal(tau2, tau)
+
+    def test_membership_text_matches_csv_reference(self, tmp_path):
+        path = tmp_path / "m.csv"
+        names = ["plain", "a,b", 'say "hi"', "two\nlines", " padded ", "é"]
+        tau = np.array([
+            [0.99999991142650002, 2.9524500000000044e-08, 0.0, -0.0],
+            [1.0, 0.0, 5e-324, 1e-300],
+            [0.25, 0.25, 0.25, 0.25],
+            [1 / 3, 2 / 3, 1e-4, math.nextafter(1e-4, 0.0)],
+            [0.1, 0.2, 0.30000000000000004, 0.4],
+            [2.0**-25, 1e14, math.nextafter(1e14, 0.0), 123.5],
+        ])
+        hard = np.array([0, 0, 3, 1, 3, 1])
+        sbanm.write_memberships(str(path), hard, tau, node_labels=names)
+        assert path.read_bytes() == reference_memberships_text(names, hard, tau).encode("utf-8")
+        got_names, got_hard, got_tau = sbanm.read_memberships(str(path))
+        assert got_names == names and got_hard.tolist() == hard.tolist()
+        assert got_tau.tobytes() == tau.tobytes()
 
     def test_params_round_trip(self, tmp_path):
         params, _ = sbanm.experiment2_spec()
