@@ -25,7 +25,7 @@ from .errors import DataError, NumericalError
 EPS_PROB = 1e-9
 # Smallest admissible variance; keeps degenerate blocks invertible.
 VAR_FLOOR = 1e-8
-# Distance kept from the positive-definiteness boundary when clamping rho.
+# Distance kept from the positive-definiteness boundary at rho = 1.
 RHO_MARGIN = 1e-6
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -409,9 +409,10 @@ def build_covariance(var: np.ndarray, rho: float) -> np.ndarray:
     return cov
 
 
-def clamp_rho(rho: float, K: int) -> float:
-    """Clamp an estimated correlation into the PD-safe interval."""
-    return float(min(max(rho, rho_lower_bound(K) + RHO_MARGIN), 1.0 - RHO_MARGIN))
+def clamp_rho(rho: float) -> float:
+    """Limit a drawn or fitted correlation to the model's support [0, 1),
+    RHO_MARGIN away from the positive-definiteness boundary at 1."""
+    return float(min(max(rho, 0.0), 1.0 - RHO_MARGIN))
 
 
 def gaussian_coefficients(mu: np.ndarray, cov: np.ndarray, center: np.ndarray) -> np.ndarray:

@@ -83,7 +83,7 @@ def gen_params(spec: SimSpec, rng: np.random.Generator) -> ModelParams:
     for _ in range(1, Q):
         mu = spec.prior_means + PRIOR_SD * rng.standard_normal(spec.K)
         var = np.maximum(np.abs(PRIOR_SD * rng.standard_normal(spec.K)), _VAR_PRIOR_FLOOR)
-        rho = clamp_rho(float(rng.uniform(0.0, 1.0)), spec.K)
+        rho = clamp_rho(float(rng.uniform(0.0, 1.0)))
         blocks.append(BlockParams(mu=mu, var=var, rho=rho))
     alpha = rng.dirichlet(np.full(Q, DIRICHLET_CONC))
     return ModelParams(blocks=blocks, noise=noise, alpha=alpha, noise_block=0)

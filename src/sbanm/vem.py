@@ -3,9 +3,11 @@
 E-step (sbanm.estep): damped fixed-point updates of the membership
 posteriors tau and a logistic update of the per-block signal
 probabilities P, on all nodes or, with SVI, on a node subsample.  M-step:
-closed form block/noise moment blends.  The objective is the hierarchical
-evidence lower bound; after convergence exactly one block (the argmin of
-P) is designated as the ambient-noise block.
+the closed-form maximisers of the ELBO at fixed (tau, P) -- each block's
+own tau-weighted moments, and the moments of the noise-weighted pairs
+(cross-block pairs plus the (1 - P_q) share of block q).  The objective is
+the hierarchical evidence lower bound; after convergence exactly one block
+(the argmin of P) is designated as the ambient-noise block.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .model import (
     expected_log_likelihood,
     moment_stats,
     pair_moments,
-    psi as psi_of,
     psi_terms,
     safe_log,
 )
@@ -82,33 +83,29 @@ def m_step_alpha(state: VariationalState) -> np.ndarray:
 
 def m_step_block(
     net: MultilayerNetwork,
-    state: VariationalState,
     q: int,
     noise: NoiseParams,
     moments: np.ndarray,
 ) -> BlockParams:
-    """Closed-form block update: tau-weighted moments blended with the
-    noise parameters by P_q; the shared correlation is the largest
-    normalized cross-layer moment (mutual coherence), PD-clamped.
+    """Block q's law maximising the ELBO at fixed (tau, P): the mean and
+    per-layer variances of the weights under tau_iq tau_jq, and as shared
+    correlation their largest normalized cross-layer covariance (mutual
+    coherence) limited to [0, 1).  P_q scales block q's whole likelihood
+    term, so it does not enter.  A block without mass is reset to the
+    noise law.
 
-    `moments` is pair_moments(net, state.tau).
+    `moments` is pair_moments(net, tau).
     """
-    K = net.K
     mass = moments[q, 0]
-    P_q = state.P[q]
     if mass < _MASS_FLOOR:
-        logger.warning("block %d degenerate (mass %.3g); reset to noise parameters", q, mass)
+        logger.info("block %d degenerate (mass %.3g); reset to noise parameters", q, mass)
         return noise.as_block()
-    wmean, cov = moment_stats(moments[q], net.center)
-    mu = P_q * wmean + (1.0 - P_q) * noise.mu
-    # The weighted mean of (x - mu)(x - mu)^T is cov + d d^T.
-    d = wmean - mu
-    scatter = P_q * (cov + np.outer(d, d))
-    var = np.maximum(np.diag(scatter) + (1.0 - P_q) * noise.var, VAR_FLOOR)
+    mu, cov = moment_stats(moments[q], net.center)
+    var = np.maximum(np.diag(cov), VAR_FLOOR)
     rho = 0.0
-    if K > 1:
-        off = ~np.eye(K, dtype=bool)
-        rho = clamp_rho(float(np.max(scatter[off] / np.sqrt(np.outer(var, var)[off]))), K)
+    if net.K > 1:
+        off = ~np.eye(net.K, dtype=bool)
+        rho = clamp_rho(float(np.max(cov[off] / np.sqrt(np.outer(var, var)[off]))))
     return BlockParams(mu=mu, var=var, rho=rho)
 
 
@@ -117,20 +114,15 @@ def m_step_noise(
     state: VariationalState,
     moments: np.ndarray,
 ) -> NoiseParams:
-    """Ambient-noise update: psi-blend of the cross-block weighted moments
-    and the within-block (1-P_q)-weighted moments.
+    """Ambient-noise law maximising the ELBO at fixed (tau, P): the mean and
+    per-layer variances of the weights under each pair's noise weight, its
+    cross-block mass plus the (1 - P_q) share of its block-q mass.
 
-    Each side of the blend is renormalized by its own mass and a side
-    without mass is left out, so the update stays defined when one side
-    has no weight.  `moments` is pair_moments(net, state.tau).
+    `moments` is pair_moments(net, state.tau).
     """
-    Q = state.Q
-    psi = psi_of(Q)
-    sides = [(psi, moments[Q]), (1.0 - psi, (1.0 - state.P) @ moments[:Q])]
-    kept = [(w, side / side[0]) for w, side in sides if side[0] >= _MASS_FLOOR]
-    if not kept:
+    row = moments[state.Q] + (1.0 - state.P) @ moments[: state.Q]
+    if row[0] < _MASS_FLOOR:
         raise NumericalError("noise estimate undefined")
-    row = sum(w * side for w, side in kept) / sum(w for w, _ in kept)
     mean, cov = moment_stats(row, net.center)
     return NoiseParams(mu=mean, var=np.maximum(np.diag(cov), VAR_FLOOR))
 
@@ -164,21 +156,12 @@ def elbo(
     return float(sum(terms.values()))
 
 
-def _m_step(net, state, moments, noise_prev=None) -> ModelParams:
-    """One full M-step from the state's pair moments: alpha, the noise
-    update, and every block against the previous noise parameters (against
-    the new ones when there are none)."""
-    alpha = m_step_alpha(state)
+def _m_step(net, state, moments) -> ModelParams:
+    """One full M-step from the state's pair moments: alpha, the noise law
+    and every block, each maximising the ELBO at fixed (tau, P)."""
     noise = m_step_noise(net, state, moments)
-    against = noise if noise_prev is None else noise_prev
-    blocks = [m_step_block(net, state, q, against, moments) for q in range(state.Q)]
-    return ModelParams(blocks=blocks, noise=noise, alpha=alpha)
-
-
-def _bootstrap_params(net, state) -> ModelParams:
-    """Initial parameters from the initialized state: the loop's E-step needs
-    model parameters, so run one M-step with noise estimated first."""
-    return _m_step(net, state, pair_moments(net, state.tau))
+    blocks = [m_step_block(net, q, noise, moments) for q in range(state.Q)]
+    return ModelParams(blocks=blocks, noise=noise, alpha=m_step_alpha(state))
 
 
 def fit(
@@ -206,7 +189,8 @@ def fit(
     elif init_state.tau.shape != (net.n, cfg.Q):
         raise DataError(f"init_state tau is {init_state.tau.shape}, need ({net.n}, {cfg.Q})")
     state = init_state
-    params = _bootstrap_params(net, state)
+    # The loop's E-step needs model parameters.
+    params = _m_step(net, state, pair_moments(net, state.tau))
 
     trace: list[float] = []
     converged = False
@@ -225,7 +209,7 @@ def fit(
         delta_tau = float(np.max(np.abs(tau - state.tau)))
         state = VariationalState(tau=tau, P=P)
         moments = pair_moments(net, tau)
-        params = _m_step(net, state, moments, params.noise)
+        params = _m_step(net, state, moments)
         value = elbo(net, params, state, moments)
         trace.append(value)
         logger.info(

@@ -82,7 +82,7 @@ def generator_cases(draw):
         BlockParams(
             mu=rng.normal(size=K),
             var=rng.uniform(0.5, 2.0, K),
-            rho=clamp_rho(float(rng.uniform(0.0, 1.0)), K),
+            rho=clamp_rho(float(rng.uniform(0.0, 1.0))),
         )
         for _ in sizes
     ]

@@ -6,7 +6,7 @@ from sbanm import FitConfig, SviConfig, VariationalState, averaging_weight, subs
 from sbanm.errors import DataError
 from sbanm.rng import substream
 from sbanm.estep import e_step
-from sbanm.vem import _bootstrap_params
+from sbanm.vem import _m_step
 
 from conftest import planted_network
 
@@ -66,7 +66,7 @@ class TestSviEStep:
     def setup_instance(self, seed=0):
         net, labels, params_true = planted_network(sizes=(24, 20, 16), seed=seed)
         state = sbanm.spectral_init(net, 3, seed)
-        params = _bootstrap_params(net, state)
+        params = _m_step(net, state, sbanm.pair_moments(net, state.tau))
         return net, state, params
 
     def test_deterministic_sample(self):

@@ -1,9 +1,13 @@
 import itertools
 import math
+import runpy
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sbanm
 from sbanm import (
@@ -21,8 +25,8 @@ from sbanm import (
     m_step_noise,
 )
 from sbanm.errors import DataError, NumericalError
-from sbanm.model import EPS_PROB, clamp_rho, pair_moments
-from sbanm.vem import TAU_INNER_MAX
+from sbanm.model import EPS_PROB, pair_moments
+from sbanm.vem import TAU_INNER_MAX, _m_step
 from sbanm.rng import substream
 
 from conftest import offset_planted_network, planted_network
@@ -224,39 +228,36 @@ class TestMStepAlpha:
         assert m_step_alpha(state).sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def oracle_block_params(net, state, q, noise):
-    """Direct double-sum oracle over ordered pairs i != j."""
+def oracle_block_params(net, state, q):
+    """Direct double-sum oracle over ordered pairs i != j of the ELBO
+    maximiser for block q."""
     n, K = net.n, net.K
     X = pairs_to_square(net.n, net.weights)
-    tau, P_q = state.tau, state.P[q]
+    tau = state.tau
     wsum = 0.0
-    mean = np.zeros(K)
+    mu = np.zeros(K)
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
             w = tau[i, q] * tau[j, q]
             wsum += w
-            mean += w * X[i, j]
-    mean /= wsum
-    mu = P_q * mean + (1 - P_q) * noise.mu
-    var = np.zeros(K)
+            mu += w * X[i, j]
+    mu /= wsum
     cross = np.zeros((K, K))
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
-            w = tau[i, q] * tau[j, q]
             dev = X[i, j] - mu
-            var += w * dev**2
-            cross += w * np.outer(dev, dev)
-    var = P_q * (var / wsum) + (1 - P_q) * noise.var
-    var = np.maximum(var, 1e-8)
+            cross += tau[i, q] * tau[j, q] * np.outer(dev, dev)
+    cross /= wsum
+    var = np.maximum(np.diag(cross), 1e-8)
     best = -np.inf
     for h in range(K):
         for k in range(h + 1, K):
-            best = max(best, P_q * (cross[h, k] / wsum) / math.sqrt(var[h] * var[k]))
-    rho = clamp_rho(best, K) if K > 1 else 0.0
+            best = max(best, cross[h, k] / math.sqrt(var[h] * var[k]))
+    rho = min(max(best, 0.0), 1.0 - 1e-6) if K > 1 else 0.0
     return mu, var, rho
 
 
@@ -266,20 +267,28 @@ class TestMStepBlock:
         tau = np.zeros((12, 3))
         tau[np.arange(12), labels] = 1.0
         state = VariationalState(tau=tau, P=[1 - EPS_PROB] * 3)
-        got = m_step_block(net, state, 1, params.noise, pair_moments(net, state.tau))
+        got = m_step_block(net, 1, params.noise, pair_moments(net, state.tau))
         iu, ju = np.triu_indices(net.n, 1)
         in_block = (labels[iu] == 1) & (labels[ju] == 1)
         assert np.allclose(got.mu, net.weights[in_block].mean(axis=0), atol=1e-8)
 
-    def test_zero_signal_probability_returns_noise(self):
-        net, labels, params = planted_network(sizes=(5, 4, 3), seed=9)
+    def test_signal_probability_leaves_the_block_unchanged(self):
+        # P_q scales block q's whole likelihood term, so the block's
+        # maximiser is the same for every P_q; only the noise law moves.
+        net, labels, _ = planted_network(sizes=(5, 4, 3), seed=9)
         tau = np.zeros((12, 3))
         tau[np.arange(12), labels] = 1.0
-        state = VariationalState(tau=tau, P=[EPS_PROB] * 3)
-        got = m_step_block(net, state, 0, params.noise, pair_moments(net, state.tau))
-        assert np.allclose(got.mu, params.noise.mu, atol=1e-8)
-        assert np.allclose(got.var, params.noise.var, atol=1e-7)
-        assert abs(got.rho) < 1e-6
+        moments = pair_moments(net, tau)
+        first, *others = [
+            _m_step(net, VariationalState(tau=tau, P=[P_0, 0.5, 0.5]), moments)
+            for P_0 in (EPS_PROB, 0.5, 1 - EPS_PROB)
+        ]
+        for other in others:
+            assert not np.allclose(other.noise.mu, first.noise.mu)
+            for got, want in zip(other.blocks, first.blocks):
+                assert np.array_equal(got.mu, want.mu)
+                assert np.array_equal(got.var, want.var)
+                assert got.rho == want.rho
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_double_sum_oracle(self, seed):
@@ -287,8 +296,8 @@ class TestMStepBlock:
         net = MultilayerNetwork(n=8, K=3, weights=rng.normal(size=(28, 3)))
         state = soft_state(8, 2, seed=seed)
         noise = NoiseParams(mu=rng.normal(size=3), var=rng.uniform(0.5, 2.0, size=3))
-        got = m_step_block(net, state, 0, noise, pair_moments(net, state.tau))
-        mu, var, rho = oracle_block_params(net, state, 0, noise)
+        got = m_step_block(net, 0, noise, pair_moments(net, state.tau))
+        mu, var, rho = oracle_block_params(net, state, 0)
         assert np.allclose(got.mu, mu, atol=1e-10)
         assert np.allclose(got.var, var, atol=1e-10)
         assert got.rho == pytest.approx(rho, abs=1e-10)
@@ -298,49 +307,44 @@ class TestMStepBlock:
         tau = np.full((12, 3), EPS_PROB)
         tau[:, 0] = 1.0 - 2 * EPS_PROB
         state = VariationalState(tau=tau, P=[0.5] * 3)
-        got = m_step_block(net, state, 2, params.noise, pair_moments(net, state.tau))
+        got = m_step_block(net, 2, params.noise, pair_moments(net, state.tau))
         assert np.array_equal(got.mu, params.noise.mu)
         assert got.rho == 0.0
 
 
-def oracle_noise_params(net, state, psi):
-    """Direct double-sum oracle for the ambient-noise update."""
+def oracle_noise_params(net, state):
+    """Direct double-sum oracle of the ELBO maximiser for the noise law:
+    pair (i, j) has weight sum_{q != l} tau_iq tau_jl (cross-block) plus
+    sum_q tau_iq tau_jq (1 - P_q) (the noise share of each block)."""
     n, K, Q = net.n, net.K, state.Q
     X = pairs_to_square(net.n, net.weights)
     tau, P = state.tau, state.P
-
-    def sums(mu):
-        cross_w = within_w = 0.0
-        cross_s = np.zeros(K)
-        within_s = np.zeros(K)
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                val = X[i, j] if mu is None else (X[i, j] - mu) ** 2
-                for q in range(Q):
-                    for l in range(Q):
-                        if q != l:
-                            w = tau[i, q] * tau[j, l]
-                            cross_w += w
-                            cross_s += w * val
-                for q in range(Q):
-                    ww = tau[i, q] * tau[j, q] * (1 - P[q])
-                    within_w += ww
-                    within_s += ww * val
-        return cross_s / cross_w, within_s / within_w
-
-    cross_mean, within_mean = sums(None)
-    mu = psi * cross_mean + (1 - psi) * within_mean
-    cross_var, within_var = sums(mu)
-    var = np.maximum(psi * cross_var + (1 - psi) * within_var, 1e-8)
-    return mu, var
+    W = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            for q in range(Q):
+                for l in range(Q):
+                    if q != l:
+                        W[i, j] += tau[i, q] * tau[j, l]
+                W[i, j] += tau[i, q] * tau[j, q] * (1 - P[q])
+    mu = np.zeros(K)
+    for i in range(n):
+        for j in range(n):
+            mu += W[i, j] * X[i, j]
+    mu /= W.sum()
+    var = np.zeros(K)
+    for i in range(n):
+        for j in range(n):
+            var += W[i, j] * (X[i, j] - mu) ** 2
+    return mu, np.maximum(var / W.sum(), 1e-8)
 
 
 class TestMStepNoise:
     def test_hard_tau_all_signal_reduces_to_cross_mean(self):
-        # Q=2, hard tau, P=(1,1): within-block side has zero mass, so the
-        # psi-weighting normalizes out and the update is the cross mean.
+        # Q=2, hard tau, P=(1,1): the within-block pairs have (almost) no
+        # noise weight, so the update is the cross-block mean.
         rng = substream(11, "noise4")
         net = MultilayerNetwork(n=4, K=2, weights=rng.normal(size=(6, 2)))
         tau = np.zeros((4, 2))
@@ -365,7 +369,7 @@ class TestMStepNoise:
         net = MultilayerNetwork(n=7, K=2, weights=rng.normal(size=(21, 2)))
         state = soft_state(7, 3, seed=seed)
         got = m_step_noise(net, state, pair_moments(net, state.tau))
-        mu, var = oracle_noise_params(net, state, sbanm.psi(3))
+        mu, var = oracle_noise_params(net, state)
         assert np.allclose(got.mu, mu, atol=1e-10)
         assert np.allclose(got.var, var, atol=1e-10)
 
@@ -383,6 +387,58 @@ class TestMStepNoise:
         var = w @ (net.weights - mu) ** 2 / w.sum()
         assert np.allclose(got.mu, mu, atol=1e-12)
         assert np.allclose(got.var, var, atol=1e-12)
+
+
+def nudged(params, target, index, step):
+    """A copy of params with one value moved by step: two entries of alpha
+    (moved in opposite directions, so it stays a distribution), or one
+    entry of the noise law's or of a block's mu or var."""
+    blocks, noise, alpha = list(params.blocks), params.noise, params.alpha.copy()
+    Q, K = params.Q, params.K
+    if target == "alpha":
+        alpha[index % Q] += step
+        alpha[(index + 1) % Q] -= step
+        return ModelParams(blocks=blocks, noise=noise, alpha=alpha)
+    owner, field = target.split(".")
+    law = noise if owner == "noise" else blocks[index % Q]
+    values = {"mu": law.mu.copy(), "var": law.var.copy()}
+    values[field][index % K] += step
+    if owner == "noise":
+        noise = NoiseParams(**values)
+    else:
+        blocks[index % Q] = BlockParams(**values, rho=law.rho)
+    return ModelParams(blocks=blocks, noise=noise, alpha=alpha)
+
+
+class TestMStepMaximisesElbo:
+    # At fixed (tau, P) the M-step is the exact maximiser of the ELBO in
+    # alpha and the noise law for any K, and in each block's mu and var
+    # for K = 1 (for K > 1 the block variances and the shared correlation
+    # are fitted by moments, not jointly maximised).
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 3),
+        st.integers(1, 4),
+        st.sampled_from(["alpha", "noise.mu", "noise.var", "block.mu", "block.var"]),
+        st.integers(0, 11),
+        st.sampled_from([-1e-3, 1e-3]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_no_single_nudge_raises_the_elbo(self, seed, K, Q, target, index, step):
+        if target.startswith("block"):
+            K = 1
+        rng = substream(seed, "m-step-nudge")
+        n = Q + 6
+        loc, scale = rng.uniform(-3.0, 3.0, size=K), rng.uniform(0.5, 2.0, size=K)
+        net = MultilayerNetwork(
+            n=n, K=K, weights=loc + scale * rng.standard_normal((n * (n - 1) // 2, K))
+        )
+        state = soft_state(n, Q, seed=seed)
+        moments = pair_moments(net, state.tau)
+        params = _m_step(net, state, moments)
+        best = elbo(net, params, state, moments)
+        moved = elbo(net, nudged(params, target, index, step), state, moments)
+        assert moved <= best + 1e-12 * abs(best)
 
 
 class TestElbo:
@@ -464,6 +520,22 @@ class TestElbo:
 
 
 class TestFit:
+    def test_survey_demo_keeps_its_styles_from_the_planted_partition(self, capsys):
+        # Demo 03's network (n=50, K=2, three response styles).  With the
+        # fitted correlation free down to -1, the fit started here merges
+        # two styles into one block with rho -0.82 (ARI 0.548, ELBO +38.9);
+        # on the model's support [0, 1) it keeps the planted partition.
+        demo = runpy.run_path(str(Path(__file__).parents[1] / "demos" / "03_survey_similarity.py"))
+        capsys.readouterr()
+        net, groups = demo["net"], demo["groups"]
+        tau = np.full((net.n, 3), 0.05 / 3)
+        tau[np.arange(net.n), groups] += 0.95
+        start = VariationalState(tau=tau, P=np.full(3, 1 - EPS_PROB))
+        result = fit(net, FitConfig(Q=3, seed=44), init_state=start)
+        assert sbanm.ari(groups, result.hard_membership) == 1.0
+        assert result.elbo == pytest.approx(-825.4, abs=0.05)
+        assert min(b.rho for b in result.params.blocks) >= 0.0
+
     def test_exp2_instance_recovers_exactly(self):
         params, sizes = sbanm.experiment2_spec()
         net, labels = sbanm.gen_network(params, sizes, substream(7, "network", 0))
@@ -518,15 +590,15 @@ class TestFit:
         assert perm[b.params.noise_block] == a.params.noise_block
 
     def test_all_signal_mean_matches_classic_weighted_sbm_m_step(self):
-        # With P at its upper clamp the block mean reduces to the plain
-        # tau-weighted edge mean (the classical weighted-SBM update).
+        # The block mean is the plain tau-weighted edge mean (the
+        # classical weighted-SBM update).
         net, _, params = planted_network(sizes=(6, 5, 4), seed=16)
         state = soft_state(net.n, 3, seed=16, P=[1 - EPS_PROB] * 3)
         iu, ju = np.triu_indices(net.n, 1)
         for q in range(3):
             w = state.tau[iu, q] * state.tau[ju, q]
             classic = (w @ net.weights) / w.sum()
-            got = m_step_block(net, state, q, params.noise, pair_moments(net, state.tau))
+            got = m_step_block(net, q, params.noise, pair_moments(net, state.tau))
             assert np.allclose(got.mu, classic, atol=1e-8)
 
     def test_fit_and_icl_make_one_moment_pass_per_m_step(self, planted60, monkeypatch):
