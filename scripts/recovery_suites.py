@@ -1,0 +1,107 @@
+"""Fit the two recovery suites and report how often the fit recovers them.
+
+Both suites hold 80 networks of 300 nodes: seeds s = 1-40, once with 2
+layers and 3 blocks and once with 3 layers and 4 blocks.
+
+- separable: the network `sbanm simulate --nodes 300 --layers K --blocks Q
+  --candidates 20 --keep-frac 0.05 --seed s` writes, the best-separated of
+  20 random candidates by minimum Bhattacharyya block distance.
+- unfiltered: candidate 0 of the same draws with no filter, the
+  low-separation regime.
+
+Each network is fitted with FitConfig(Q, seed=s).  For each suite and
+layer count the report gives the fits that recover the planted partition
+exactly, the exact fits whose designated noise block is the planted one,
+the fits whose hard partition leaves a block empty, the fits whose ELBO
+trace falls by more than 1e-9 relative between two iterations, the total
+outer iterations, and each miss with its ARI.  The 160 fits take 12-14 s
+of CPU on a 2-vCPU x86-64 VM with BLAS on one thread.
+
+Run from the repository root:
+
+    PYTHONPATH=src python scripts/recovery_suites.py
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+import sbanm
+from sbanm.cli import _EXP1_PRESETS
+from sbanm.rng import substream
+
+SUITES = ("separable", "unfiltered")
+# Layer count -> block count.
+BLOCKS = {2: 3, 3: 4}
+SEEDS = range(1, 41)
+NODES, CANDIDATES, KEEP_FRAC = 300, 20, 0.05
+DROP_TOL = 1e-9
+
+
+@dataclass
+class Outcome:
+    exact: bool
+    noise_typed: bool
+    empty_block: bool
+    elbo_drop: bool
+    outer_iters: int
+    ari: float
+
+
+def network(suite: str, K: int, seed: int):
+    """(net, planted labels, planted params) of one suite network."""
+    # The prior and noise means `sbanm simulate --layers K` draws with.
+    spec = sbanm.SimSpec(n=NODES, K=K, Q=BLOCKS[K], **_EXP1_PRESETS[K])
+    if suite == "separable":
+        candidates = [
+            sbanm.draw_candidate(spec, substream(seed, "candidate", i))
+            for i in range(CANDIDATES)
+        ]
+        (i,) = sbanm.filter_separable([p for p, _ in candidates], KEEP_FRAC)
+        params, sizes = candidates[i]
+    else:
+        i = 0
+        params, sizes = sbanm.draw_candidate(spec, substream(seed, "candidate", i))
+    net, labels = sbanm.gen_network(params, sizes, substream(seed, "network", i))
+    return net, labels, params
+
+
+def fit_outcome(suite: str, K: int, seed: int) -> Outcome:
+    """Fit one suite network with FitConfig(Q, seed=seed) and score the
+    result against the planted partition."""
+    net, labels, params = network(suite, K, seed)
+    result = sbanm.fit(net, sbanm.FitConfig(Q=params.Q, seed=seed))
+    hard = result.hard_membership
+    exact = sbanm.exact_recovery(labels, hard)
+    trace = result.elbo_trace
+    return Outcome(
+        exact=exact,
+        noise_typed=bool(exact and hard[labels == params.noise_block][0] == result.params.noise_block),
+        empty_block=bool(np.any(np.bincount(hard, minlength=params.Q) == 0)),
+        elbo_drop=bool(np.any(-np.diff(trace) > DROP_TOL * np.abs(trace[:-1]))),
+        outer_iters=trace.size,
+        ari=sbanm.ari(labels, hard),
+    )
+
+
+def main() -> int:
+    print("suite\tlayers\tfits\texact\tnoise_typed\tempty_block\telbo_drop\touter_iters")
+    for suite in SUITES:
+        for K in BLOCKS:
+            outcomes = {s: fit_outcome(suite, K, s) for s in SEEDS}
+            rows = outcomes.values()
+            print(
+                f"{suite}\t{K}\t{len(rows)}\t{sum(o.exact for o in rows)}"
+                f"\t{sum(o.noise_typed for o in rows)}\t{sum(o.empty_block for o in rows)}"
+                f"\t{sum(o.elbo_drop for o in rows)}\t{sum(o.outer_iters for o in rows)}"
+            )
+            for s, o in outcomes.items():
+                if not o.exact:
+                    print(f"  miss: {suite} layers={K} seed={s} ari={o.ari:.3f}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

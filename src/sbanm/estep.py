@@ -1,7 +1,8 @@
 """The E-step of hierarchical variational EM.
 
-A damped fixed point for the membership posteriors tau, then a logistic
-update of the per-block signal probabilities P.  Full-batch EM runs it on
+A damped fixed point for the membership posteriors tau, then the update of
+the posterior over which block is the noise block (P_q, the probability
+that block q is signal, is one minus its entry).  Full-batch EM runs it on
 every node; the stochastic variant (sbanm.svi) runs it on a node subsample
 and averages the result into the running estimates.
 """
@@ -20,32 +21,22 @@ from .model import (
     packed_matvec,
     packed_pairs,
     pair_features,
-    pair_index,
-    psi_terms,
     safe_log,
-    tile_endpoints,
 )
 
 
-def _gap_squares(net: MultilayerNetwork, params: ModelParams, nodes) -> list:
-    """Each block's signal-minus-noise log-density gap over the pairs inside
-    `nodes` (all nodes when None), as Q symmetric m x m matrices, each a
-    list of model.packed_pairs row blocks."""
-    m = net.n if nodes is None else nodes.size
+def _gap_squares(net: MultilayerNetwork, params: ModelParams) -> list:
+    """Each block's signal-minus-noise log-density gap over all pairs, as Q
+    symmetric n x n matrices, each a list of model.packed_pairs row blocks."""
     # Overflow or inf - inf here is caught by the E-step's finite check.
     with np.errstate(over="ignore", invalid="ignore"):
         noise, blocks = law_coefficients(params, net.center)
         coef = blocks - noise
-
-        def tile_gaps(p0, p1, r0, r1):
-            if nodes is None:
-                rows = slice(p0, p1)
-            else:
-                I, J = tile_endpoints(m, r0, r1)
-                rows = pair_index(net.n, nodes[I], nodes[J])
-            return coef @ pair_features(net.weights[rows], net.center)
-
-        blocks = packed_pairs(m, tile_gaps, (params.Q,))
+        blocks = packed_pairs(
+            net.n,
+            lambda p0, p1, r0, r1: coef @ pair_features(net.weights[p0:p1], net.center),
+            (params.Q,),
+        )
     return [[(r0, T[q]) for r0, T in blocks] for q in range(params.Q)]
 
 
@@ -57,13 +48,10 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
     return out
 
 
-def signal_probs(gaps: np.ndarray, psi: float) -> np.ndarray:
-    """P* from the block gaps: noise weights sigmoid(-gap_q + log((1-psi)/psi))
-    normalized to sum to one, P* = 1 - N, clamped."""
-    psi_c = clip_prob(psi)
-    # log sigmoid(x) = -log(1 + e^-x), evaluated without overflow.
-    log_nhat = -np.logaddexp(0.0, gaps - np.log((1.0 - psi_c) / psi_c))
-    return clip_prob(1.0 - np.exp(log_nhat - np.logaddexp.reduce(log_nhat)))
+def signal_probs(gaps: np.ndarray) -> np.ndarray:
+    """P* = 1 - N from the block gaps, clamped: N = softmax(-gaps) is the
+    posterior over which block is noise under a uniform prior."""
+    return clip_prob(1.0 - softmax_rows(-gaps[None])[0])
 
 
 def e_step(
@@ -79,30 +67,37 @@ def e_step(
     """One E-step on the rows in `nodes` (sorted, distinct node indices; all
     nodes when None); returns (tau, P).
 
-    Iterates log tau*_iq = log alpha_q + P_q sum_j tau_jq (f_sig - f_noise)
-        - 1 + P_q log(psi) + (1-P_q) log(1-psi)
+    Iterates log tau*_iq = log alpha_q + P_q sum_j tau_jq (f_sig - f_noise) - 1
     over j in `nodes`, self term excluded, rows normalized by softmax_rows,
     with tau <- damping*tau* + (1-damping)*tau renormalized, for at most
     `inner` passes or until the max-abs change drops below `tol`.  (The
     mean-field likelihood term sum_j [tau_jq (P_q f_sig + (1-P_q) f_noise)
     + sum_{l != q} tau_jl f_noise] exceeds the gap term by sum_j f_noise,
     which is the same for every q and cancels in the normalization.)  At the
-    new tau, P* = signal_probs(gap, psi) with gap_q = sum_{i<j} tau_iq tau_jq
-    (f_sig - f_noise).  Finally tau[nodes] and P move to weight * new +
-    (1 - weight) * previous and the rows of tau are renormalized; rows
-    outside `nodes` are kept unchanged.
+    new tau, P* = signal_probs(gap) with gap_q = sum_{i<j} tau_iq tau_jq
+    (f_sig - f_noise) over the pairs inside `nodes`.  Finally tau[nodes] and
+    P move to weight * new + (1 - weight) * previous and the rows of tau are
+    renormalized; rows outside `nodes` are kept unchanged.
     """
-    gap_sq = _gap_squares(net, params, nodes)
+    gap_sq = _gap_squares(net, params)
     rows = slice(None) if nodes is None else nodes
     tau_prev = state.tau[rows]
     P = state.P
-    const = safe_log(params.alpha)[None, :] + psi_terms(P, params.psi)[None, :] - 1.0
+    const = safe_log(params.alpha)[None, :] - 1.0
+    # Memberships zeroed outside `rows`: the whole-graph product read at
+    # `rows` is the product with the subsample's own gap submatrix.
+    x = np.zeros(net.n)
+
+    def products(tau_rows):
+        out = np.empty(tau_rows.shape)
+        for q, gap in enumerate(gap_sq):
+            x[rows] = tau_rows[:, q]
+            out[:, q] = packed_matvec(gap, x)[rows]
+        return out
+
     tau_new = tau_prev
     for it in range(inner):
-        logits = np.empty(tau_new.shape)
-        for q, gap in enumerate(gap_sq):
-            logits[:, q] = P[q] * packed_matvec(gap, tau_new[:, q])
-        logits += const
+        logits = P * products(tau_new) + const
         if not np.all(np.isfinite(logits)):
             raise NumericalError(f"tau update diverged at inner iteration {it}")
         damped = damping * softmax_rows(logits) + (1.0 - damping) * tau_new
@@ -113,10 +108,7 @@ def e_step(
             break
 
     # The symmetric matrix holds each pair twice, hence the half.
-    gaps = np.array(
-        [0.5 * (tau @ packed_matvec(gap, tau)) for tau, gap in zip(tau_new.T, gap_sq)]
-    )
-    p_star = signal_probs(gaps, params.psi)
+    p_star = signal_probs(0.5 * np.einsum("iq,iq->q", tau_new, products(tau_new)))
 
     tau = state.tau.copy()
     tau[rows] = weight * tau_new + (1.0 - weight) * tau_prev

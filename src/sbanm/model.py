@@ -49,12 +49,6 @@ def safe_log(x):
     return np.log(np.maximum(x, EPS_PROB))
 
 
-def psi_terms(P: np.ndarray, psi: float) -> np.ndarray:
-    """Per-block prior term P_q log(psi) + (1-P_q) log(1-psi), log-guarded."""
-    psi_c = clip_prob(psi)
-    return P * np.log(psi_c) + (1.0 - P) * np.log(1.0 - psi_c)
-
-
 def num_pairs(n: int) -> int:
     return n * (n - 1) // 2
 
@@ -354,7 +348,8 @@ class ModelParams:
 @dataclass
 class VariationalState:
     """Variational posteriors: row-stochastic memberships tau (n x Q) and
-    per-block signal probabilities P (length Q)."""
+    per-block signal probabilities P (length Q); the E-step puts N = 1 - P,
+    the posterior over which block is noise, on the simplex."""
 
     tau: np.ndarray
     P: np.ndarray

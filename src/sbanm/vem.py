@@ -1,8 +1,9 @@
 """Hierarchical variational EM.
 
 E-step (sbanm.estep): damped fixed-point updates of the membership
-posteriors tau and a logistic update of the per-block signal
-probabilities P, on all nodes or, with SVI, on a node subsample.  M-step:
+posteriors tau and the update of the posterior over which block is noise
+(P_q = 1 - N_q, the probability that block q is signal), on all nodes or,
+with SVI, on a node subsample.  M-step:
 the closed-form maximisers of the ELBO at fixed (tau, P) -- each block's
 own tau-weighted moments, and the moments of the noise-weighted pairs
 (cross-block pairs plus the (1 - P_q) share of block q).  The objective is
@@ -32,7 +33,6 @@ from .model import (
     expected_log_likelihood,
     moment_stats,
     pair_moments,
-    psi_terms,
     safe_log,
 )
 from .rng import derive_seed
@@ -136,9 +136,10 @@ def elbo(
     """Hierarchical evidence lower bound.
 
     Expected log-likelihood (signal, within-noise-block, and interstitial
-    parts) plus the membership prior, both entropy terms (entropies
-    increase the bound), and the P-level prior term; all logs clamped.
-    `moments` is pair_moments(net, state.tau).
+    parts) plus the membership prior and entropy, and the entropy of the
+    posterior N = 1 - P over which block is noise with its uniform prior
+    1/Q (a constant while N sums to one); all logs clamped.  `moments` is
+    pair_moments(net, state.tau).
     """
     tau, P = state.tau, state.P
     with np.errstate(over="ignore", invalid="ignore"):  # caught by the finite check
@@ -147,8 +148,8 @@ def elbo(
         "likelihood": ll,
         "membership prior": float(np.sum(tau * safe_log(params.alpha)[None, :])),
         "tau entropy": -float(np.sum(tau * safe_log(tau))),
-        "P entropy": -float(np.sum(P * safe_log(P) + (1.0 - P) * safe_log(1.0 - P))),
-        "signal prior": float(np.sum(tau.sum(axis=0) * psi_terms(P, params.psi))),
+        "noise entropy": -float(np.sum((1.0 - P) * safe_log(1.0 - P))),
+        "noise prior": -math.log(params.Q),
     }
     for name, value in terms.items():
         if not np.isfinite(value):
