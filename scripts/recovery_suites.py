@@ -17,6 +17,9 @@ trace falls by more than 1e-9 relative between two iterations, the total
 outer iterations, and each miss with its ARI.  The 160 fits take 12-14 s
 of CPU on a 2-vCPU x86-64 VM with BLAS on one thread.
 
+The script exits 1, naming each count, when a suite has fewer exact fits,
+or more ELBO drops or empty blocks, than RECORDED.
+
 Run from the repository root:
 
     PYTHONPATH=src python scripts/recovery_suites.py
@@ -24,6 +27,7 @@ Run from the repository root:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +42,13 @@ BLOCKS = {2: 3, 3: 4}
 SEEDS = range(1, 41)
 NODES, CANDIDATES, KEEP_FRAC = 300, 20, 0.05
 DROP_TOL = 1e-9
+# Per suite, over both layer counts: the fewest exact fits and the most
+# ELBO drops and empty blocks accepted.  These are the counts the fit
+# reached when they were recorded.
+RECORDED = {
+    "separable": {"exact": 79, "elbo_drop": 0, "empty_block": 0},
+    "unfiltered": {"exact": 77, "elbo_drop": 1, "empty_block": 0},
+}
 
 
 @dataclass
@@ -86,9 +97,21 @@ def fit_outcome(suite: str, K: int, seed: int) -> Outcome:
     )
 
 
+def regressions(suite: str, outcomes) -> list[str]:
+    """The counts of a suite's outcomes that are worse than RECORDED."""
+    got = {key: sum(getattr(o, key) for o in outcomes) for key in RECORDED[suite]}
+    out = []
+    for key, want in RECORDED[suite].items():
+        if (got[key] < want) if key == "exact" else (got[key] > want):
+            out.append(f"{suite}: {key} {got[key]}, recorded {want}")
+    return out
+
+
 def main() -> int:
     print("suite\tlayers\tfits\texact\tnoise_typed\tempty_block\telbo_drop\touter_iters")
+    failures = []
     for suite in SUITES:
+        suite_outcomes = []
         for K in BLOCKS:
             outcomes = {s: fit_outcome(suite, K, s) for s in SEEDS}
             rows = outcomes.values()
@@ -100,7 +123,11 @@ def main() -> int:
             for s, o in outcomes.items():
                 if not o.exact:
                     print(f"  miss: {suite} layers={K} seed={s} ari={o.ari:.3f}")
-    return 0
+            suite_outcomes.extend(rows)
+        failures.extend(regressions(suite, suite_outcomes))
+    for line in failures:
+        print(f"worse than recorded: {line}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

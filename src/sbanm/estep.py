@@ -1,10 +1,12 @@
 """The E-step of hierarchical variational EM.
 
-A damped fixed point for the membership posteriors tau, then the update of
-the posterior over which block is the noise block (P_q, the probability
-that block q is signal, is one minus its entry).  Full-batch EM runs it on
-every node; the stochastic variant (sbanm.svi) runs it on a node subsample
-and averages the result into the running estimates.
+A damped fixed point for the membership posteriors tau, in one packed gap
+workspace that a fit allocates once and every E-step refills.  Full-batch
+EM runs it on every node; the stochastic variant (sbanm.svi) runs it on a
+node subsample and averages the result into the running estimates.  The
+update of the posterior over which block is the noise block (P_q, the
+probability that block q is signal, is one minus its entry) reads the
+block gaps off a pair_moments pass: signal_probs(block_gaps(...)).
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .model import (
     VariationalState,
     clip_prob,
     law_coefficients,
+    packed_blocks,
     packed_matvec,
     packed_pairs,
     pair_features,
@@ -25,19 +28,27 @@ from .model import (
 )
 
 
-def _gap_squares(net: MultilayerNetwork, params: ModelParams) -> list:
+def gap_workspace(n: int, Q: int) -> list:
+    """Storage for the Q gap matrices of _gap_squares: model.packed_blocks
+    row blocks with lead axis Q.  The gaps only ever write the entries
+    above the diagonal, so the others stay zero across refills."""
+    return packed_blocks(n, (Q,))
+
+
+def _gap_squares(net: MultilayerNetwork, params: ModelParams, workspace: list) -> list:
     """Each block's signal-minus-noise log-density gap over all pairs, as Q
-    symmetric n x n matrices, each a list of model.packed_pairs row blocks."""
+    symmetric n x n matrices, each a list of model.packed_pairs row blocks,
+    written into `workspace` (a gap_workspace(n, Q))."""
     # Overflow or inf - inf here is caught by the E-step's finite check.
     with np.errstate(over="ignore", invalid="ignore"):
         noise, blocks = law_coefficients(params, net.center)
         coef = blocks - noise
-        blocks = packed_pairs(
+        packed_pairs(
             net.n,
             lambda p0, p1, r0, r1: coef @ pair_features(net.weights[p0:p1], net.center),
-            (params.Q,),
+            out=workspace,
         )
-    return [[(r0, T[q]) for r0, T in blocks] for q in range(params.Q)]
+    return [[(r0, T[q]) for r0, T in workspace] for q in range(params.Q)]
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -54,6 +65,19 @@ def signal_probs(gaps: np.ndarray) -> np.ndarray:
     return clip_prob(1.0 - softmax_rows(-gaps[None])[0])
 
 
+def block_gaps(params: ModelParams, moments: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Each block's gap gap_q = sum_{i<j} tau_iq tau_jq (f_sig_q - f_noise)
+    over the pairs behind `moments` (pair_moments(net, tau), about
+    `center`), taken as moments[q] . (theta_q - theta_noise) with the
+    laws' gaussian_coefficients."""
+    with np.errstate(over="ignore", invalid="ignore"):  # caught by the finite check
+        noise, blocks = law_coefficients(params, center)
+        gaps = np.einsum("qd,qd->q", moments[: params.Q], blocks - noise)
+    if not np.all(np.isfinite(gaps)):
+        raise NumericalError("non-finite block gap")
+    return gaps
+
+
 def e_step(
     net: MultilayerNetwork,
     params: ModelParams,
@@ -63,9 +87,10 @@ def e_step(
     inner: int = 1,
     damping: float = 1.0,
     tol: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One E-step on the rows in `nodes` (sorted, distinct node indices; all
-    nodes when None); returns (tau, P).
+    workspace: list | None = None,
+) -> np.ndarray:
+    """One tau update on the rows in `nodes` (sorted, distinct node indices;
+    all nodes when None); returns the new tau.
 
     Iterates log tau*_iq = log alpha_q + P_q sum_j tau_jq (f_sig - f_noise) - 1
     over j in `nodes`, self term excluded, rows normalized by softmax_rows,
@@ -73,13 +98,19 @@ def e_step(
     `inner` passes or until the max-abs change drops below `tol`.  (The
     mean-field likelihood term sum_j [tau_jq (P_q f_sig + (1-P_q) f_noise)
     + sum_{l != q} tau_jl f_noise] exceeds the gap term by sum_j f_noise,
-    which is the same for every q and cancels in the normalization.)  At the
-    new tau, P* = signal_probs(gap) with gap_q = sum_{i<j} tau_iq tau_jq
-    (f_sig - f_noise) over the pairs inside `nodes`.  Finally tau[nodes] and
-    P move to weight * new + (1 - weight) * previous and the rows of tau are
-    renormalized; rows outside `nodes` are kept unchanged.
+    which is the same for every q and cancels in the normalization.)  Each
+    pass makes one packed product per block.  Finally tau[nodes] moves to
+    weight * new + (1 - weight) * previous and its rows are renormalized;
+    rows outside `nodes` are kept unchanged.  P is not updated here: the
+    fit takes it at the new tau from the next moment pass,
+    signal_probs(block_gaps(params, pair_moments(net, tau), net.center)).
+
+    The gap matrices are written into `workspace`, a gap_workspace(n, Q),
+    which is allocated here when None.
     """
-    gap_sq = _gap_squares(net, params)
+    if workspace is None:
+        workspace = gap_workspace(net.n, params.Q)
+    gap_sq = _gap_squares(net, params, workspace)
     rows = slice(None) if nodes is None else nodes
     tau_prev = state.tau[rows]
     P = state.P
@@ -87,17 +118,14 @@ def e_step(
     # Memberships zeroed outside `rows`: the whole-graph product read at
     # `rows` is the product with the subsample's own gap submatrix.
     x = np.zeros(net.n)
-
-    def products(tau_rows):
-        out = np.empty(tau_rows.shape)
-        for q, gap in enumerate(gap_sq):
-            x[rows] = tau_rows[:, q]
-            out[:, q] = packed_matvec(gap, x)[rows]
-        return out
+    products = np.empty(tau_prev.shape)
 
     tau_new = tau_prev
     for it in range(inner):
-        logits = P * products(tau_new) + const
+        for q, gap in enumerate(gap_sq):
+            x[rows] = tau_new[:, q]
+            products[:, q] = packed_matvec(gap, x)[rows]
+        logits = P * products + const
         if not np.all(np.isfinite(logits)):
             raise NumericalError(f"tau update diverged at inner iteration {it}")
         damped = damping * softmax_rows(logits) + (1.0 - damping) * tau_new
@@ -107,10 +135,7 @@ def e_step(
         if delta < tol:
             break
 
-    # The symmetric matrix holds each pair twice, hence the half.
-    p_star = signal_probs(0.5 * np.einsum("iq,iq->q", tau_new, products(tau_new)))
-
     tau = state.tau.copy()
     tau[rows] = weight * tau_new + (1.0 - weight) * tau_prev
     tau[rows] /= tau[rows].sum(axis=1, keepdims=True)
-    return tau, clip_prob(weight * p_star + (1.0 - weight) * P)
+    return tau

@@ -89,15 +89,12 @@ def tile_endpoints(m: int, r0: int, r1: int) -> tuple[np.ndarray, np.ndarray]:
     return I, J
 
 
-def packed_pairs(m: int, tile_values, lead: tuple = ()) -> list[tuple[int, np.ndarray]]:
-    """Symmetric zero-diagonal m x m matrices (one per index of `lead`) as
-    row blocks: a list of (r0, T), T of shape lead + (r1 - r0, m - r0)
-    holding rows r0 <= i < r1 from column r0 on, zero at and below the
-    diagonal.  Blocks are PACKED_BLOCK_ROWS rows high (the last one may be
-    lower), cover rows 0..m-2 and are views of one zeroed buffer.  The
-    entries of the pairs p0 <= p < p1 of each pair_tiles(m) tile (p0, p1,
-    r0, r1) are tile_values(p0, p1, r0, r1); each of its rows goes to its
-    block as one slice."""
+def packed_blocks(m: int, lead: tuple = ()) -> list[tuple[int, np.ndarray]]:
+    """Zeroed storage for symmetric zero-diagonal m x m matrices (one per
+    index of `lead`) as row blocks: a list of (r0, T), T of shape
+    lead + (r1 - r0, m - r0) holding rows r0 <= i < r1 from column r0 on.
+    Blocks are PACKED_BLOCK_ROWS rows high (the last one may be lower),
+    cover rows 0..m-2 and are views of one buffer."""
     starts = range(0, m - 1, PACKED_BLOCK_ROWS)
     shapes = [lead + (min(PACKED_BLOCK_ROWS, m - 1 - r0), m - r0) for r0 in starts]
     buffer = np.zeros(sum(math.prod(shape) for shape in shapes))
@@ -105,6 +102,19 @@ def packed_pairs(m: int, tile_values, lead: tuple = ()) -> list[tuple[int, np.nd
     for r0, shape in zip(starts, shapes):
         blocks.append((r0, buffer[offset : offset + math.prod(shape)].reshape(shape)))
         offset += math.prod(shape)
+    return blocks
+
+
+def packed_pairs(
+    m: int, tile_values, lead: tuple = (), out=None
+) -> list[tuple[int, np.ndarray]]:
+    """Symmetric zero-diagonal m x m matrices (one per index of `lead`) in
+    packed_blocks(m, lead) row blocks, written into `out` (such blocks,
+    zero at and below the diagonal) or into new ones.  The entries of the
+    pairs p0 <= p < p1 of each pair_tiles(m) tile (p0, p1, r0, r1) are
+    tile_values(p0, p1, r0, r1); each of its rows goes to its block as one
+    slice.  Entries at and below the diagonal are never written."""
+    blocks = packed_blocks(m, lead) if out is None else out
     for p0, p1, r0, r1 in pair_tiles(m):
         values = tile_values(p0, p1, r0, r1)
         p = p0
@@ -161,25 +171,30 @@ def pair_moments(net: "MultilayerNetwork", tau: np.ndarray) -> np.ndarray:
     is taken once as the sum over all pairs minus the Q within-block rows.
     Every Gaussian log-density sum the fit needs is a dot product of such a
     row with gaussian_coefficients(..., net.center).
+
+    A stack of memberships, shape (S, n, Q), gives shape (S, Q+1, D) from
+    one pass over the pairs, which builds each tile's features once; each
+    membership matrix's rows are summed as they would be on its own.
     """
     n = net.n
+    tau = np.asarray(tau, dtype=float)
     # Memberships block by block: each block's row of tau_t is contiguous.
-    tau_t = np.ascontiguousarray(np.transpose(tau), dtype=float)
-    Q = tau_t.shape[0]
-    out = np.zeros((Q + 1, feature_dim(net.K)))
+    tau_t = np.ascontiguousarray(np.swapaxes(tau.reshape((-1,) + tau.shape[-2:]), 1, 2))
+    S, Q = tau_t.shape[:2]
+    out = np.zeros((S, Q + 1, feature_dim(net.K)))
     for p0, p1, r0, r1 in pair_tiles(n):
         # Column p - p0 of w weights pair p: row i of the tile pairs node i
         # with each of the nodes i+1.., a contiguous slice of tau_t.
-        w = np.empty((Q + 1, p1 - p0))
+        w = np.empty((S, Q + 1, p1 - p0))
         np.multiply(
-            np.repeat(tau_t[:, r0:r1], n - 1 - np.arange(r0, r1), axis=1),
-            np.concatenate([tau_t[:, i + 1 :] for i in range(r0, r1)], axis=1),
-            out=w[:Q],
+            np.repeat(tau_t[..., r0:r1], n - 1 - np.arange(r0, r1), axis=2),
+            np.concatenate([tau_t[..., i + 1 :] for i in range(r0, r1)], axis=2),
+            out=w[:, :Q],
         )
-        w[Q] = 1.0
+        w[:, Q] = 1.0
         out += w @ pair_features(net.weights[p0:p1], net.center).T
-    out[Q] -= out[:Q].sum(axis=0)
-    return out
+    out[:, Q] -= out[:, :Q].sum(axis=1)
+    return out.reshape(tau.shape[:-2] + out.shape[1:])
 
 
 def moment_stats(row: np.ndarray, center: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

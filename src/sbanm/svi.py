@@ -2,7 +2,7 @@
 
 Each step draws a node subsample whose size grows toward n, runs the
 E-step kernel (sbanm.estep) on the pairs inside it, and averages the new
-tau rows and P into the running estimates with a decaying weight.
+tau rows into the running estimates with a decaying weight.
 """
 
 from __future__ import annotations
@@ -52,14 +52,16 @@ def svi_e_step(
     state: VariationalState,
     t: int,
     cfg: SviConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One stochastic E-step; returns the blended (tau, P).
+    workspace: list | None = None,
+) -> np.ndarray:
+    """One stochastic E-step; returns the blended tau.
 
-    One undamped tau pass and the P update on the pairs inside a node
-    subsample of size subsample_size(t); sampled rows of tau and P then get
-    delta_t * new + (1 - delta_t) * previous and tau's rows are
-    renormalized; unsampled rows are kept unchanged.  The sample for a
-    given (seed, t) is always the same.
+    One undamped tau pass on the pairs inside a node subsample of size
+    subsample_size(t); sampled rows of tau then get delta_t * new +
+    (1 - delta_t) * previous and are renormalized; unsampled rows are kept
+    unchanged.  The sample for a given (seed, t) is always the same.  P is
+    not blended: the fit takes it at the blended tau from the whole-graph
+    moment pass, as after a full-batch step.  `workspace` is e_step's.
     """
     n = state.n
     m = subsample_size(t, cfg, n)
@@ -67,4 +69,7 @@ def svi_e_step(
         raise DataError("subsample too small for Q blocks")
     rng = substream(cfg.seed, "svi-sample", t)
     nodes = np.sort(rng.choice(n, size=m, replace=False))
-    return e_step(net, params, state, nodes, averaging_weight(t, cfg), inner=1, damping=1.0)
+    return e_step(
+        net, params, state, nodes, averaging_weight(t, cfg), inner=1, damping=1.0,
+        workspace=workspace,
+    )

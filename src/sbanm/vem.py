@@ -1,14 +1,15 @@
 """Hierarchical variational EM.
 
 E-step (sbanm.estep): damped fixed-point updates of the membership
-posteriors tau and the update of the posterior over which block is noise
-(P_q = 1 - N_q, the probability that block q is signal), on all nodes or,
-with SVI, on a node subsample.  M-step:
-the closed-form maximisers of the ELBO at fixed (tau, P) -- each block's
-own tau-weighted moments, and the moments of the noise-weighted pairs
-(cross-block pairs plus the (1 - P_q) share of block q).  The objective is
-the hierarchical evidence lower bound; after convergence exactly one block
-(the argmin of P) is designated as the ambient-noise block.
+posteriors tau, on all nodes or, with SVI, on a node subsample.  Then one
+pass over the pairs sums the moments of the new tau; from them the
+posterior over which block is noise (P_q = 1 - N_q, the probability that
+block q is signal) is updated, and the M-step takes the closed-form
+maximisers of the ELBO at fixed (tau, P) -- each block's own tau-weighted
+moments, and the moments of the noise-weighted pairs (cross-block pairs
+plus the (1 - P_q) share of block q).  The objective is the hierarchical
+evidence lower bound; after convergence exactly one block (the argmin of
+P) is designated as the ambient-noise block.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .estep import e_step
+from .estep import block_gaps, e_step, gap_workspace, signal_probs
 from .init import spectral_init
 from .model import (
     VAR_FLOOR,
@@ -67,6 +68,18 @@ class FitConfig:
 
 @dataclass
 class FitResult:
+    """A finished fit: parameters with the noise block designated, the last
+    variational state, its hard partition (row argmax of tau), the ELBO
+    after each outer iteration and at the end, and whether a stopping test
+    passed.  `icl` is left for the caller (evaluate.icl).
+
+    `partition_moments` is (z, pair_moments(net, one-hot z)) for the fitted
+    network when the fit's last moment pass also summed the moments of its
+    final hard partition z, which it does when it knows beforehand that the
+    iteration is the last one; evaluate.icl reads them while
+    hard_membership is still z.  None otherwise.
+    """
+
     params: ModelParams
     state: VariationalState
     hard_membership: np.ndarray
@@ -74,6 +87,7 @@ class FitResult:
     converged: bool
     elbo: float
     icl: float | None = None
+    partition_moments: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def m_step_alpha(state: VariationalState) -> np.ndarray:
@@ -173,12 +187,19 @@ def fit(
 ) -> FitResult:
     """Run variational EM to convergence and designate the noise block.
 
-    Alternates (tau, P) E-steps with full M-steps until the relative ELBO
-    change drops below tol_elbo or the max-abs tau change below tol_tau.
-    With an SviConfig the E-step runs on growing node subsamples until the
-    subsample covers the graph, then continues full batch.  The block with
-    the smallest fitted P is designated as noise and its parameters are
-    overwritten with the ambient-noise law.
+    Each outer iteration runs a tau E-step, then one moment pass over all
+    pairs at the new tau, which gives the P update (signal_probs of the
+    block gaps at the E-step's parameters), the M-step and the ELBO.  The
+    fit stops when the relative ELBO change drops below tol_elbo or the
+    max-abs tau change below tol_tau, or after max_outer iterations.  With
+    an SviConfig the E-step runs on growing node subsamples until the
+    subsample covers the graph, then continues full batch.  Every E-step
+    refills one gap workspace, allocated once per fit.  When the tau test
+    has passed, or the iteration is the last allowed one, the iteration's
+    moment pass also sums the moments of the hard partition, which the
+    result keeps for the ICL.  The block with the smallest fitted P is
+    designated as noise and its parameters are overwritten with the
+    ambient-noise law.
     """
     if net.n <= cfg.Q:
         raise DataError("need more nodes than blocks")
@@ -192,24 +213,35 @@ def fit(
     state = init_state
     # The loop's E-step needs model parameters.
     params = _m_step(net, state, pair_moments(net, state.tau))
+    workspace = gap_workspace(net.n, cfg.Q)
 
     trace: list[float] = []
     converged = False
     prev_elbo = None
+    partition_moments = None
     for it in range(cfg.max_outer):
         # The subsample never shrinks, so the SVI steps come first and SVI
         # step t is outer iteration t; once it covers the graph, every step
         # is full batch.
         full = svi is None or subsample_size(it, svi, net.n) >= net.n
         if full:
-            tau, P = e_step(
-                net, params, state, inner=TAU_INNER_MAX, damping=cfg.damping, tol=cfg.tol_tau
+            tau = e_step(
+                net, params, state, inner=TAU_INNER_MAX, damping=cfg.damping, tol=cfg.tol_tau,
+                workspace=workspace,
             )
         else:
-            tau, P = svi_e_step(net, params, state, it, svi)
+            tau = svi_e_step(net, params, state, it, svi, workspace=workspace)
         delta_tau = float(np.max(np.abs(tau - state.tau)))
+        if (full and delta_tau < cfg.tol_tau) or it == cfg.max_outer - 1:
+            # This iteration is the last: its pass also sums the moments of
+            # the final hard partition, for the ICL.
+            z = np.argmax(tau, axis=1)
+            moments, hard = pair_moments(net, np.stack([tau, np.eye(cfg.Q)[z]]))
+            partition_moments = (z, hard)
+        else:
+            moments = pair_moments(net, tau)
+        P = signal_probs(block_gaps(params, moments, net.center))
         state = VariationalState(tau=tau, P=P)
-        moments = pair_moments(net, tau)
         params = _m_step(net, state, moments)
         value = elbo(net, params, state, moments)
         trace.append(value)
@@ -239,4 +271,5 @@ def fit(
         elbo_trace=np.asarray(trace),
         converged=converged,
         elbo=final,
+        partition_moments=partition_moments,
     )

@@ -169,12 +169,12 @@ class TestCriterion5PropertySuites:
 
         boot = _m_step(net60, state, sbanm.pair_moments(net60, state.tau))
         cfg = sbanm.FitConfig(Q=3, seed=50)
-        tau, _ = sbanm.e_step(
+        tau = sbanm.e_step(
             net60, boot, state, inner=TAU_INNER_MAX, damping=cfg.damping, tol=cfg.tol_tau
         )
         if np.max(np.abs(tau.sum(axis=1) - 1.0)) > 1e-10:
             failures.append("tau rows not stochastic after e_step")
-        tau_svi, _ = sbanm.svi_e_step(net60, boot, state, 0, sbanm.SviConfig(a=20, seed=50))
+        tau_svi = sbanm.svi_e_step(net60, boot, state, 0, sbanm.SviConfig(a=20, seed=50))
         if np.max(np.abs(tau_svi.sum(axis=1) - 1.0)) > 1e-10:
             failures.append("tau rows not stochastic after svi_e_step")
 

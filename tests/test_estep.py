@@ -6,8 +6,8 @@ from scipy.special import logsumexp, softmax
 
 import sbanm
 from sbanm import model
-from sbanm.estep import e_step, signal_probs, softmax_rows
-from sbanm.model import EPS_PROB
+from sbanm.estep import block_gaps, e_step, gap_workspace, signal_probs, softmax_rows
+from sbanm.model import EPS_PROB, pair_moments
 from sbanm.rng import substream
 
 from conftest import planted_network
@@ -15,14 +15,13 @@ from reference import log_density_batch, pairs_to_square
 
 
 def dense_e_step(net, params, state, nodes, weight, inner, damping):
-    """e_step on dense (m, m) gap matrices filled from per-pair
-    log-densities (no pair features, no row blocks, no blocked product)."""
+    """e_step, then the P update at the new tau, on dense (n, n) gap
+    matrices filled from per-pair log-densities (no pair features, no row
+    blocks, no blocked product, no moment pass)."""
     rows = np.arange(net.n) if nodes is None else nodes
     noise = log_density_batch(net.weights, params.noise.mu, params.noise.covariance())
     gaps = [
-        pairs_to_square(net.n, log_density_batch(net.weights, b.mu, b.covariance()) - noise)[
-            np.ix_(rows, rows)
-        ]
+        pairs_to_square(net.n, log_density_batch(net.weights, b.mu, b.covariance()) - noise)
         for b in params.blocks
     ]
     P = state.P
@@ -30,16 +29,24 @@ def dense_e_step(net, params, state, nodes, weight, inner, damping):
     tau_prev = state.tau[rows]
     tau = tau_prev
     for _ in range(inner):
-        logits = np.column_stack([P[q] * (G @ tau[:, q]) for q, G in enumerate(gaps)]) + const
+        logits = np.column_stack(
+            [P[q] * (G[np.ix_(rows, rows)] @ tau[:, q]) for q, G in enumerate(gaps)]
+        ) + const
         star = np.exp(logits - logsumexp(logits, axis=1, keepdims=True))
         tau = damping * star + (1 - damping) * tau
         tau /= tau.sum(axis=1, keepdims=True)
-    block_gaps = np.array([0.5 * tau[:, q] @ G @ tau[:, q] for q, G in enumerate(gaps)])
-    p_star = np.clip(1 - softmax(-block_gaps), EPS_PROB, 1 - EPS_PROB)
     out = state.tau.copy()
     out[rows] = weight * tau + (1 - weight) * tau_prev
     out[rows] /= out[rows].sum(axis=1, keepdims=True)
-    return out, np.clip(weight * p_star + (1 - weight) * P, EPS_PROB, 1 - EPS_PROB)
+    # P at the blended memberships over all pairs, as the fit takes it.
+    block_gaps = np.array([0.5 * out[:, q] @ G @ out[:, q] for q, G in enumerate(gaps)])
+    return out, np.clip(1 - softmax(-block_gaps), EPS_PROB, 1 - EPS_PROB)
+
+
+def p_update(net, params, tau):
+    """The fit's P update at memberships tau: block gaps read off the
+    moment pass at tau."""
+    return signal_probs(block_gaps(params, pair_moments(net, tau), net.center))
 
 
 def shrunk_params(params, factor):
@@ -75,7 +82,8 @@ class TestPackedGapsAgainstDenseReference:
         nodes = None
         if subset is not None:
             nodes = np.sort(substream(seed, "nodes").choice(net.n, size=subset, replace=False))
-        tau, P = e_step(net, params, state, nodes, weight, inner=inner, damping=damping)
+        tau = e_step(net, params, state, nodes, weight, inner=inner, damping=damping)
+        P = p_update(net, params, tau)
         tau_ref, P_ref = dense_e_step(net, params, state, nodes, weight, inner, damping)
         assert np.max(np.abs(tau - tau_ref)) <= 1e-12
         assert np.max(np.abs(P - P_ref)) <= 1e-12
@@ -96,6 +104,24 @@ class TestPackedGapsAgainstDenseReference:
     ):
         monkeypatch.setattr(model, "PAIR_TILE", tile)
         self.check_against_dense_e_step(seed, subset, weight, inner, damping)
+
+
+def test_refilled_workspace_gives_the_fresh_e_step():
+    # One workspace refilled at three parameter sets, full batch and on a
+    # subsample, gives the tau of a fresh workspace bit for bit: nothing
+    # of an earlier fill survives, and below the diagonal stays zero.
+    net, _, params = planted_network(sizes=(40, 35, 30), seed=4)
+    state = soft_state(net.n, 3, 4)
+    nodes = np.sort(substream(4, "nodes").choice(net.n, size=60, replace=False))
+    workspace = gap_workspace(net.n, 3)
+    for factor in (0.01, 1.0, 0.1):
+        shrunk = shrunk_params(params, factor)
+        for rows in (None, nodes):
+            fresh = e_step(net, shrunk, state, rows, 0.5, inner=3, damping=0.7)
+            got = e_step(net, shrunk, state, rows, 0.5, inner=3, damping=0.7, workspace=workspace)
+            assert np.array_equal(got, fresh)
+    for r0, T in workspace:
+        assert not np.any(np.tril(T))
 
 
 def test_e_step_peak_memory_below_dense_gap_squares():

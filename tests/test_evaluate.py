@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import warnings
@@ -301,6 +302,66 @@ class TestIcl:
         result = sbanm.fit(single, sbanm.FitConfig(Q=2, seed=0))
         value = sbanm.icl(single, result)
         assert np.isfinite(value)
+
+    @staticmethod
+    def fitted(case):
+        """(net, result) of a fit whose last moment pass also summed the
+        moments of its final hard partition."""
+        if case == "k1":
+            net, _, _ = planted_network(sizes=(8, 7, 5), seed=17)
+            net = sbanm.MultilayerNetwork(n=net.n, K=1, weights=net.weights[:, :1])
+            return net, sbanm.fit(net, sbanm.FitConfig(Q=2, seed=0))
+        if case == "planted60":
+            net, _, _ = planted_network()
+            return net, sbanm.fit(net, sbanm.FitConfig(Q=3, seed=2))
+        net, _, _ = planted_network(sizes=(40, 35, 30), seed=3)
+        svi = sbanm.SviConfig(a=30, seed=3)
+        cfg, svi = {
+            "planted-tau-test": (sbanm.FitConfig(Q=3, seed=3), None),
+            "q1": (sbanm.FitConfig(Q=1, seed=3), None),
+            "max-outer": (sbanm.FitConfig(Q=3, seed=3, max_outer=2), None),
+            "svi": (sbanm.FitConfig(Q=3, seed=3), svi),
+            # Both iterations are SVI steps on subsamples.
+            "svi-max-outer": (sbanm.FitConfig(Q=3, seed=3, max_outer=2), svi),
+        }[case]
+        return net, sbanm.fit(net, cfg, svi=svi)
+
+    @staticmethod
+    def count_passes(monkeypatch):
+        calls = [0]
+        original = sbanm.evaluate.pair_moments
+
+        def counted(*args):
+            calls[0] += 1
+            return original(*args)
+
+        monkeypatch.setattr(sbanm.evaluate, "pair_moments", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "case",
+        ["planted60", "planted-tau-test", "k1", "q1", "max-outer", "svi", "svi-max-outer"],
+    )
+    def test_stored_partition_moments_give_the_fresh_pass_icl(self, case, monkeypatch):
+        net, result = self.fitted(case)
+        z, _ = result.partition_moments
+        assert np.array_equal(z, result.hard_membership)
+        passes = self.count_passes(monkeypatch)
+        stored = sbanm.icl(net, result)
+        assert passes[0] == 0
+        fresh = sbanm.icl(net, dataclasses.replace(result, partition_moments=None))
+        assert passes[0] == 1
+        assert stored == pytest.approx(fresh, rel=1e-12, abs=0)
+
+    def test_changed_partition_gets_a_fresh_pass(self, monkeypatch):
+        net, result = self.fitted("planted-tau-test")
+        hard = np.where(result.hard_membership == 1, 0, result.hard_membership)
+        moved = dataclasses.replace(result, hard_membership=hard)
+        passes = self.count_passes(monkeypatch)
+        got = sbanm.icl(net, moved)
+        assert passes[0] == 1
+        assert got == sbanm.icl(net, dataclasses.replace(moved, partition_moments=None))
+        assert got != sbanm.icl(net, result)
 
     def test_penalty_monotone_in_q(self):
         # holding log f(X,Z) fixed, ICL strictly decreases in Q

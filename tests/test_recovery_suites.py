@@ -26,3 +26,41 @@ def test_separable_network_is_recovered(layers, seed):
     assert outcome.noise_typed
     assert not outcome.empty_block
     assert not outcome.elbo_drop
+
+
+def outcomes(exact, drops, empty, fits=80):
+    Outcome = SUITES["Outcome"]
+    return [
+        Outcome(
+            exact=i < exact, noise_typed=i < exact, empty_block=i < empty,
+            elbo_drop=i < drops, outer_iters=3, ari=1.0,
+        )
+        for i in range(fits)
+    ]
+
+
+@pytest.mark.parametrize(
+    "suite, counts, worse",
+    [
+        pytest.param("separable", (79, 0, 0), [], id="separable-recorded"),
+        pytest.param("separable", (80, 0, 0), [], id="separable-better"),
+        pytest.param(
+            "separable", (78, 0, 0), ["separable: exact 78, recorded 79"], id="fewer-exact"
+        ),
+        pytest.param(
+            "separable", (79, 1, 0), ["separable: elbo_drop 1, recorded 0"], id="more-drops"
+        ),
+        pytest.param("unfiltered", (77, 1, 0), [], id="unfiltered-recorded"),
+        pytest.param(
+            "unfiltered", (76, 2, 1),
+            [
+                "unfiltered: exact 76, recorded 77",
+                "unfiltered: elbo_drop 2, recorded 1",
+                "unfiltered: empty_block 1, recorded 0",
+            ],
+            id="unfiltered-all-worse",
+        ),
+    ],
+)
+def test_gate_names_each_count_worse_than_recorded(suite, counts, worse):
+    assert SUITES["regressions"](suite, outcomes(*counts)) == worse

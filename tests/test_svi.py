@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import sbanm
-from sbanm import FitConfig, SviConfig, VariationalState, averaging_weight, subsample_size, svi_e_step
+from sbanm import FitConfig, SviConfig, averaging_weight, subsample_size, svi_e_step
 from sbanm.errors import DataError
 from sbanm.rng import substream
 from sbanm.estep import e_step
@@ -72,36 +72,32 @@ class TestSviEStep:
     def test_deterministic_sample(self):
         net, state, params = self.setup_instance()
         cfg = SviConfig(a=20, seed=5)
-        tau1, P1 = svi_e_step(net, params, state, 2, cfg)
-        tau2, P2 = svi_e_step(net, params, state, 2, cfg)
-        assert np.array_equal(tau1, tau2) and np.array_equal(P1, P2)
+        tau1 = svi_e_step(net, params, state, 2, cfg)
+        tau2 = svi_e_step(net, params, state, 2, cfg)
+        assert np.array_equal(tau1, tau2)
 
     def test_rows_stochastic_after_blend(self):
         net, state, params = self.setup_instance(seed=1)
-        tau, P = svi_e_step(net, params, state, 1, SviConfig(a=20, seed=1))
+        tau = svi_e_step(net, params, state, 1, SviConfig(a=20, seed=1))
         assert np.max(np.abs(tau.sum(axis=1) - 1.0)) < 1e-10
-        assert np.all(P >= 1e-9) and np.all(P <= 1 - 1e-9)
 
     def test_unsampled_rows_unchanged(self):
         net, state, params = self.setup_instance(seed=2)
         cfg = SviConfig(a=20, seed=2)
         m = subsample_size(0, cfg, net.n)
         M = np.sort(substream(cfg.seed, "svi-sample", 0).choice(net.n, size=m, replace=False))
-        tau, _ = svi_e_step(net, params, state, 0, cfg)
+        tau = svi_e_step(net, params, state, 0, cfg)
         untouched = np.setdiff1d(np.arange(net.n), M)
         assert np.array_equal(tau[untouched], state.tau[untouched])
 
     def test_full_subsample_with_unit_weight_equals_full_e_step(self):
         # t=0 gives delta=1; a >= n makes the subsample the whole graph, so
-        # one SVI step is exactly one (undamped, single-pass) full E-step
-        # followed by the P update on the fresh memberships.
+        # one SVI step is exactly one (undamped, single-pass) full E-step.
         net, state, params = self.setup_instance(seed=3)
         cfg = SviConfig(a=net.n, seed=3)
-        tau_svi, P_svi = svi_e_step(net, params, state, 0, cfg)
-        tau_full, _ = e_step(net, params, state, inner=1, damping=1.0)
-        _, P_full = e_step(net, params, VariationalState(tau=tau_full, P=state.P), inner=0)
+        tau_svi = svi_e_step(net, params, state, 0, cfg)
+        tau_full = e_step(net, params, state, inner=1, damping=1.0)
         assert np.allclose(tau_svi, tau_full, atol=1e-12)
-        assert np.allclose(P_svi, P_full, atol=1e-12)
 
     def test_subsample_too_small_rejected(self):
         net, state, params = self.setup_instance(seed=4)

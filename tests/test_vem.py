@@ -25,7 +25,9 @@ from sbanm import (
     m_step_noise,
 )
 from sbanm.errors import DataError, NumericalError
+from sbanm.estep import block_gaps, signal_probs
 from sbanm.model import EPS_PROB, pair_moments
+from sbanm.svi import SviConfig, svi_e_step
 from sbanm.vem import TAU_INNER_MAX, _m_step
 from sbanm.rng import substream
 
@@ -61,13 +63,13 @@ def fit_e_step(net, params, state):
     cfg = FitConfig(Q=state.Q)
     return e_step(
         net, params, state, inner=TAU_INNER_MAX, damping=cfg.damping, tol=cfg.tol_tau
-    )[0]
+    )
 
 
-def p_update(net, params, state):
-    """Signal probabilities at the state's memberships: the E-step's P
-    update with no tau pass."""
-    return e_step(net, params, state, inner=0)[1]
+def p_update(net, params, tau):
+    """The fit's P update at memberships tau: the block gaps read off the
+    moment pass at tau."""
+    return signal_probs(block_gaps(params, pair_moments(net, tau), net.center))
 
 
 class TestEstimateTau:
@@ -159,8 +161,7 @@ class TestEstimateP:
         )
         tau = np.zeros((24, 3))
         tau[np.arange(24), np.repeat([0, 1, 2], 8)] = 1.0
-        state = VariationalState(tau=tau, P=[0.5, 0.5, 0.5])
-        P = p_update(net, params, state)
+        P = p_update(net, params, tau)
         assert np.argmin(P) == 2
 
     def test_saturation_at_overwhelming_gap(self):
@@ -177,8 +178,7 @@ class TestEstimateP:
         tau = np.zeros((4, 2))
         tau[:2, 0] = 1.0
         tau[2:, 1] = 1.0
-        state = VariationalState(tau=tau, P=[0.5, 0.5])
-        P = p_update(net, params, state)
+        P = p_update(net, params, tau)
         assert P[0] == 1.0 - EPS_PROB
 
     def test_matches_scalar_hand_computation(self):
@@ -199,8 +199,7 @@ class TestEstimateP:
         tau = np.zeros((4, 2))
         tau[:2, 0] = 1.0
         tau[2:, 1] = 1.0
-        state = VariationalState(tau=tau, P=[0.5, 0.5])
-        P = p_update(net, params, state)
+        P = p_update(net, params, tau)
 
         # The posterior over which block is noise is softmax(-gaps).
         nhat = np.array([math.exp(-2.0), math.exp(2.0)])
@@ -439,25 +438,34 @@ class TestMStepMaximisesElbo:
 
 
 class TestEStepMaximisesElbo:
-    # The E-step's P update is the exact maximiser of the ELBO over the
-    # posterior N = 1 - P of which block is noise, at the E-step's tau:
-    # moving a share of one entry of N to another keeps N on the simplex
-    # and never raises the bound.
+    # The fit's P update is the exact maximiser of the ELBO over the
+    # posterior N = 1 - P of which block is noise, at the E-step's tau and
+    # parameters: moving a share of one entry of N to another keeps N on
+    # the simplex and never raises the bound.  This holds after an SVI step
+    # too, whose P is taken over all pairs at the blended tau.
     @given(
         st.integers(0, 2**32 - 1),
-        st.sampled_from([0, 1, TAU_INNER_MAX]),
+        st.sampled_from(
+            [("full", 0), ("full", 1), ("full", TAU_INNER_MAX)] + [("svi", t) for t in range(3)]
+        ),
         st.permutations(range(3)),
         st.sampled_from([1e-4, 1e-2, 0.5, 1.0]),
     )
     @settings(max_examples=100, deadline=None)
     def test_no_simplex_nudge_of_the_noise_posterior_raises_the_elbo(
-        self, seed, inner, order, share
+        self, seed, step, order, share
     ):
         net, _, _ = planted_network(sizes=(14, 13, 13), seed=seed)
         start = soft_state(net.n, 3, seed=seed)
         params = _m_step(net, start, pair_moments(net, start.tau))
-        tau, P = e_step(net, params, start, inner=inner, damping=0.7, tol=1e-6)
+        kind, k = step
+        if kind == "full":
+            tau = e_step(net, params, start, inner=k, damping=0.7, tol=1e-6)
+        else:
+            # SVI step k on a subsample of 15 + (k/(k+1))^2 * 40 nodes.
+            tau = svi_e_step(net, params, start, k, SviConfig(a=15, seed=seed))
         moments = pair_moments(net, tau)
+        P = signal_probs(block_gaps(params, moments, net.center))
         best = elbo(net, params, VariationalState(tau=tau, P=P), moments)
         a, b = order[:2]
         N = 1.0 - P
@@ -639,18 +647,23 @@ class TestFit:
 
     def test_fit_and_icl_make_one_moment_pass_per_m_step(self, planted60, monkeypatch):
         # One moment pass for the bootstrap M-step and one per outer
-        # iteration (shared by that iteration's M-step and ELBO, the last
-        # also by the final ELBO); one gap pass per E-step; one moment
-        # pass for the ICL.
+        # iteration (shared by that iteration's P update, M-step and ELBO,
+        # the last also by the final ELBO); one gap workspace per fit,
+        # refilled by one gap build per E-step; Q products per inner tau
+        # pass and none for P.  The ICL reads the final partition's moments
+        # from the fit's last pass when the tau test ended the fit, and
+        # makes its own pass when the ELBO test did.
         net, _, _ = planted60
         calls = {}
 
-        def count(original, key):
+        def count(original, key, around=None):
             calls[key] = 0
 
             def counted(*args, **kwargs):
                 calls[key] += 1
-                return original(*args, **kwargs)
+                if around is None:
+                    return original(*args, **kwargs)
+                return around(original, *args, **kwargs)
 
             for name, module in list(sys.modules.items()):
                 if name == "sbanm" or name.startswith("sbanm."):
@@ -658,13 +671,41 @@ class TestFit:
                         if value is original:
                             monkeypatch.setattr(module, attr, counted)
 
+        per_e_step = []
+
+        def products_and_passes(original, *args, **kwargs):
+            # softmax_rows runs once per inner tau pass inside e_step.
+            before = calls["packed_matvec"], calls["softmax_rows"]
+            out = original(*args, **kwargs)
+            per_e_step.append(
+                (calls["packed_matvec"] - before[0], calls["softmax_rows"] - before[1])
+            )
+            return out
+
         count(sbanm.model.pair_moments, "pair_moments")
         count(sbanm.estep._gap_squares, "gaps")
-        result = fit(net, FitConfig(Q=3, seed=2))
-        T = len(result.elbo_trace)
-        assert calls == {"pair_moments": T + 1, "gaps": T}
-        sbanm.icl(net, result)
-        assert calls == {"pair_moments": T + 2, "gaps": T}
+        count(sbanm.estep.gap_workspace, "workspaces")
+        count(sbanm.model.packed_matvec, "packed_matvec")
+        count(sbanm.estep.softmax_rows, "softmax_rows")
+        count(sbanm.estep.e_step, "e_step", products_and_passes)
+
+        for cfg, icl_passes in [
+            (FitConfig(Q=3, seed=2), 0),
+            # No tau change is below 1e-300, so only the ELBO test can stop.
+            (FitConfig(Q=3, seed=2, tol_tau=1e-300), 1),
+        ]:
+            for key in calls:
+                calls[key] = 0
+            per_e_step.clear()
+            result = fit(net, cfg)
+            assert result.converged
+            assert (result.partition_moments is None) == (icl_passes == 1)
+            T = len(result.elbo_trace)
+            assert (calls["pair_moments"], calls["gaps"], calls["workspaces"]) == (T + 1, T, 1)
+            assert len(per_e_step) == T
+            assert all(products == 3 * passes > 0 for products, passes in per_e_step)
+            sbanm.icl(net, result)
+            assert calls["pair_moments"] == T + 1 + icl_passes
 
     def test_hard_membership_is_row_argmax(self, planted60):
         net, _, _ = planted60
