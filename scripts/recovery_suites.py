@@ -18,7 +18,9 @@ outer iterations, and each miss with its ARI.  The 160 fits take 12-14 s
 of CPU on a 2-vCPU x86-64 VM with BLAS on one thread.
 
 The script exits 1, naming each count, when a suite has fewer exact fits,
-or more ELBO drops or empty blocks, than RECORDED.
+or more ELBO drops, empty blocks or outer iterations, than RECORDED.  The
+iteration count shows that a change meant only to speed the fit up has
+left its iterates alone.
 
 Run from the repository root:
 
@@ -43,11 +45,11 @@ SEEDS = range(1, 41)
 NODES, CANDIDATES, KEEP_FRAC = 300, 20, 0.05
 DROP_TOL = 1e-9
 # Per suite, over both layer counts: the fewest exact fits and the most
-# ELBO drops and empty blocks accepted.  These are the counts the fit
-# reached when they were recorded.
+# ELBO drops, empty blocks and outer iterations accepted.  These are the
+# counts the fit reached when they were recorded.
 RECORDED = {
-    "separable": {"exact": 79, "elbo_drop": 0, "empty_block": 0},
-    "unfiltered": {"exact": 77, "elbo_drop": 1, "empty_block": 0},
+    "separable": {"exact": 79, "elbo_drop": 0, "empty_block": 0, "outer_iters": 231},
+    "unfiltered": {"exact": 77, "elbo_drop": 1, "empty_block": 0, "outer_iters": 304},
 }
 
 

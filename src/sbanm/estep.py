@@ -7,6 +7,8 @@ node subsample and averages the result into the running estimates.  The
 update of the posterior over which block is the noise block (P_q, the
 probability that block q is signal, is one minus its entry) reads the
 block gaps off a pair_moments pass: signal_probs(block_gaps(...)).
+Each takes the laws as their model.law_coefficients, which a fit computes
+once per parameter set.
 """
 
 from __future__ import annotations
@@ -35,20 +37,21 @@ def gap_workspace(n: int, Q: int) -> list:
     return packed_blocks(n, (Q,))
 
 
-def _gap_squares(net: MultilayerNetwork, params: ModelParams, workspace: list) -> list:
+def _gap_squares(net: MultilayerNetwork, coefficients: tuple, workspace: list) -> list:
     """Each block's signal-minus-noise log-density gap over all pairs, as Q
     symmetric n x n matrices, each a list of model.packed_pairs row blocks,
-    written into `workspace` (a gap_workspace(n, Q))."""
+    written into `workspace` (a gap_workspace(n, Q)).  `coefficients` are
+    the laws' law_coefficients about net.center."""
+    noise, blocks = coefficients
     # Overflow or inf - inf here is caught by the E-step's finite check.
     with np.errstate(over="ignore", invalid="ignore"):
-        noise, blocks = law_coefficients(params, net.center)
         coef = blocks - noise
         packed_pairs(
             net.n,
             lambda p0, p1, r0, r1: coef @ pair_features(net.weights[p0:p1], net.center),
             out=workspace,
         )
-    return [[(r0, T[q]) for r0, T in workspace] for q in range(params.Q)]
+    return [[(r0, T[q]) for r0, T in workspace] for q in range(blocks.shape[0])]
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -65,14 +68,14 @@ def signal_probs(gaps: np.ndarray) -> np.ndarray:
     return clip_prob(1.0 - softmax_rows(-gaps[None])[0])
 
 
-def block_gaps(params: ModelParams, moments: np.ndarray, center: np.ndarray) -> np.ndarray:
+def block_gaps(coefficients: tuple, moments: np.ndarray) -> np.ndarray:
     """Each block's gap gap_q = sum_{i<j} tau_iq tau_jq (f_sig_q - f_noise)
-    over the pairs behind `moments` (pair_moments(net, tau), about
-    `center`), taken as moments[q] . (theta_q - theta_noise) with the
-    laws' gaussian_coefficients."""
+    over the pairs behind `moments` (pair_moments(net, tau)), taken as
+    moments[q] . (theta_q - theta_noise) with the laws' law_coefficients
+    `coefficients` about the moments' center."""
+    noise, blocks = coefficients
     with np.errstate(over="ignore", invalid="ignore"):  # caught by the finite check
-        noise, blocks = law_coefficients(params, center)
-        gaps = np.einsum("qd,qd->q", moments[: params.Q], blocks - noise)
+        gaps = np.einsum("qd,qd->q", moments[: blocks.shape[0]], blocks - noise)
     if not np.all(np.isfinite(gaps)):
         raise NumericalError("non-finite block gap")
     return gaps
@@ -88,6 +91,7 @@ def e_step(
     damping: float = 1.0,
     tol: float = 0.0,
     workspace: list | None = None,
+    coefficients: tuple | None = None,
 ) -> np.ndarray:
     """One tau update on the rows in `nodes` (sorted, distinct node indices;
     all nodes when None); returns the new tau.
@@ -103,14 +107,17 @@ def e_step(
     weight * new + (1 - weight) * previous and its rows are renormalized;
     rows outside `nodes` are kept unchanged.  P is not updated here: the
     fit takes it at the new tau from the next moment pass,
-    signal_probs(block_gaps(params, pair_moments(net, tau), net.center)).
+    signal_probs(block_gaps(coefficients, pair_moments(net, tau))).
 
     The gap matrices are written into `workspace`, a gap_workspace(n, Q),
-    which is allocated here when None.
+    which is allocated here when None.  `coefficients` are
+    law_coefficients(params, net.center), computed here when None.
     """
     if workspace is None:
         workspace = gap_workspace(net.n, params.Q)
-    gap_sq = _gap_squares(net, params, workspace)
+    if coefficients is None:
+        coefficients = law_coefficients(params, net.center)
+    gap_sq = _gap_squares(net, coefficients, workspace)
     rows = slice(None) if nodes is None else nodes
     tau_prev = state.tau[rows]
     P = state.P

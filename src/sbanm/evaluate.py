@@ -18,6 +18,7 @@ from .model import (
     ModelParams,
     MultilayerNetwork,
     expected_log_likelihood,
+    law_coefficients,
     pair_moments,
     safe_log,
 )
@@ -142,7 +143,7 @@ def icl(net: MultilayerNetwork, fit: FitResult) -> float:
         moments = pair_moments(net, np.eye(Q)[z])
     # With P = 1 each block's pairs are scored under its own law; a
     # designated noise block's law is the noise law (ModelParams checks).
-    ll = expected_log_likelihood(params, moments, np.ones(Q), net.center)
+    ll = expected_log_likelihood(law_coefficients(params, net.center), moments, np.ones(Q))
     ll += float(safe_log(params.alpha)[z].sum())
     middle = 0.5 * Q * (Q - 1) * math.log(n * max(K - 1, 1))
     pen = Q * math.log(n * (n - 1) * K / 2) + (Q * (Q - 1) / 2) * K * math.log(

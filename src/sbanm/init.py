@@ -136,8 +136,8 @@ def spectral_embedding(net: MultilayerNetwork, Q: int) -> np.ndarray:
     """
     if not 1 <= Q < net.n:
         raise DataError(f"spectral embedding needs 1 <= Q < n, got Q={Q}, n={net.n}")
-    # Layer by layer: the sums of sum(axis=1), in its order, without its
-    # slow reduction over a short inner axis.
+    # Layer by layer, each one contiguous run: the sums of sum(axis=1),
+    # in its order.
     flat = net.weights[:, 0].copy()
     for layer in net.weights.T[1:]:
         flat += layer

@@ -124,7 +124,8 @@ def build_similarity_network(responses: ResponseMatrix) -> MultilayerNetwork:
     return MultilayerNetwork(
         n=n,
         K=len(cols),
-        weights=np.column_stack(cols),
+        # Layer-major: the transpose of the stacked layer columns.
+        weights=np.array(cols).T,
         node_labels=list(responses.subjects) if responses.subjects else None,
     )
 
@@ -235,7 +236,8 @@ def _body_lines(fh: TextIO, n_pairs: int) -> Iterator[str]:
 
 def _read_pairs(fh: TextIO, n: int, K: int) -> np.ndarray | None:
     """Parse the pair lines with one streaming np.loadtxt call and check
-    them vectorised; None unless the file is canonical."""
+    them vectorised; the weights, layer-major, or None unless the file is
+    canonical."""
     try:
         dtype = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64, (K,))])
         rows = np.loadtxt(
@@ -250,7 +252,7 @@ def _read_pairs(fh: TextIO, n: int, K: int) -> np.ndarray | None:
         I, J = tile_endpoints(n, r0, r1)
         if not (np.array_equal(rows["i"][p0:p1], I) and np.array_equal(rows["j"][p0:p1], J)):
             return None
-    return np.ascontiguousarray(rows["w"])
+    return np.asfortranarray(rows["w"])
 
 
 def _read_pairs_by_line(path: str, fh: TextIO, n: int, K: int) -> np.ndarray:
@@ -289,7 +291,7 @@ def _read_pairs_by_line(path: str, fh: TextIO, n: int, K: int) -> np.ndarray:
         raise DataError(f"{path}: incomplete dense pair list ({len(rows)} of {n_pairs} pairs)")
     # Python's int() and float() take a few spellings np.loadtxt refuses,
     # such as 1_5; such a file is still read.
-    return np.array(rows, dtype=float)
+    return np.array(rows, dtype=float, order="F")
 
 
 def read_network(path: str) -> MultilayerNetwork:

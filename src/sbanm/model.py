@@ -1,7 +1,8 @@
 """Domain types and Gaussian density math shared by all estimation code.
 
 A network is stored densely: one weight vector of length K per unordered
-node pair (i, j), i < j, in lexicographic pair order.  Signal blocks carry
+node pair (i, j), i < j, in lexicographic pair order, kept layer-major, so
+each layer's weights are one contiguous run of pairs.  Signal blocks carry
 an equicorrelation covariance (one correlation shared by every layer
 pair); the ambient-noise law is a diagonal Gaussian.
 
@@ -13,9 +14,10 @@ gaussian_coefficients turns a Gaussian into the matching weight vector.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -29,10 +31,12 @@ VAR_FLOOR = 1e-8
 RHO_MARGIN = 1e-6
 
 LOG_2PI = math.log(2.0 * math.pi)
-# Pairs per tile in the passes over all pairs (moments, E-step gaps): the
-# per-pair feature arrays live one tile at a time, so their memory stays
-# O(PAIR_TILE * D) whatever n is.
-PAIR_TILE = 4096
+# Pairs per tile in the passes over all pairs (moments, E-step gaps, file
+# writes): the per-pair feature arrays live one tile at a time, so their
+# memory stays O(PAIR_TILE * D) whatever n is.  Each tile reads one
+# contiguous slice of every layer.  Fits ran as fast at 6144 as at 8192,
+# and slower at 4096 (README, notes on numerics).
+PAIR_TILE = 6144
 # Rows per block of the symmetric matrices of packed_pairs.  At n = 1200 a
 # block is 1.2 MB, so the second of packed_matvec's two passes over it
 # reads it from a 2 MB L2 cache.
@@ -64,17 +68,26 @@ def pair_tiles(m: int):
     """Split the lexicographic pairs of m nodes into tiles of whole rows,
     about PAIR_TILE pairs each (one row when a row is longer).
 
-    Yields (p0, p1, r0, r1): the tile is pairs p0 <= p < p1, which are the
-    whole rows r0 <= i < r1, row i holding the m - 1 - i pairs (i, j > i).
+    Returns an iterator over (p0, p1, r0, r1): the tile is pairs
+    p0 <= p < p1, which are the whole rows r0 <= i < r1, row i holding the
+    m - 1 - i pairs (i, j > i).  Each tile takes rows from r0 on while its
+    pairs number at most PAIR_TILE, and at least row r0.  The tile list
+    is planned once per (m, PAIR_TILE) and reused by every pass.
     """
-    r0 = p0 = 0
+    return iter(_tile_plan(m, PAIR_TILE))
+
+
+@lru_cache(maxsize=16)
+def _tile_plan(m: int, tile: int) -> tuple[tuple[int, int, int, int], ...]:
+    # starts[i] is the first pair of row i; starts[m - 1] is the pair count.
+    starts = pair_index(m, np.arange(m), np.arange(1, m + 1)).tolist()
+    plan, r0 = [], 0
     while r0 < m - 1:
-        r1, p1 = r0 + 1, p0 + m - 1 - r0
-        while r1 < m - 1 and p1 + m - 1 - r1 <= p0 + PAIR_TILE:
-            p1 += m - 1 - r1
-            r1 += 1
-        yield p0, p1, r0, r1
-        r0, p0 = r1, p1
+        # The tile's rows end at most `tile` pairs past its first pair.
+        r1 = max(r0 + 1, bisect.bisect_right(starts, starts[r0] + tile) - 1)
+        plan.append((starts[r0], starts[r1], r0, r1))
+        r0 = r1
+    return tuple(plan)
 
 
 def tile_endpoints(m: int, r0: int, r1: int) -> tuple[np.ndarray, np.ndarray]:
@@ -149,7 +162,8 @@ def feature_dim(K: int) -> int:
 def pair_features(x: np.ndarray, center: np.ndarray) -> np.ndarray:
     """Features phi = [1, y, upper(y y^T)] of y = x - center for each row of
     x (shape (m, K)), as the columns of a (D, m) array; upper() is the
-    row-major upper triangle, diagonal included."""
+    row-major upper triangle, diagonal included.  x is read layer by layer,
+    at unit stride when it is a tile of layer-major network weights."""
     m, K = x.shape
     phi = np.empty((feature_dim(K), m))
     phi[0] = 1.0
@@ -215,7 +229,11 @@ class MultilayerNetwork:
 
     weights: array of shape (n*(n-1)/2, K); row p holds the K layer weights
     of the p-th unordered pair in lexicographic order.  No self loops are
-    stored and every pair must be present and finite.
+    stored and every pair must be present and finite.  The array is kept
+    in Fortran (layer-major) order, so column k, layer k's weights of all
+    pairs, is one contiguous run that the passes over pairs read at unit
+    stride.  Weights given in that order are kept without a copy; any other
+    layout is copied into it once.
     """
 
     n: int
@@ -235,6 +253,7 @@ class MultilayerNetwork:
             raise DataError(
                 f"weights shape {w.shape} does not match n={self.n}, K={self.K}"
             )
+        w = np.asfortranarray(w)
         if not np.all(np.isfinite(w)):
             raise DataError("network weights must be finite")
         self.weights = w
@@ -250,8 +269,8 @@ class MultilayerNetwork:
         """Per-layer mean weight.  Pair features are taken relative to it:
         moment sums of weights far from zero would otherwise cancel
         digits away when they are turned into variances and densities.
-        Each column is summed on its own, so numpy sums it pairwise; a
-        reduction over axis 0 adds the rows one after another instead."""
+        Each layer's contiguous run is summed on its own, so numpy sums it
+        pairwise."""
         w = self.weights
         return np.array([np.add.reduce(w[:, k]) for k in range(self.K)]) / w.shape[0]
 
@@ -427,49 +446,68 @@ def clamp_rho(rho: float) -> float:
 
 def gaussian_coefficients(mu: np.ndarray, cov: np.ndarray, center: np.ndarray) -> np.ndarray:
     """Coefficients theta (length D) with log N(x; mu, cov) = phi(x - center) @ theta
-    for the pair features phi of pair_features."""
+    for the pair features phi of pair_features.
+
+    A stack of L laws, mu of shape (L, K) and cov of shape (L, K, K), gives
+    theta of shape (L, D) from one batched Cholesky factorisation and one
+    batched inverse.
+    """
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    K = mu.size
+    K = mu.shape[-1]
     try:
         L = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("covariance not positive definite") from exc
     L_inv = np.linalg.inv(L)
-    prec = L_inv.T @ L_inv
+    L_inv_t = np.swapaxes(L_inv, -1, -2)
+    prec = L_inv_t @ L_inv
     # With y = x - center and d = center - mu, x - mu = y + d.
-    s = L_inv @ (np.asarray(center, dtype=float) - mu)
-    logdet = 2.0 * np.sum(np.log(np.diag(L)))
+    s = (L_inv @ (np.asarray(center, dtype=float) - mu)[..., None])[..., 0]
+    logdet = 2.0 * np.sum(np.log(np.diagonal(L, axis1=-2, axis2=-1)), axis=-1)
     h, k = np.triu_indices(K)
-    return np.concatenate((
-        [-0.5 * (s @ s) - 0.5 * logdet - 0.5 * K * LOG_2PI],
-        -(L_inv.T @ s),
-        np.where(h == k, -0.5, -1.0) * prec[h, k],
-    ))
+    return np.concatenate(
+        (
+            (-0.5 * np.sum(s * s, axis=-1) - 0.5 * logdet - 0.5 * K * LOG_2PI)[..., None],
+            -(L_inv_t @ s[..., None])[..., 0],
+            np.where(h == k, -0.5, -1.0) * prec[..., h, k],
+        ),
+        axis=-1,
+    )
 
 
 def law_coefficients(params: ModelParams, center: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """gaussian_coefficients of the noise law (length D) and of every block
-    law (shape (Q, D)), all about `center`."""
-    noise = gaussian_coefficients(params.noise.mu, params.noise.covariance(), center)
-    blocks = np.array(
-        [gaussian_coefficients(b.mu, b.covariance(), center) for b in params.blocks]
-    )
-    return noise, blocks
+    law (shape (Q, D)), all about `center`, from one stacked call.
+
+    A fit computes them once per parameter set and hands them to the
+    E-step, the P update and the ELBO that use that set.
+    """
+    laws = [params.noise, *params.blocks]
+    # Far-out centers overflow to inf; the E-step, the P update and the
+    # ELBO check what they compute from the coefficients for finiteness.
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = gaussian_coefficients(
+            np.array([law.mu for law in laws]),
+            np.array([law.covariance() for law in laws]),
+            center,
+        )
+    return theta[0], theta[1:]
 
 
 def expected_log_likelihood(
-    params: ModelParams, moments: np.ndarray, P: np.ndarray, center: np.ndarray
+    coefficients: tuple[np.ndarray, np.ndarray], moments: np.ndarray, P: np.ndarray
 ) -> float:
     """Expected log-likelihood of the pairs behind `moments` (pair_moments
-    rows about `center`): the cross-block pairs and the (1 - P_q) share of
+    rows) under the laws with law_coefficients `coefficients` (about the
+    moments' center): the cross-block pairs and the (1 - P_q) share of
     block q under the noise law, the P_q share under block q's law.
 
     With P = 1 it is the complete-data log-likelihood of a hard partition;
     an empty block's moment row is zero and adds nothing.
     """
-    Q = params.Q
-    noise, signal = law_coefficients(params, center)
+    noise, signal = coefficients
+    Q = signal.shape[0]
     return float(
         (moments[Q] + (1.0 - P) @ moments[:Q]) @ noise
         + P @ np.einsum("qd,qd->q", moments[:Q], signal)

@@ -126,7 +126,7 @@ def gen_network(
         raise DataError("every block needs at least one node")
     n = int(sizes.sum())
     labels = np.repeat(np.arange(params.Q), sizes)
-    X = np.empty((num_pairs(n), params.K))
+    X = np.empty((num_pairs(n), params.K), order="F")
     # Row i's pairs (i, j > i) start at pair_index(n, i, i + 1).  Nodes are
     # laid out block by block, so they are one run j < end of i's block,
     # drawn by that block's law, then one run of cross-block pairs, drawn

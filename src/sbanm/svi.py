@@ -53,6 +53,7 @@ def svi_e_step(
     t: int,
     cfg: SviConfig,
     workspace: list | None = None,
+    coefficients: tuple | None = None,
 ) -> np.ndarray:
     """One stochastic E-step; returns the blended tau.
 
@@ -61,7 +62,8 @@ def svi_e_step(
     (1 - delta_t) * previous and are renormalized; unsampled rows are kept
     unchanged.  The sample for a given (seed, t) is always the same.  P is
     not blended: the fit takes it at the blended tau from the whole-graph
-    moment pass, as after a full-batch step.  `workspace` is e_step's.
+    moment pass, as after a full-batch step.  `workspace` and
+    `coefficients` are e_step's.
     """
     n = state.n
     m = subsample_size(t, cfg, n)
@@ -71,5 +73,5 @@ def svi_e_step(
     nodes = np.sort(rng.choice(n, size=m, replace=False))
     return e_step(
         net, params, state, nodes, averaging_weight(t, cfg), inner=1, damping=1.0,
-        workspace=workspace,
+        workspace=workspace, coefficients=coefficients,
     )

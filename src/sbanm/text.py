@@ -93,6 +93,9 @@ def float_text(x: np.ndarray) -> np.ndarray:
     pair_text = np.take(_DIGIT_PAIRS, pairs).view(np.uint8).reshape(8, v.size, 2)
     digits[1::2] = pair_text[..., 0]
     digits[2::2] = pair_text[..., 1]
+    # The pair indices take 64 bytes per value; free them before the text
+    # is built.
+    del pairs, pair_text
     # Digits 0..end-1 stay: the integer part and the fraction up to its
     # last nonzero digit (digit 0 is never zero).
     row = np.arange(18, dtype=np.int8)[:, None]

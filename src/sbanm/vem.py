@@ -32,6 +32,7 @@ from .model import (
     VariationalState,
     clamp_rho,
     expected_log_likelihood,
+    law_coefficients,
     moment_stats,
     pair_moments,
     safe_log,
@@ -146,6 +147,7 @@ def elbo(
     params: ModelParams,
     state: VariationalState,
     moments: np.ndarray,
+    coefficients: tuple | None = None,
 ) -> float:
     """Hierarchical evidence lower bound.
 
@@ -153,11 +155,14 @@ def elbo(
     parts) plus the membership prior and entropy, and the entropy of the
     posterior N = 1 - P over which block is noise with its uniform prior
     1/Q (a constant while N sums to one); all logs clamped.  `moments` is
-    pair_moments(net, state.tau).
+    pair_moments(net, state.tau); `coefficients` are
+    law_coefficients(params, net.center), computed here when None.
     """
     tau, P = state.tau, state.P
+    if coefficients is None:
+        coefficients = law_coefficients(params, net.center)
     with np.errstate(over="ignore", invalid="ignore"):  # caught by the finite check
-        ll = expected_log_likelihood(params, moments, P, net.center)
+        ll = expected_log_likelihood(coefficients, moments, P)
     terms = {
         "likelihood": ll,
         "membership prior": float(np.sum(tau * safe_log(params.alpha)[None, :])),
@@ -194,7 +199,9 @@ def fit(
     max-abs tau change below tol_tau, or after max_outer iterations.  With
     an SviConfig the E-step runs on growing node subsamples until the
     subsample covers the graph, then continues full batch.  Every E-step
-    refills one gap workspace, allocated once per fit.  When the tau test
+    refills one gap workspace, allocated once per fit.  The laws'
+    coefficients (model.law_coefficients) are computed once per parameter
+    set and serve its E-step, P update and ELBO.  When the tau test
     has passed, or the iteration is the last allowed one, the iteration's
     moment pass also sums the moments of the hard partition, which the
     result keeps for the ICL.  The block with the smallest fitted P is
@@ -213,6 +220,7 @@ def fit(
     state = init_state
     # The loop's E-step needs model parameters.
     params = _m_step(net, state, pair_moments(net, state.tau))
+    coefficients = law_coefficients(params, net.center)
     workspace = gap_workspace(net.n, cfg.Q)
 
     trace: list[float] = []
@@ -227,10 +235,12 @@ def fit(
         if full:
             tau = e_step(
                 net, params, state, inner=TAU_INNER_MAX, damping=cfg.damping, tol=cfg.tol_tau,
-                workspace=workspace,
+                workspace=workspace, coefficients=coefficients,
             )
         else:
-            tau = svi_e_step(net, params, state, it, svi, workspace=workspace)
+            tau = svi_e_step(
+                net, params, state, it, svi, workspace=workspace, coefficients=coefficients
+            )
         delta_tau = float(np.max(np.abs(tau - state.tau)))
         if (full and delta_tau < cfg.tol_tau) or it == cfg.max_outer - 1:
             # This iteration is the last: its pass also sums the moments of
@@ -240,10 +250,11 @@ def fit(
             partition_moments = (z, hard)
         else:
             moments = pair_moments(net, tau)
-        P = signal_probs(block_gaps(params, moments, net.center))
+        P = signal_probs(block_gaps(coefficients, moments))
         state = VariationalState(tau=tau, P=P)
         params = _m_step(net, state, moments)
-        value = elbo(net, params, state, moments)
+        coefficients = law_coefficients(params, net.center)
+        value = elbo(net, params, state, moments, coefficients)
         trace.append(value)
         logger.info(
             "iter=%d elbo=%.10e dtau=%.3e minP=%.3e", it, value, delta_tau, state.P.min()
@@ -263,7 +274,11 @@ def fit(
     params = ModelParams(
         blocks=blocks, noise=params.noise, alpha=params.alpha, noise_block=q_nb
     )
-    final = elbo(net, params, state, moments)
+    # The designated block's law is now the noise law, and so are its coefficients.
+    noise_coef, block_coef = coefficients
+    block_coef = block_coef.copy()
+    block_coef[q_nb] = noise_coef
+    final = elbo(net, params, state, moments, (noise_coef, block_coef))
     return FitResult(
         params=params,
         state=state,

@@ -7,7 +7,7 @@ from scipy.special import logsumexp, softmax
 import sbanm
 from sbanm import model
 from sbanm.estep import block_gaps, e_step, gap_workspace, signal_probs, softmax_rows
-from sbanm.model import EPS_PROB, pair_moments
+from sbanm.model import EPS_PROB, law_coefficients, pair_moments
 from sbanm.rng import substream
 
 from conftest import planted_network
@@ -46,7 +46,7 @@ def dense_e_step(net, params, state, nodes, weight, inner, damping):
 def p_update(net, params, tau):
     """The fit's P update at memberships tau: block gaps read off the
     moment pass at tau."""
-    return signal_probs(block_gaps(params, pair_moments(net, tau), net.center))
+    return signal_probs(block_gaps(law_coefficients(params, net.center), pair_moments(net, tau)))
 
 
 def shrunk_params(params, factor):
@@ -88,10 +88,12 @@ class TestPackedGapsAgainstDenseReference:
         assert np.max(np.abs(tau - tau_ref)) <= 1e-12
         assert np.max(np.abs(P - P_ref)) <= 1e-12
 
-    # n = 105 spans two pair tiles, so rows meet at a tile boundary.
+    # In tiles of 4096 pairs, n = 105 spans two, so rows meet at a tile
+    # boundary.
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("subset, weight, inner, damping", CASES)
-    def test_matches_dense_e_step(self, seed, subset, weight, inner, damping):
+    def test_matches_dense_e_step(self, seed, subset, weight, inner, damping, monkeypatch):
+        monkeypatch.setattr(model, "PAIR_TILE", 4096)
         self.check_against_dense_e_step(seed, subset, weight, inner, damping)
 
     # Tiles shorter than the longest rows (104 pairs) hold one row each

@@ -24,6 +24,7 @@ from sbanm import (
     write_network,
 )
 from sbanm import io as sbanm_io
+from sbanm import model
 from sbanm.errors import DataError
 from sbanm.model import pair_tiles
 from sbanm.text import float_text, table_text
@@ -71,6 +72,24 @@ class TestSimilarity:
         permuted = ["".join(r[p] for p in perm) for r in rows]
         c = build_similarity_network(responses_from_rows(permuted))
         assert np.array_equal(a.weights, c.weights)
+
+    def test_layers_are_built_layer_major(self, monkeypatch):
+        # Two layers of 3 and 2 items; no copy between building and storing.
+        rng = np.random.default_rng(8)
+        data = rng.choice([0.0, 1.0, math.nan], size=(6, 5))
+        responses = ResponseMatrix(n_subjects=6, layers=[("a", data[:, :3]), ("b", data[:, 3:])])
+        given = []
+
+        def network(**kwargs):
+            given.append(kwargs["weights"])
+            return MultilayerNetwork(**kwargs)
+
+        monkeypatch.setattr(sbanm_io, "MultilayerNetwork", network)
+        net = build_similarity_network(responses)
+        assert net.weights is given[0] and net.weights.flags.f_contiguous
+        for k, (_, block) in enumerate(responses.layers):
+            single = ResponseMatrix(n_subjects=6, layers=[("L", block)])
+            assert np.array_equal(net.weights[:, k], build_similarity_network(single).weights[:, 0])
 
     def test_empty_layer_rejected(self):
         with pytest.raises(DataError, match="no items"):
@@ -203,6 +222,27 @@ class TestNetworkFile:
         path.write_text("#sbanm-net v1 n=2 K=1\n0\t1\tinf\n")
         with pytest.raises(DataError, match=":2: non-finite weight"):
             read_network(str(path))
+
+    def test_reader_hands_over_its_layer_major_array(self, tmp_path, monkeypatch):
+        path = tmp_path / "net.tsv"
+        write_network(random_network(40, 3, seed=2), str(path))
+        given = []
+
+        def network(**kwargs):
+            given.append(kwargs["weights"])
+            return MultilayerNetwork(**kwargs)
+
+        monkeypatch.setattr(sbanm_io, "MultilayerNetwork", network)
+        net = read_network(str(path))
+        assert net.weights is given[0] and net.weights.flags.f_contiguous
+
+    def test_writer_ignores_the_memory_layout(self, tmp_path):
+        net = random_network(40, 3, seed=3)
+        p1, p2 = tmp_path / "a.tsv", tmp_path / "b.tsv"
+        write_network(net, str(p1))
+        net.weights = np.ascontiguousarray(net.weights)
+        write_network(net, str(p2))
+        assert p1.read_bytes() == p2.read_bytes()
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
@@ -439,7 +479,7 @@ def mutate(lines, rng, kind):
 
 class TestNetworkFileFastPath:
     @given(
-        n=st.sampled_from([2, 3, 4, 7, 12, 95]),
+        n=st.sampled_from([2, 3, 4, 7, 12, math.isqrt(2 * model.PAIR_TILE) + 2]),
         K=st.integers(1, 3),
         seed=st.integers(0, 2**32 - 1),
         kind=st.sampled_from(
@@ -448,7 +488,7 @@ class TestNetworkFileFastPath:
     )
     @settings(max_examples=200, deadline=None)
     def test_agrees_with_line_parser(self, n, K, seed, kind):
-        # n=95 spans two pair tiles.
+        # The largest n has just over PAIR_TILE pairs: it spans two tiles.
         net = random_network(n, K, seed=seed)
         header, *lines = reference_network_text(net).splitlines()
         lines = mutate(lines, np.random.default_rng(seed), kind)
@@ -461,7 +501,8 @@ class TestNetworkFileFastPath:
 
     def test_round_trip_across_tiles_is_byte_identical(self, tmp_path):
         rng = np.random.default_rng(5)
-        net = random_network(130, 3, seed=5)
+        # About 2.5 tiles of pairs.
+        net = random_network(math.isqrt(5 * model.PAIR_TILE), 3, seed=5)
         assert len(list(pair_tiles(net.n))) == 3
         # Magnitudes 1e-7..1e16 of both signs, with the edge values and
         # +-1e300, +-1e-300 scattered over all three tiles.

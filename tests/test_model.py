@@ -22,7 +22,9 @@ from sbanm.errors import DataError, NumericalError
 from sbanm import model
 from sbanm.model import (
     gaussian_coefficients,
+    law_coefficients,
     moment_stats,
+    num_pairs,
     packed_matvec,
     packed_pairs,
     pair_features,
@@ -114,6 +116,94 @@ class TestGaussianCoefficients:
             gaussian_coefficients([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]], [0.0, 0.0])
 
 
+class TestLawCoefficients:
+    @pytest.mark.parametrize("K, Q", [(1, 1), (1, 3), (2, 3), (3, 4), (4, 2)])
+    def test_stack_matches_each_law(self, K, Q):
+        # Offset means and small variances, as in the fits of the
+        # experiment-2 networks.
+        rng = substream(K, "law-coefficients", Q)
+        noise = NoiseParams(mu=15.0 + rng.normal(size=K), var=rng.uniform(0.05, 8.0, K))
+        blocks = [noise.as_block()] + [
+            BlockParams(
+                mu=15.0 + 5.0 * rng.normal(size=K),
+                var=rng.uniform(0.05, 8.0, K),
+                rho=rng.uniform(0.0, 0.9) if K > 1 else 0.0,
+            )
+            for _ in range(Q - 1)
+        ]
+        params = ModelParams(blocks=blocks, noise=noise, alpha=np.full(Q, 1.0 / Q))
+        center = 15.0 + rng.normal(size=K)
+        got_noise, got_blocks = law_coefficients(params, center)
+        want = [
+            gaussian_coefficients(law.mu, law.covariance(), center)
+            for law in [params.noise, *params.blocks]
+        ]
+        assert got_blocks.shape == (Q, model.feature_dim(K))
+        np.testing.assert_allclose(np.vstack([got_noise, got_blocks]), want, rtol=1e-14, atol=0)
+
+    def test_singular_covariance_rejected(self):
+        params = ModelParams(
+            blocks=[BlockParams(mu=[0.0, 0.0], var=[1.0, 1.0], rho=0.0)] * 2,
+            noise=NoiseParams(mu=[0.0, 0.0], var=[1.0, 1.0]),
+            alpha=[0.5, 0.5],
+        )
+        singular = mock.Mock(mu=np.zeros(2))
+        singular.covariance.return_value = np.array([[1.0, 2.0], [2.0, 1.0]])
+        params.blocks[1] = singular
+        with pytest.raises(NumericalError, match="not positive definite"):
+            law_coefficients(params, np.zeros(2))
+
+
+def greedy_tiles(m, tile):
+    """pair_tiles by its definition, one row at a time: rows join a tile
+    while its pairs number at most `tile`, and each tile holds a row."""
+    tiles, r0, p0 = [], 0, 0
+    while r0 < m - 1:
+        r1, p1 = r0 + 1, p0 + m - 1 - r0
+        while r1 < m - 1 and p1 + m - 1 - r1 <= p0 + tile:
+            p1 += m - 1 - r1
+            r1 += 1
+        tiles.append((p0, p1, r0, r1))
+        r0, p0 = r1, p1
+    return tiles
+
+
+class TestTilePlan:
+    # Tiles of 1 and 7 pairs are shorter than a row of most m here, so
+    # they hold one row each until the rows get shorter.
+    @pytest.mark.parametrize("tile", [1, 7, 64, 4096, 6144, 8192])
+    def test_plan_is_the_per_row_greedy_split(self, tile, monkeypatch):
+        monkeypatch.setattr(model, "PAIR_TILE", tile)
+        for m in [*range(2, 61), 300, 700, 1200]:
+            tiles = pair_tiles(m)
+            assert iter(tiles) is tiles
+            tiles = list(tiles)
+            assert tiles == greedy_tiles(m, tile)
+            covered = np.zeros(num_pairs(m), dtype=int)
+            for p0, p1, _, _ in tiles:
+                covered[p0:p1] += 1
+            assert np.all(covered == 1)
+
+
+class TestLayerMajorStorage:
+    @pytest.mark.parametrize("layout", ["C", "F", "1-d", "strided"])
+    def test_weights_are_layer_major(self, layout):
+        n = 9
+        w = substream(3, "layout").normal(size=(num_pairs(n), 3))
+        given = {
+            "C": np.ascontiguousarray(w),
+            "F": np.asfortranarray(w),
+            "1-d": w[:, 0].copy(),
+            "strided": np.repeat(w, 2, axis=0)[::2],
+        }[layout]
+        K = 1 if layout == "1-d" else 3
+        net = MultilayerNetwork(n=n, K=K, weights=given)
+        assert net.weights.flags.f_contiguous
+        assert np.array_equal(net.weights, w[:, :K])
+        # Layer-major weights are kept as given, not copied.
+        assert np.shares_memory(net.weights, given) == (layout in ("F", "1-d"))
+
+
 class TestPairPasses:
     @pytest.mark.parametrize("m, tile", [(2, 4096), (9, 4096), (9, 7), (40, 30)])
     def test_tiles_walk_every_pair_once_in_order(self, m, tile, monkeypatch):
@@ -146,8 +236,9 @@ class TestPairPasses:
         phi = np.column_stack([np.ones(len(y)), y, y[:, h] * y[:, k]])
         assert np.allclose(pair_moments(net, tau), w.T @ phi, rtol=1e-12, atol=1e-10)
 
-    def test_moments_match_per_pair_sums(self):
-        # 4950 pairs: the moment pass spans two tiles.
+    def test_moments_match_per_pair_sums(self, monkeypatch):
+        # 4950 pairs: in tiles of 4096 the moment pass spans two.
+        monkeypatch.setattr(model, "PAIR_TILE", 4096)
         self.check_moments_against_per_pair_sums()
 
     @pytest.mark.parametrize("tile", [50, 7])

@@ -28,12 +28,13 @@ def test_separable_network_is_recovered(layers, seed):
     assert not outcome.elbo_drop
 
 
-def outcomes(exact, drops, empty, fits=80):
+def outcomes(exact, drops, empty, iters, fits=80):
+    """`fits` outcomes with these counts; `iters` outer iterations in all."""
     Outcome = SUITES["Outcome"]
     return [
         Outcome(
             exact=i < exact, noise_typed=i < exact, empty_block=i < empty,
-            elbo_drop=i < drops, outer_iters=3, ari=1.0,
+            elbo_drop=i < drops, outer_iters=iters // fits + (i < iters % fits), ari=1.0,
         )
         for i in range(fits)
     ]
@@ -42,21 +43,26 @@ def outcomes(exact, drops, empty, fits=80):
 @pytest.mark.parametrize(
     "suite, counts, worse",
     [
-        pytest.param("separable", (79, 0, 0), [], id="separable-recorded"),
-        pytest.param("separable", (80, 0, 0), [], id="separable-better"),
+        pytest.param("separable", (79, 0, 0, 231), [], id="separable-recorded"),
+        pytest.param("separable", (80, 0, 0, 200), [], id="separable-better"),
         pytest.param(
-            "separable", (78, 0, 0), ["separable: exact 78, recorded 79"], id="fewer-exact"
+            "separable", (78, 0, 0, 231), ["separable: exact 78, recorded 79"], id="fewer-exact"
         ),
         pytest.param(
-            "separable", (79, 1, 0), ["separable: elbo_drop 1, recorded 0"], id="more-drops"
+            "separable", (79, 1, 0, 231), ["separable: elbo_drop 1, recorded 0"], id="more-drops"
         ),
-        pytest.param("unfiltered", (77, 1, 0), [], id="unfiltered-recorded"),
         pytest.param(
-            "unfiltered", (76, 2, 1),
+            "separable", (79, 0, 0, 232), ["separable: outer_iters 232, recorded 231"],
+            id="more-iterations",
+        ),
+        pytest.param("unfiltered", (77, 1, 0, 304), [], id="unfiltered-recorded"),
+        pytest.param(
+            "unfiltered", (76, 2, 1, 305),
             [
                 "unfiltered: exact 76, recorded 77",
                 "unfiltered: elbo_drop 2, recorded 1",
                 "unfiltered: empty_block 1, recorded 0",
+                "unfiltered: outer_iters 305, recorded 304",
             ],
             id="unfiltered-all-worse",
         ),

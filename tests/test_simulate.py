@@ -202,6 +202,18 @@ class TestGenNetwork:
         assert net.weights.tobytes() == want.tobytes()
         assert labels.tobytes() == want_labels.tobytes()
 
+    def test_hands_over_its_layer_major_array(self, monkeypatch):
+        given = []
+
+        def network(**kwargs):
+            given.append(kwargs["weights"])
+            return sbanm.MultilayerNetwork(**kwargs)
+
+        monkeypatch.setattr(sbanm.simulate, "MultilayerNetwork", network)
+        params, sizes = exp2_scaled(60)
+        net, _ = gen_network(params, sizes, substream(11, "n"))
+        assert net.weights is given[0] and net.weights.flags.f_contiguous
+
     def test_peak_memory_below_twice_the_weights(self):
         # Only the weights are full-size; pair indices and law selections
         # live one tile at a time.

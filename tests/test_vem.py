@@ -26,7 +26,7 @@ from sbanm import (
 )
 from sbanm.errors import DataError, NumericalError
 from sbanm.estep import block_gaps, signal_probs
-from sbanm.model import EPS_PROB, pair_moments
+from sbanm.model import EPS_PROB, law_coefficients, pair_moments
 from sbanm.svi import SviConfig, svi_e_step
 from sbanm.vem import TAU_INNER_MAX, _m_step
 from sbanm.rng import substream
@@ -69,7 +69,7 @@ def fit_e_step(net, params, state):
 def p_update(net, params, tau):
     """The fit's P update at memberships tau: the block gaps read off the
     moment pass at tau."""
-    return signal_probs(block_gaps(params, pair_moments(net, tau), net.center))
+    return signal_probs(block_gaps(law_coefficients(params, net.center), pair_moments(net, tau)))
 
 
 class TestEstimateTau:
@@ -465,7 +465,7 @@ class TestEStepMaximisesElbo:
             # SVI step k on a subsample of 15 + (k/(k+1))^2 * 40 nodes.
             tau = svi_e_step(net, params, start, k, SviConfig(a=15, seed=seed))
         moments = pair_moments(net, tau)
-        P = signal_probs(block_gaps(params, moments, net.center))
+        P = signal_probs(block_gaps(law_coefficients(params, net.center), moments))
         best = elbo(net, params, VariationalState(tau=tau, P=P), moments)
         a, b = order[:2]
         N = 1.0 - P
@@ -523,9 +523,11 @@ class TestElbo:
         assert got == pytest.approx(complete + prior + hier, rel=1e-6)
 
     @pytest.mark.parametrize("seed", [21, 22, 23])
-    def test_offset_network_matches_per_pair_reference(self, seed):
+    def test_offset_network_matches_per_pair_reference(self, seed, monkeypatch):
         # Memberships near the planted ones, where the likelihood is a sum
-        # of near-cancelling densities; 4950 pairs span two moment tiles.
+        # of near-cancelling densities; 4950 pairs span two moment tiles
+        # of 4096.
+        monkeypatch.setattr(sbanm.model, "PAIR_TILE", 4096)
         net, labels, params = offset_planted_network(seed=seed)
         tau = np.full((net.n, 3), 0.05)
         tau[np.arange(net.n), labels] = 0.9
@@ -652,7 +654,8 @@ class TestFit:
         # refilled by one gap build per E-step; Q products per inner tau
         # pass and none for P.  The ICL reads the final partition's moments
         # from the fit's last pass when the tau test ended the fit, and
-        # makes its own pass when the ELBO test did.
+        # makes its own pass when the ELBO test did.  The laws' coefficients
+        # are computed once per parameter set, and once more by the ICL.
         net, _, _ = planted60
         calls = {}
 
@@ -688,6 +691,7 @@ class TestFit:
         count(sbanm.model.packed_matvec, "packed_matvec")
         count(sbanm.estep.softmax_rows, "softmax_rows")
         count(sbanm.estep.e_step, "e_step", products_and_passes)
+        count(sbanm.model.law_coefficients, "coefficients")
 
         for cfg, icl_passes in [
             (FitConfig(Q=3, seed=2), 0),
@@ -704,8 +708,40 @@ class TestFit:
             assert (calls["pair_moments"], calls["gaps"], calls["workspaces"]) == (T + 1, T, 1)
             assert len(per_e_step) == T
             assert all(products == 3 * passes > 0 for products, passes in per_e_step)
+            # Once per parameter set: the start and each M-step; the
+            # designated parameters reuse the last set's.
+            assert calls["coefficients"] == T + 1
             sbanm.icl(net, result)
             assert calls["pair_moments"] == T + 1 + icl_passes
+            assert calls["coefficients"] == T + 2
+
+    def test_fit_is_the_same_for_either_weight_layout(self, planted60):
+        # Row-major weights put into a network after it was made bypass the
+        # layer-major copy; the fit must still give the same bits.
+        net, _, _ = planted60
+        w = net.weights
+        nets = [
+            MultilayerNetwork(n=net.n, K=net.K, weights=np.ascontiguousarray(w)),
+            MultilayerNetwork(n=net.n, K=net.K, weights=np.asfortranarray(w)),
+            MultilayerNetwork(n=net.n, K=net.K, weights=w),
+        ]
+        nets[2].weights = np.ascontiguousarray(w)
+        assert not nets[2].weights.flags.f_contiguous
+        results = [fit(m, FitConfig(Q=3, seed=2)) for m in nets]
+        for m, result in zip(nets, results):
+            result.icl = sbanm.icl(m, result)
+
+        def values(r):
+            p = r.params
+            laws = [np.concatenate([b.mu, b.var, [b.rho]]) for b in p.blocks]
+            return np.concatenate([
+                *laws, p.noise.mu, p.noise.var, p.alpha, r.state.tau.ravel(), r.state.P,
+                r.hard_membership, r.elbo_trace, r.partition_moments[1].ravel(),
+                [r.elbo, r.icl, r.converged, p.noise_block],
+            ])
+
+        for result in results[1:]:
+            assert values(result).tobytes() == values(results[0]).tobytes()
 
     def test_hard_membership_is_row_argmax(self, planted60):
         net, _, _ = planted60
