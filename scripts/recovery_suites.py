@@ -1,6 +1,6 @@
-"""Fit the two recovery suites and report how often the fit recovers them.
+"""Fit the three recovery suites and report how often the fit recovers them.
 
-Both suites hold 80 networks of 300 nodes: seeds s = 1-40, once with 2
+Each suite holds 80 networks of 300 nodes: seeds s = 1-40, once with 2
 layers and 3 blocks and once with 3 layers and 4 blocks.
 
 - separable: the network `sbanm simulate --nodes 300 --layers K --blocks Q
@@ -8,13 +8,15 @@ layers and 3 blocks and once with 3 layers and 4 blocks.
   20 random candidates by minimum Bhattacharyya block distance.
 - unfiltered: candidate 0 of the same draws with no filter, the
   low-separation regime.
+- svi: the separable networks again, fitted with the subsampled E-step
+  of `sbanm fit --svi`, SviConfig(a=150, seed=s).
 
 Each network is fitted with FitConfig(Q, seed=s).  For each suite and
 layer count the report gives the fits that recover the planted partition
 exactly, the exact fits whose designated noise block is the planted one,
 the fits whose hard partition leaves a block empty, the fits whose ELBO
 trace falls by more than 1e-9 relative between two iterations, the total
-outer iterations, and each miss with its ARI.  The 160 fits take 12-14 s
+outer iterations, and each miss with its ARI.  The 240 fits take 17-19 s
 of CPU on a 2-vCPU x86-64 VM with BLAS on one thread.
 
 The script exits 1, naming each count, when a suite has fewer exact fits,
@@ -38,7 +40,7 @@ import sbanm
 from sbanm.cli import _EXP1_PRESETS
 from sbanm.rng import substream
 
-SUITES = ("separable", "unfiltered")
+SUITES = ("separable", "unfiltered", "svi")
 # Layer count -> block count.
 BLOCKS = {2: 3, 3: 4}
 SEEDS = range(1, 41)
@@ -50,6 +52,7 @@ DROP_TOL = 1e-9
 RECORDED = {
     "separable": {"exact": 79, "elbo_drop": 0, "empty_block": 0, "outer_iters": 231},
     "unfiltered": {"exact": 77, "elbo_drop": 1, "empty_block": 0, "outer_iters": 304},
+    "svi": {"exact": 78, "elbo_drop": 0, "empty_block": 1, "outer_iters": 408},
 }
 
 
@@ -67,7 +70,7 @@ def network(suite: str, K: int, seed: int):
     """(net, planted labels, planted params) of one suite network."""
     # The prior and noise means `sbanm simulate --layers K` draws with.
     spec = sbanm.SimSpec(n=NODES, K=K, Q=BLOCKS[K], **_EXP1_PRESETS[K])
-    if suite == "separable":
+    if suite in ("separable", "svi"):
         candidates = [
             sbanm.draw_candidate(spec, substream(seed, "candidate", i))
             for i in range(CANDIDATES)
@@ -82,10 +85,12 @@ def network(suite: str, K: int, seed: int):
 
 
 def fit_outcome(suite: str, K: int, seed: int) -> Outcome:
-    """Fit one suite network with FitConfig(Q, seed=seed) and score the
-    result against the planted partition."""
+    """Fit one suite network with FitConfig(Q, seed=seed), and for the svi
+    suite SviConfig(a=150, seed=seed), and score the result against the
+    planted partition."""
     net, labels, params = network(suite, K, seed)
-    result = sbanm.fit(net, sbanm.FitConfig(Q=params.Q, seed=seed))
+    svi = sbanm.SviConfig(a=150, seed=seed) if suite == "svi" else None
+    result = sbanm.fit(net, sbanm.FitConfig(Q=params.Q, seed=seed), svi=svi)
     hard = result.hard_membership
     exact = sbanm.exact_recovery(labels, hard)
     trace = result.elbo_trace

@@ -1,27 +1,30 @@
-"""A fixed subset of scripts/recovery_suites.py's separable suite, where the
-separable regime promises a result: exact recovery with the planted noise
-block designated as noise, no empty block and no ELBO drop."""
+"""A fixed subset of scripts/recovery_suites.py's separable and svi suites,
+where the separable regime promises a result: exact recovery with the
+planted noise block designated as noise, no empty block and no ELBO drop."""
 
 import runpy
 from pathlib import Path
 
 import pytest
 
+import sbanm.vem
+
 SUITES = runpy.run_path(str(Path(__file__).parents[1] / "scripts" / "recovery_suites.py"))
 
 
 @pytest.mark.parametrize(
-    "layers, seed",
+    "suite, layers, seed",
     [
         # Under a P update that did not maximise the ELBO, this fit ended
         # at ARI 0.731 with an empty block and an ELBO drop.
-        pytest.param(3, 16, id="layers3-seed16"),
-        pytest.param(3, 4, id="layers3-seed4"),
-        pytest.param(2, 18, id="layers2-seed18"),
+        pytest.param("separable", 3, 16, id="layers3-seed16"),
+        pytest.param("separable", 3, 4, id="layers3-seed4"),
+        pytest.param("separable", 2, 18, id="layers2-seed18"),
+        pytest.param("svi", 3, 16, id="svi-layers3-seed16"),
     ],
 )
-def test_separable_network_is_recovered(layers, seed):
-    outcome = SUITES["fit_outcome"]("separable", layers, seed)
+def test_separable_network_is_recovered(suite, layers, seed):
+    outcome = SUITES["fit_outcome"](suite, layers, seed)
     assert outcome.exact, f"ARI {outcome.ari:.3f}"
     assert outcome.noise_typed
     assert not outcome.empty_block
@@ -66,7 +69,31 @@ def outcomes(exact, drops, empty, iters, fits=80):
             ],
             id="unfiltered-all-worse",
         ),
+        pytest.param("svi", (78, 0, 1, 408), [], id="svi-recorded"),
+        pytest.param(
+            "svi", (78, 0, 2, 409),
+            ["svi: empty_block 2, recorded 1", "svi: outer_iters 409, recorded 408"],
+            id="svi-more-empty-and-iterations",
+        ),
     ],
 )
 def test_gate_names_each_count_worse_than_recorded(suite, counts, worse):
     assert SUITES["regressions"](suite, outcomes(*counts)) == worse
+
+
+def test_svi_suite_fits_the_separable_networks_with_subsampled_steps(monkeypatch):
+    # Same network as the separable suite; the fit's first steps run on
+    # node subsamples, as `sbanm fit --svi` does by default.
+    steps = []
+    original = sbanm.vem.svi_e_step
+
+    def counted(net, params, state, t, cfg, **kwargs):
+        steps.append((t, cfg.a, cfg.seed))
+        return original(net, params, state, t, cfg, **kwargs)
+
+    monkeypatch.setattr(sbanm.vem, "svi_e_step", counted)
+    net, labels, _ = SUITES["network"]("svi", 2, 5)
+    same, _, _ = SUITES["network"]("separable", 2, 5)
+    assert net.weights.tobytes() == same.weights.tobytes()
+    SUITES["fit_outcome"]("svi", 2, 5)
+    assert steps and all(a == 150 and seed == 5 for _, a, seed in steps)
