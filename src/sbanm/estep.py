@@ -2,8 +2,8 @@
 
 A damped fixed point for the membership posteriors tau, in one packed gap
 workspace that a fit allocates once and every E-step refills.  Full-batch
-EM runs it on every node; the stochastic variant (sbanm.svi) runs it on a
-node subsample and averages the result into the running estimates.  The
+EM runs it on every node; the stochastic variant (sbanm.svi) runs one pass
+of it on a node subsample, damped by its decaying averaging weight.  The
 update of the posterior over which block is the noise block (P_q, the
 probability that block q is signal, is one minus its entry) reads the
 block gaps off a pair_moments pass: signal_probs(block_gaps(...)).
@@ -39,19 +39,18 @@ def gap_workspace(n: int, Q: int) -> list:
 
 def _gap_squares(net: MultilayerNetwork, coefficients: tuple, workspace: list) -> list:
     """Each block's signal-minus-noise log-density gap over all pairs, as Q
-    symmetric n x n matrices, each a list of model.packed_pairs row blocks,
-    written into `workspace` (a gap_workspace(n, Q)).  `coefficients` are
-    the laws' law_coefficients about net.center."""
+    symmetric n x n matrices, written into and returned as `workspace` (a
+    gap_workspace(n, Q)).  `coefficients` are the laws' law_coefficients
+    about net.center."""
     noise, blocks = coefficients
     # Overflow or inf - inf here is caught by the E-step's finite check.
     with np.errstate(over="ignore", invalid="ignore"):
         coef = blocks - noise
-        packed_pairs(
+        return packed_pairs(
             net.n,
             lambda p0, p1, r0, r1: coef @ pair_features(net.weights[p0:p1], net.center),
             out=workspace,
         )
-    return [[(r0, T[q]) for r0, T in workspace] for q in range(blocks.shape[0])]
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -86,7 +85,6 @@ def e_step(
     params: ModelParams,
     state: VariationalState,
     nodes: np.ndarray | None = None,
-    weight: float = 1.0,
     inner: int = 1,
     damping: float = 1.0,
     tol: float = 0.0,
@@ -103,11 +101,11 @@ def e_step(
     mean-field likelihood term sum_j [tau_jq (P_q f_sig + (1-P_q) f_noise)
     + sum_{l != q} tau_jl f_noise] exceeds the gap term by sum_j f_noise,
     which is the same for every q and cancels in the normalization.)  Each
-    pass makes one packed product per block.  Finally tau[nodes] moves to
-    weight * new + (1 - weight) * previous and its rows are renormalized;
-    rows outside `nodes` are kept unchanged.  P is not updated here: the
-    fit takes it at the new tau from the next moment pass,
-    signal_probs(block_gaps(coefficients, pair_moments(net, tau))).
+    pass makes one packed product over all Q blocks.  Rows outside `nodes`
+    are kept unchanged.  A full-batch step damps its passes; an SVI step
+    (sbanm.svi) is one pass with its averaging weight as `damping`.  P is
+    not updated here: the fit takes it at the new tau from the next moment
+    pass, signal_probs(block_gaps(coefficients, pair_moments(net, tau))).
 
     The gap matrices are written into `workspace`, a gap_workspace(n, Q),
     which is allocated here when None.  `coefficients` are
@@ -117,32 +115,24 @@ def e_step(
         workspace = gap_workspace(net.n, params.Q)
     if coefficients is None:
         coefficients = law_coefficients(params, net.center)
-    gap_sq = _gap_squares(net, coefficients, workspace)
+    gaps = _gap_squares(net, coefficients, workspace)
     rows = slice(None) if nodes is None else nodes
-    tau_prev = state.tau[rows]
-    P = state.P
     const = safe_log(params.alpha)[None, :] - 1.0
     # Memberships zeroed outside `rows`: the whole-graph product read at
     # `rows` is the product with the subsample's own gap submatrix.
-    x = np.zeros(net.n)
-    products = np.empty(tau_prev.shape)
-
-    tau_new = tau_prev
+    x = np.zeros((params.Q, net.n))
+    tau = state.tau.copy()
     for it in range(inner):
-        for q, gap in enumerate(gap_sq):
-            x[rows] = tau_new[:, q]
-            products[:, q] = packed_matvec(gap, x)[rows]
-        logits = P * products + const
+        previous = tau[rows]
+        x[:, rows] = previous.T
+        logits = state.P * packed_matvec(gaps, x)[:, rows].T + const
         if not np.all(np.isfinite(logits)):
             raise NumericalError(f"tau update diverged at inner iteration {it}")
-        damped = damping * softmax_rows(logits) + (1.0 - damping) * tau_new
+        damped = damping * softmax_rows(logits) + (1.0 - damping) * previous
         damped /= damped.sum(axis=1, keepdims=True)
-        delta = np.max(np.abs(damped - tau_new))
-        tau_new = damped
+        # Taken before the write: with all nodes, `previous` is a view of tau.
+        delta = np.max(np.abs(damped - previous))
+        tau[rows] = damped
         if delta < tol:
             break
-
-    tau = state.tau.copy()
-    tau[rows] = weight * tau_new + (1.0 - weight) * tau_prev
-    tau[rows] /= tau[rows].sum(axis=1, keepdims=True)
     return tau

@@ -17,6 +17,10 @@ from .rng import substream
 
 _DEGREE_FLOOR = 1e-12
 # Seeded k-means++ starts; the best by within-cluster sum of squares wins.
+# On the 160 networks of the separable and unfiltered recovery suites,
+# restart 0 alone gives other labels than the best of 10 on 56; on 35 of
+# those the best of 10 is closer to the planted partition (separable
+# 3-layer seed 6: ARI 0.979 against 0.701), on 21 farther from it.
 KMEANS_RESTARTS = 10
 # Most Lloyd iterations per start.
 LLOYD_MAX_ITER = 100

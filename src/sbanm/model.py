@@ -38,8 +38,8 @@ LOG_2PI = math.log(2.0 * math.pi)
 # and slower at 4096 (README, notes on numerics).
 PAIR_TILE = 6144
 # Rows per block of the symmetric matrices of packed_pairs.  At n = 1200 a
-# block is 1.2 MB, so the second of packed_matvec's two passes over it
-# reads it from a 2 MB L2 cache.
+# block of one matrix is 1.2 MB, so the second of packed_matvec's two
+# passes over it reads it from a 2 MB L2 cache.
 PACKED_BLOCK_ROWS = 128
 
 
@@ -141,16 +141,22 @@ def packed_pairs(
 
 
 def packed_matvec(A: list[tuple[int, np.ndarray]], x: np.ndarray) -> np.ndarray:
-    """The product of one symmetric matrix A, stored as packed_pairs row
-    blocks without lead axes, with the vector x."""
+    """Products of the symmetric matrices A (packed_pairs row blocks with
+    lead axes L) with the vectors x, shape L + (m,): entry l is matrix l
+    times vector l, the same whether taken alone or in a stack."""
     # A strided x (a column of tau) would slow every block's product.
     x = np.ascontiguousarray(x)
     y = np.zeros(x.shape)
+    vectors = list(zip(x.reshape(-1, x.shape[-1]), y.reshape(-1, y.shape[-1])))
     for r0, T in A:
-        r1 = r0 + T.shape[0]
-        # The stored upper part, then its mirror image below the diagonal.
-        y[r0:r1] += T @ x[r0:]
-        y[r0:] += x[r0:r1] @ T
+        r1 = r0 + T.shape[-2]
+        # One matrix at a time, so the mirror pass finds its block in cache:
+        # a matmul stacked over L passes over all L blocks twice, which at
+        # n = 1200, L = (4,) overflows L2 and made each product 20% slower.
+        for T_l, (x_l, y_l) in zip(T.reshape((-1,) + T.shape[-2:]), vectors):
+            # The stored upper part, then its mirror image below the diagonal.
+            y_l[r0:r1] += T_l @ x_l[r0:]
+            y_l[r0:] += x_l[r0:r1] @ T_l
     return y
 
 
@@ -495,6 +501,12 @@ def law_coefficients(params: ModelParams, center: np.ndarray) -> tuple[np.ndarra
     return theta[0], theta[1:]
 
 
+def noise_moments(moments: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """The moment row of the pairs the noise law scores, given pair_moments
+    rows and signal probabilities P: cross-block plus (1 - P_q) of block q."""
+    return moments[P.size] + (1.0 - P) @ moments[: P.size]
+
+
 def expected_log_likelihood(
     coefficients: tuple[np.ndarray, np.ndarray], moments: np.ndarray, P: np.ndarray
 ) -> float:
@@ -509,8 +521,7 @@ def expected_log_likelihood(
     noise, signal = coefficients
     Q = signal.shape[0]
     return float(
-        (moments[Q] + (1.0 - P) @ moments[:Q]) @ noise
-        + P @ np.einsum("qd,qd->q", moments[:Q], signal)
+        noise_moments(moments, P) @ noise + P @ np.einsum("qd,qd->q", moments[:Q], signal)
     )
 
 

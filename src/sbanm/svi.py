@@ -1,8 +1,8 @@
 """Stochastic (subsampled) variant of the E-step for large graphs.
 
-Each step draws a node subsample whose size grows toward n, runs the
-E-step kernel (sbanm.estep) on the pairs inside it, and averages the new
-tau rows into the running estimates with a decaying weight.
+Each step draws a node subsample whose size grows toward n and runs one
+pass of the E-step kernel (sbanm.estep) on the pairs inside it, damped by
+a decaying averaging weight.
 """
 
 from __future__ import annotations
@@ -55,15 +55,15 @@ def svi_e_step(
     workspace: list | None = None,
     coefficients: tuple | None = None,
 ) -> np.ndarray:
-    """One stochastic E-step; returns the blended tau.
+    """One stochastic E-step; returns the new tau.
 
-    One undamped tau pass on the pairs inside a node subsample of size
-    subsample_size(t); sampled rows of tau then get delta_t * new +
-    (1 - delta_t) * previous and are renormalized; unsampled rows are kept
-    unchanged.  The sample for a given (seed, t) is always the same.  P is
-    not blended: the fit takes it at the blended tau from the whole-graph
-    moment pass, as after a full-batch step.  `workspace` and
-    `coefficients` are e_step's.
+    One e_step pass on the pairs inside a node subsample of size
+    subsample_size(t) (always the same for a given (seed, t)), with
+    damping=averaging_weight(t): sampled rows get that weight times the
+    new rows plus the rest times the previous ones, renormalized; the
+    others are kept.  P is not blended: the fit takes it at the new tau
+    from the whole-graph moment pass, as after a full-batch step.
+    `workspace` and `coefficients` are e_step's.
     """
     n = state.n
     m = subsample_size(t, cfg, n)
@@ -72,6 +72,6 @@ def svi_e_step(
     rng = substream(cfg.seed, "svi-sample", t)
     nodes = np.sort(rng.choice(n, size=m, replace=False))
     return e_step(
-        net, params, state, nodes, averaging_weight(t, cfg), inner=1, damping=1.0,
+        net, params, state, nodes, inner=1, damping=averaging_weight(t, cfg),
         workspace=workspace, coefficients=coefficients,
     )

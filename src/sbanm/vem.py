@@ -34,6 +34,7 @@ from .model import (
     expected_log_likelihood,
     law_coefficients,
     moment_stats,
+    noise_moments,
     pair_moments,
     safe_log,
 )
@@ -135,7 +136,7 @@ def m_step_noise(
 
     `moments` is pair_moments(net, state.tau).
     """
-    row = moments[state.Q] + (1.0 - state.P) @ moments[: state.Q]
+    row = noise_moments(moments, state.P)
     if row[0] < _MASS_FLOOR:
         raise NumericalError("noise estimate undefined")
     mean, cov = moment_stats(row, net.center)

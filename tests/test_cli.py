@@ -112,6 +112,27 @@ class TestFitEvalRoundTrip:
         assert "fit did not converge; last iterate written" in err
         assert (out / "memberships.csv").exists()
 
+    def test_svi_schedule_short_of_the_whole_graph_never_converges(
+        self, planted_files, tmp_path, capsys
+    ):
+        # Only full-batch steps run the convergence tests.  With a = 3 the
+        # subsample first covers the 60 nodes at step 39, so a fit of 20
+        # iterations runs them all and reports no convergence; full batch
+        # converges on the same network.
+        net_path, _ = planted_files
+        net = sbanm.read_network(str(net_path))
+        cfg = sbanm.FitConfig(Q=3, max_outer=20, seed=7)
+        svi = sbanm.SviConfig(a=3, seed=7)
+        assert sbanm.subsample_size(cfg.max_outer - 1, svi, net.n) < net.n
+        result = sbanm.fit(net, cfg, svi=svi)
+        assert not result.converged
+        assert len(result.elbo_trace) == cfg.max_outer
+        assert sbanm.fit(net, cfg).converged
+        assert run_cli("fit", "--input", str(net_path), "--blocks", "3", "--seed", "7",
+                       "--svi", "--svi-a", "3", "--max-iter", "20",
+                       "--out", str(tmp_path / "svi")) == 0
+        assert "warning: fit did not converge; last iterate written\n" in capsys.readouterr().err
+
     def test_empty_block_is_named(self, planted_files, tmp_path, capsys, monkeypatch):
         # A fit whose hard partition leaves block 1 without a node and whose
         # ELBO falls at two iterations: the real fit's result with its

@@ -14,7 +14,7 @@ from conftest import planted_network
 from reference import log_density_batch, pairs_to_square
 
 
-def dense_e_step(net, params, state, nodes, weight, inner, damping):
+def dense_e_step(net, params, state, nodes, inner, damping):
     """e_step, then the P update at the new tau, on dense (n, n) gap
     matrices filled from per-pair log-densities (no pair features, no row
     blocks, no blocked product, no moment pass)."""
@@ -26,8 +26,7 @@ def dense_e_step(net, params, state, nodes, weight, inner, damping):
     ]
     P = state.P
     const = np.log(params.alpha) - 1.0
-    tau_prev = state.tau[rows]
-    tau = tau_prev
+    tau = state.tau[rows]
     for _ in range(inner):
         logits = np.column_stack(
             [P[q] * (G[np.ix_(rows, rows)] @ tau[:, q]) for q, G in enumerate(gaps)]
@@ -36,9 +35,8 @@ def dense_e_step(net, params, state, nodes, weight, inner, damping):
         tau = damping * star + (1 - damping) * tau
         tau /= tau.sum(axis=1, keepdims=True)
     out = state.tau.copy()
-    out[rows] = weight * tau + (1 - weight) * tau_prev
-    out[rows] /= out[rows].sum(axis=1, keepdims=True)
-    # P at the blended memberships over all pairs, as the fit takes it.
+    out[rows] = tau
+    # P at the new memberships over all pairs, as the fit takes it.
     block_gaps = np.array([0.5 * out[:, q] @ G @ out[:, q] for q, G in enumerate(gaps)])
     return out, np.clip(1 - softmax(-block_gaps), EPS_PROB, 1 - EPS_PROB)
 
@@ -68,44 +66,45 @@ def soft_state(n, Q, seed):
 
 
 CASES = [
-    pytest.param(None, 1.0, 5, 0.7, id="full-batch"),
-    pytest.param(80, 0.6, 1, 1.0, id="svi-subset"),
+    pytest.param(None, 5, 0.7, id="full-batch"),
+    # An SVI step: one pass on a subsample, damped by its averaging weight.
+    pytest.param(80, 1, 0.6, id="svi-subset"),
 ]
 
 
 class TestPackedGapsAgainstDenseReference:
     @staticmethod
-    def check_against_dense_e_step(seed, subset, weight, inner, damping):
+    def check_against_dense_e_step(seed, subset, inner, damping):
         net, _, params = planted_network(sizes=(40, 35, 30), seed=seed)
         params = shrunk_params(params, 0.01)
         state = soft_state(net.n, 3, seed)
         nodes = None
         if subset is not None:
             nodes = np.sort(substream(seed, "nodes").choice(net.n, size=subset, replace=False))
-        tau = e_step(net, params, state, nodes, weight, inner=inner, damping=damping)
+        tau = e_step(net, params, state, nodes, inner=inner, damping=damping)
         P = p_update(net, params, tau)
-        tau_ref, P_ref = dense_e_step(net, params, state, nodes, weight, inner, damping)
+        tau_ref, P_ref = dense_e_step(net, params, state, nodes, inner, damping)
         assert np.max(np.abs(tau - tau_ref)) <= 1e-12
         assert np.max(np.abs(P - P_ref)) <= 1e-12
 
     # In tiles of 4096 pairs, n = 105 spans two, so rows meet at a tile
     # boundary.
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("subset, weight, inner, damping", CASES)
-    def test_matches_dense_e_step(self, seed, subset, weight, inner, damping, monkeypatch):
+    @pytest.mark.parametrize("subset, inner, damping", CASES)
+    def test_matches_dense_e_step(self, seed, subset, inner, damping, monkeypatch):
         monkeypatch.setattr(model, "PAIR_TILE", 4096)
-        self.check_against_dense_e_step(seed, subset, weight, inner, damping)
+        self.check_against_dense_e_step(seed, subset, inner, damping)
 
     # Tiles shorter than the longest rows (104 pairs) hold one row each
     # until the rows get shorter than the tile.
     @pytest.mark.parametrize("tile", [50, 7])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("subset, weight, inner, damping", CASES)
+    @pytest.mark.parametrize("subset, inner, damping", CASES)
     def test_matches_dense_e_step_in_small_tiles(
-        self, seed, subset, weight, inner, damping, tile, monkeypatch
+        self, seed, subset, inner, damping, tile, monkeypatch
     ):
         monkeypatch.setattr(model, "PAIR_TILE", tile)
-        self.check_against_dense_e_step(seed, subset, weight, inner, damping)
+        self.check_against_dense_e_step(seed, subset, inner, damping)
 
 
 def test_refilled_workspace_gives_the_fresh_e_step():
@@ -119,8 +118,8 @@ def test_refilled_workspace_gives_the_fresh_e_step():
     for factor in (0.01, 1.0, 0.1):
         shrunk = shrunk_params(params, factor)
         for rows in (None, nodes):
-            fresh = e_step(net, shrunk, state, rows, 0.5, inner=3, damping=0.7)
-            got = e_step(net, shrunk, state, rows, 0.5, inner=3, damping=0.7, workspace=workspace)
+            fresh = e_step(net, shrunk, state, rows, inner=3, damping=0.7)
+            got = e_step(net, shrunk, state, rows, inner=3, damping=0.7, workspace=workspace)
             assert np.array_equal(got, fresh)
     for r0, T in workspace:
         assert not np.any(np.tril(T))
@@ -183,3 +182,19 @@ class TestNormalisersAgainstScipy:
         assert np.all((P >= EPS_PROB) & (P <= 1 - EPS_PROB))
         scipy_P = np.clip(1 - softmax(-gaps), EPS_PROB, 1 - EPS_PROB)
         assert np.max(np.abs(P - scipy_P)) <= 1e-15
+
+
+def test_tol_stops_after_the_first_pass_that_changes_tau_less():
+    # The passes of one e_step call are the calls with one more pass each;
+    # with `tol` the call stops after the first pass whose max-abs change
+    # is below it, however many passes `inner` allows.
+    net, _, params = planted_network(sizes=(40, 35, 30), seed=5)
+    params = shrunk_params(params, 0.01)
+    state = soft_state(net.n, 3, 5)
+    tol = 1e-2
+    passes = [state.tau]
+    while len(passes) < 2 or np.max(np.abs(passes[-1] - passes[-2])) >= tol:
+        passes.append(e_step(net, params, state, inner=len(passes), damping=0.7))
+    assert len(passes) > 3
+    stopped = e_step(net, params, state, inner=50, damping=0.7, tol=tol)
+    assert np.array_equal(stopped, passes[-1])

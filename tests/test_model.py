@@ -325,6 +325,12 @@ class TestPackedPairs:
             want = dense[q] @ x
             got = packed_matvec([(r0, T[q]) for r0, T in A], x)
             assert np.allclose(got, want, rtol=0, atol=1e-12 * (np.abs(dense[q]) @ np.abs(x)).max())
+        # One call on the stacked matrices, one vector each, gives every
+        # matrix's own product bit for bit.
+        xs = rng.normal(size=lead + (m,))
+        stacked = packed_matvec(A, xs)
+        for q in np.ndindex(lead):
+            assert np.array_equal(stacked[q], packed_matvec([(r0, T[q]) for r0, T in A], xs[q]))
 
 
 class TestCenter:

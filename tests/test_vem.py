@@ -651,8 +651,8 @@ class TestFit:
         # One moment pass for the bootstrap M-step and one per outer
         # iteration (shared by that iteration's P update, M-step and ELBO,
         # the last also by the final ELBO); one gap workspace per fit,
-        # refilled by one gap build per E-step; Q products per inner tau
-        # pass and none for P.  The ICL reads the final partition's moments
+        # refilled by one gap build per E-step; one product over all
+        # blocks per inner tau pass and none for P.  The ICL reads the final partition's moments
         # from the fit's last pass when the tau test ended the fit, and
         # makes its own pass when the ELBO test did.  The laws' coefficients
         # are computed once per parameter set, and once more by the ICL.
@@ -707,7 +707,7 @@ class TestFit:
             T = len(result.elbo_trace)
             assert (calls["pair_moments"], calls["gaps"], calls["workspaces"]) == (T + 1, T, 1)
             assert len(per_e_step) == T
-            assert all(products == 3 * passes > 0 for products, passes in per_e_step)
+            assert all(products == passes > 0 for products, passes in per_e_step)
             # Once per parameter set: the start and each M-step; the
             # designated parameters reuse the last set's.
             assert calls["coefficients"] == T + 1
