@@ -5,17 +5,10 @@ counts and shows that the ICL peaks at the generating value.
 """
 
 import sbanm
-from sbanm.rng import substream
 
-spec = sbanm.SimSpec(
-    n=150, K=3, Q=4,
-    prior_means=(-2.0, 0.0, 2.0),
-    noise_mu=(-3.0, -1.0, 1.0),
-)
-candidates = [sbanm.draw_candidate(spec, substream(33, "candidate", i)) for i in range(30)]
-kept = sbanm.filter_separable([p for p, _ in candidates], 0.10)
-params, sizes = candidates[kept[0]]
-net, _ = sbanm.gen_network(params, sizes, substream(33, "network", kept[0]))
+spec = sbanm.experiment1_spec(n=150, K=3, Q=4)
+i, params, sizes = sbanm.draw_separable(spec, 33, candidates=30, keep_frac=0.10)[0]
+net, _ = sbanm.candidate_network(params, sizes, 33, i)
 print(f"planted network: n={net.n}, K={net.K}, true Q=4, sizes {sizes.tolist()}")
 
 print("\n  Q    ICL")

@@ -10,20 +10,14 @@ layer-collapsed clustering.
 import numpy as np
 
 import sbanm
-from sbanm.rng import substream
 
-spec = sbanm.SimSpec(
-    n=300, K=2, Q=(3, 5),
-    prior_means=(0.0, 2.0), noise_mu=(-1.0, 0.0),
-)
-candidates = [sbanm.draw_candidate(spec, substream(55, "candidate", i)) for i in range(60)]
-kept = sbanm.filter_separable([p for p, _ in candidates], 0.10)
+spec = sbanm.experiment1_spec(n=300, K=2, Q=(3, 5))
+kept = sbanm.draw_separable(spec, 55, candidates=60, keep_frac=0.10)
 print(f"fitting {len(kept)} filtered candidates (n={spec.n}, 2 layers)\n")
 
 rows = []
-for i in kept:
-    params, sizes = candidates[i]
-    net, labels = sbanm.gen_network(params, sizes, substream(55, "network", i))
+for i, params, sizes in kept:
+    net, labels = sbanm.candidate_network(params, sizes, 55, i)
     spectral = sbanm.spectral_init(net, params.Q, 55).hard_membership()
     fitted = sbanm.fit(net, sbanm.FitConfig(Q=params.Q, seed=55)).hard_membership
     rows.append(

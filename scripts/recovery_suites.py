@@ -3,21 +3,26 @@
 Each suite holds 80 networks of 300 nodes: seeds s = 1-40, once with 2
 layers and 3 blocks and once with 3 layers and 4 blocks.
 
+Every network is drawn by sbanm.simulate's experiment 1, as `sbanm
+simulate` draws it: experiment1_spec, draw_separable, candidate_network.
+
 - separable: the network `sbanm simulate --nodes 300 --layers K --blocks Q
   --candidates 20 --keep-frac 0.05 --seed s` writes, the best-separated of
   20 random candidates by minimum Bhattacharyya block distance.
 - unfiltered: candidate 0 of the same draws with no filter, the
   low-separation regime.
 - svi: the separable networks again, fitted with the subsampled E-step
-  of `sbanm fit --svi`, SviConfig(a=150, seed=s).
+  of `sbanm fit --svi`, SviConfig(a=150, seed=s).  Each separable network
+  is drawn once and fitted for both suites.
 
 Each network is fitted with FitConfig(Q, seed=s).  For each suite and
 layer count the report gives the fits that recover the planted partition
 exactly, the exact fits whose designated noise block is the planted one,
 the fits whose hard partition leaves a block empty, the fits whose ELBO
 trace falls by more than 1e-9 relative between two iterations, the total
-outer iterations, and each miss with its ARI.  The 240 fits take 17-19 s
-of CPU on a 2-vCPU x86-64 VM with BLAS on one thread.
+outer iterations, and each miss with its ARI.  The 240 fits take 9-17 s
+of CPU on a 2-vCPU x86-64 VM with BLAS on one thread, whose speed drifts
+between runs.
 
 The script exits 1, naming each count, when a suite has fewer exact fits,
 or more ELBO drops, empty blocks or outer iterations, than RECORDED.  The
@@ -37,8 +42,6 @@ from dataclasses import dataclass
 import numpy as np
 
 import sbanm
-from sbanm.cli import _EXP1_PRESETS
-from sbanm.rng import substream
 
 SUITES = ("separable", "unfiltered", "svi")
 # Layer count -> block count.
@@ -68,27 +71,18 @@ class Outcome:
 
 def network(suite: str, K: int, seed: int):
     """(net, planted labels, planted params) of one suite network."""
-    # The prior and noise means `sbanm simulate --layers K` draws with.
-    spec = sbanm.SimSpec(n=NODES, K=K, Q=BLOCKS[K], **_EXP1_PRESETS[K])
-    if suite in ("separable", "svi"):
-        candidates = [
-            sbanm.draw_candidate(spec, substream(seed, "candidate", i))
-            for i in range(CANDIDATES)
-        ]
-        (i,) = sbanm.filter_separable([p for p, _ in candidates], KEEP_FRAC)
-        params, sizes = candidates[i]
-    else:
-        i = 0
-        params, sizes = sbanm.draw_candidate(spec, substream(seed, "candidate", i))
-    net, labels = sbanm.gen_network(params, sizes, substream(seed, "network", i))
+    spec = sbanm.experiment1_spec(NODES, K, BLOCKS[K])
+    count, keep_frac = (1, 1.0) if suite == "unfiltered" else (CANDIDATES, KEEP_FRAC)
+    ((i, params, sizes),) = sbanm.draw_separable(spec, seed, count, keep_frac)
+    net, labels = sbanm.candidate_network(params, sizes, seed, i)
     return net, labels, params
 
 
-def fit_outcome(suite: str, K: int, seed: int) -> Outcome:
-    """Fit one suite network with FitConfig(Q, seed=seed), and for the svi
-    suite SviConfig(a=150, seed=seed), and score the result against the
-    planted partition."""
-    net, labels, params = network(suite, K, seed)
+def fit_outcome(suite: str, K: int, seed: int, drawn=None) -> Outcome:
+    """Fit one suite network, `drawn` or else network(suite, K, seed), with
+    FitConfig(Q, seed=seed), and for the svi suite SviConfig(a=150,
+    seed=seed), and score the result against the planted partition."""
+    net, labels, params = drawn or network(suite, K, seed)
     svi = sbanm.SviConfig(a=150, seed=seed) if suite == "svi" else None
     result = sbanm.fit(net, sbanm.FitConfig(Q=params.Q, seed=seed), svi=svi)
     hard = result.hard_membership
@@ -104,6 +98,15 @@ def fit_outcome(suite: str, K: int, seed: int) -> Outcome:
     )
 
 
+def seed_outcomes(K: int, seed: int) -> dict:
+    """Suite -> outcome for one layer count and seed, one network alive at a time."""
+    out = {"unfiltered": fit_outcome("unfiltered", K, seed)}
+    drawn = network("separable", K, seed)
+    for suite in ("separable", "svi"):
+        out[suite] = fit_outcome(suite, K, seed, drawn)
+    return out
+
+
 def regressions(suite: str, outcomes) -> list[str]:
     """The counts of a suite's outcomes that are worse than RECORDED."""
     got = {key: sum(getattr(o, key) for o in outcomes) for key in RECORDED[suite]}
@@ -115,12 +118,13 @@ def regressions(suite: str, outcomes) -> list[str]:
 
 
 def main() -> int:
+    by_seed = {(K, s): seed_outcomes(K, s) for K in BLOCKS for s in SEEDS}
     print("suite\tlayers\tfits\texact\tnoise_typed\tempty_block\telbo_drop\touter_iters")
     failures = []
     for suite in SUITES:
         suite_outcomes = []
         for K in BLOCKS:
-            outcomes = {s: fit_outcome(suite, K, s) for s in SEEDS}
+            outcomes = {s: by_seed[K, s][suite] for s in SEEDS}
             rows = outcomes.values()
             print(
                 f"{suite}\t{K}\t{len(rows)}\t{sum(o.exact for o in rows)}"

@@ -41,7 +41,10 @@ from .model import (
 from .simulate import (
     SimSpec,
     bhattacharyya,
+    candidate_network,
     draw_candidate,
+    draw_separable,
+    experiment1_spec,
     experiment2_spec,
     filter_separable,
     gen_network,
@@ -62,10 +65,11 @@ __all__ = [
     "BlockParams", "DataError", "FitConfig", "FitResult", "ModelParams", "MultilayerNetwork",
     "NoiseParams", "NumericalError", "ParamReport", "ResponseMatrix", "SBANMError", "SimSpec",
     "SviConfig", "VariationalState", "ari", "averaging_weight", "bhattacharyya",
-    "build_covariance", "build_similarity_network", "draw_candidate", "e_step", "elbo",
-    "exact_recovery", "experiment2_spec", "filter_separable", "fisher", "fit", "gen_network",
-    "gen_params", "icl", "m_step_alpha", "m_step_block", "m_step_noise", "nmi",
-    "normalize_logit", "optimal_matching", "pair_moments", "param_count", "param_report", "psi",
+    "build_covariance", "build_similarity_network", "candidate_network", "draw_candidate",
+    "draw_separable", "e_step", "elbo", "exact_recovery", "experiment1_spec",
+    "experiment2_spec", "filter_separable", "fisher", "fit", "gen_network", "gen_params", "icl",
+    "m_step_alpha", "m_step_block", "m_step_noise", "nmi", "normalize_logit",
+    "optimal_matching", "pair_moments", "param_count", "param_report", "psi",
     "read_memberships", "read_network", "read_params", "read_responses", "spectral_embedding",
     "spectral_init", "subsample_size", "sum_layers", "svi_e_step", "write_memberships",
     "write_network", "write_params",

@@ -16,13 +16,7 @@ import numpy as np
 
 from . import evaluate, io, simulate, vem
 from .errors import DataError, NumericalError
-from .rng import substream
 from .svi import SviConfig
-
-_EXP1_PRESETS = {
-    2: {"prior_means": (0.0, 2.0), "noise_mu": (-1.0, 0.0)},
-    3: {"prior_means": (-2.0, 0.0, 2.0), "noise_mu": (-3.0, -1.0, 1.0)},
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -140,9 +134,9 @@ def _fit(args, net, Q: int) -> vem.FitResult:
     return result
 
 
-def _write_candidate(out_dir, params, sizes, seed, rng) -> None:
+def _write_candidate(out_dir, params, sizes, seed, i) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    net, labels = simulate.gen_network(params, sizes, rng)
+    net, labels = simulate.candidate_network(params, sizes, seed, i)
     io.write_network(net, os.path.join(out_dir, "net.tsv"))
     tau = np.zeros((net.n, params.Q))
     tau[np.arange(net.n), labels] = 1.0
@@ -157,33 +151,15 @@ def _cmd_simulate(args) -> int:
         if args.layers != 3 or args.nodes != 300:
             raise DataError("--experiment2 requires --layers 3 --nodes 300")
         params, sizes = simulate.experiment2_spec()
-        kept = list(range(args.candidates))
-        candidates = [(params, sizes)] * args.candidates
+        kept = [(i, params, sizes) for i in range(args.candidates)]
     else:
-        preset = _EXP1_PRESETS.get(args.layers)
-        if preset is None:
-            # Empty for --layers below 1, which SimSpec rejects.
-            preset = {"prior_means": (0.0,) * args.layers, "noise_mu": (-1.0,) * args.layers}
-        spec = simulate.SimSpec(
-            n=args.nodes,
-            K=args.layers,
-            Q=args.blocks,
-            prior_means=preset["prior_means"],
-            noise_mu=preset["noise_mu"],
-        )
-        candidates = [
-            simulate.draw_candidate(spec, substream(args.seed, "candidate", i))
-            for i in range(args.candidates)
-        ]
-        kept = simulate.filter_separable([p for p, _ in candidates], args.keep_frac)
-    print(f"kept candidates: {kept}", file=sys.stderr)
+        spec = simulate.experiment1_spec(args.nodes, args.layers, args.blocks)
+        kept = simulate.draw_separable(spec, args.seed, args.candidates, args.keep_frac)
+    print(f"kept candidates: {[i for i, _, _ in kept]}", file=sys.stderr)
     os.makedirs(args.out, exist_ok=True)
-    for i in kept:
-        params, sizes = candidates[i]
-        out_dir = (
-            args.out if len(kept) == 1 else os.path.join(args.out, f"cand{i:03d}")
-        )
-        _write_candidate(out_dir, params, sizes, args.seed, substream(args.seed, "network", i))
+    for i, params, sizes in kept:
+        out_dir = args.out if len(kept) == 1 else os.path.join(args.out, f"cand{i:03d}")
+        _write_candidate(out_dir, params, sizes, args.seed, i)
     return 0
 
 

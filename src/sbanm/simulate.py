@@ -4,6 +4,8 @@ noise law, plus Bhattacharyya-based separability filtering.
 Two generation regimes are provided: random parameters drawn from Gaussian
 priors (block 0 is always the noise block), and a fixed trivariate
 4-block benchmark with known means, variances, correlations, and sizes.
+Experiment 1, the first regime with separability filtering, is drawn
+only through experiment1_spec, draw_separable and candidate_network.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .model import (
     num_pairs,
     pair_index,
 )
+from .rng import substream
 
 _SIZE_MIN = 3
 # Multinomial size draws tried before giving up on the minimum block size.
@@ -35,6 +38,12 @@ NOISE_VAR = 2.0
 PRIOR_SD = math.sqrt(5.0)
 # Symmetric Dirichlet concentration of the block proportions.
 DIRICHLET_CONC = 5.0
+# Experiment 1's per-layer (prior means, noise means) by layer count; other
+# layer counts take prior means 0 and noise means -1.
+_EXP1_MEANS = {
+    2: ((0.0, 2.0), (-1.0, 0.0)),
+    3: ((-2.0, 0.0, 2.0), (-3.0, -1.0, 1.0)),
+}
 
 
 @dataclass
@@ -206,6 +215,26 @@ def filter_separable(candidates, keep_frac: float) -> list[int]:
     keep = math.ceil(keep_frac * scores.size)
     order = np.argsort(-scores, kind="stable")
     return sorted(int(i) for i in order[:keep])
+
+
+def experiment1_spec(n: int, K: int, Q: int | tuple[int, int]) -> SimSpec:
+    """The experiment-1 generation settings for n nodes, K layers and Q
+    blocks (a count or an inclusive range)."""
+    prior_means, noise_mu = _EXP1_MEANS.get(K, ((0.0,) * K, (-1.0,) * K))
+    return SimSpec(n=n, K=K, Q=Q, prior_means=prior_means, noise_mu=noise_mu)
+
+
+def draw_separable(spec: SimSpec, seed: int, candidates: int, keep_frac: float) -> list:
+    """(i, params, sizes) of the candidates filter_separable keeps, in index
+    order; candidate i is drawn from the (seed, "candidate", i) substream."""
+    drawn = [draw_candidate(spec, substream(seed, "candidate", i)) for i in range(candidates)]
+    kept = filter_separable([params for params, _ in drawn], keep_frac)
+    return [(i, *drawn[i]) for i in kept]
+
+
+def candidate_network(params: ModelParams, sizes: np.ndarray, seed: int, i: int):
+    """gen_network of candidate i from the (seed, "network", i) substream."""
+    return gen_network(params, sizes, substream(seed, "network", int(i)))
 
 
 def experiment2_spec() -> tuple[ModelParams, np.ndarray]:

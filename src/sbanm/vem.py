@@ -275,11 +275,7 @@ def fit(
     params = ModelParams(
         blocks=blocks, noise=params.noise, alpha=params.alpha, noise_block=q_nb
     )
-    # The designated block's law is now the noise law, and so are its coefficients.
-    noise_coef, block_coef = coefficients
-    block_coef = block_coef.copy()
-    block_coef[q_nb] = noise_coef
-    final = elbo(net, params, state, moments, (noise_coef, block_coef))
+    final = elbo(net, params, state, moments)
     return FitResult(
         params=params,
         state=state,

@@ -222,6 +222,46 @@ class TestSimulate:
         for d in dirs:
             assert (out / d / "net.tsv").exists()
 
+    @pytest.mark.parametrize(
+        "flags, draw",
+        [
+            pytest.param(["--layers", "2", "--nodes", "40", "--blocks", "3", "--candidates", "4"],
+                         (40, 2, 3, 4, 0.1), id="layers2"),
+            pytest.param(["--layers", "3", "--nodes", "40", "--blocks", "3-5", "--candidates", "6",
+                          "--keep-frac", "0.3"], (40, 3, (3, 5), 6, 0.3), id="layers3-range"),
+            pytest.param(["--layers", "1", "--nodes", "30", "--blocks", "3", "--candidates", "3"],
+                         (30, 1, 3, 3, 0.1), id="layers1-fallback"),
+            pytest.param(["--layers", "4", "--nodes", "30", "--blocks", "3", "--candidates", "3",
+                          "--keep-frac", "1"], (30, 4, 3, 3, 1.0), id="layers4-fallback"),
+            pytest.param(["--layers", "3", "--nodes", "300", "--experiment2", "--candidates", "2"],
+                         None, id="experiment2"),
+        ],
+    )
+    def test_files_are_the_library_draw(self, tmp_path, capsys, flags, draw):
+        # `sbanm simulate` writes the networks of sbanm.simulate's draw,
+        # through the library writers, byte for byte.
+        sim = tmp_path / "sim"
+        assert run_cli("simulate", *flags, "--seed", "6", "--out", str(sim)) == 0
+        if draw is None:
+            params, sizes = sbanm.experiment2_spec()
+            kept = [(i, params, sizes) for i in range(2)]
+        else:
+            n, K, Q, candidates, keep_frac = draw
+            kept = sbanm.draw_separable(sbanm.experiment1_spec(n, K, Q), 6, candidates, keep_frac)
+        assert f"kept candidates: {[i for i, _, _ in kept]}\n" in capsys.readouterr().err
+        dirs = [f"cand{i:03d}" for i, _, _ in kept] if len(kept) > 1 else []
+        assert sorted(os.listdir(sim)) == (dirs or ["net.tsv", "params.json", "truth.csv"])
+        for i, params, sizes in kept:
+            got = sim / f"cand{i:03d}" if dirs else sim
+            want = tmp_path / "lib" / str(i)
+            want.mkdir(parents=True)
+            net, labels = sbanm.candidate_network(params, sizes, 6, i)
+            sbanm.write_network(net, str(want / "net.tsv"))
+            sbanm.write_memberships(str(want / "truth.csv"), labels, np.eye(params.Q)[labels])
+            sbanm.write_params(str(want / "params.json"), params, seed=6)
+            for name in ("net.tsv", "truth.csv", "params.json"):
+                assert read_bytes(got / name) == read_bytes(want / name), name
+
     def test_experiment2_requires_matching_shape(self, tmp_path):
         code = run_cli("simulate", "--layers", "2", "--nodes", "300",
                        "--experiment2", "--seed", "1", "--out", str(tmp_path / "x"))

@@ -297,6 +297,39 @@ class TestFilterSeparable:
         assert kept == list(range(450, 500))
 
 
+class TestExperiment1:
+    @pytest.mark.parametrize(
+        "K, prior_means, noise_mu",
+        [
+            pytest.param(2, [0.0, 2.0], [-1.0, 0.0], id="layers2"),
+            pytest.param(3, [-2.0, 0.0, 2.0], [-3.0, -1.0, 1.0], id="layers3"),
+            pytest.param(1, [0.0], [-1.0], id="layers1-fallback"),
+            pytest.param(4, [0.0] * 4, [-1.0] * 4, id="layers4-fallback"),
+        ],
+    )
+    def test_spec_means(self, K, prior_means, noise_mu):
+        spec = sbanm.experiment1_spec(50, K, (3, 5))
+        assert (spec.n, spec.K, spec.Q) == (50, K, (3, 5))
+        assert spec.prior_means.tolist() == prior_means
+        assert spec.noise_mu.tolist() == noise_mu
+
+    def test_candidate_and_network_streams(self):
+        # Candidate i is drawn from the (seed, "candidate", i) substream and
+        # its network from (seed, "network", i): every kept candidate keeps
+        # its index, and the filter sees all the draws.
+        spec = sbanm.experiment1_spec(40, 2, (3, 4))
+        drawn = [draw_candidate(spec, substream(8, "candidate", i)) for i in range(6)]
+        kept = sbanm.draw_separable(spec, 8, 6, 0.5)
+        assert [i for i, _, _ in kept] == filter_separable([p for p, _ in drawn], 0.5)
+        for i, params, sizes in kept:
+            assert params.alpha.tolist() == drawn[i][0].alpha.tolist()
+            assert sizes.tolist() == drawn[i][1].tolist()
+            net, labels = sbanm.candidate_network(params, sizes, 8, np.int64(i))
+            want, want_labels = gen_network(params, sizes, substream(8, "network", i))
+            assert net.weights.tobytes() == want.weights.tobytes()
+            assert labels.tolist() == want_labels.tolist()
+
+
 class TestExperiment2Spec:
     def test_dimensions_and_sizes(self):
         params, sizes = sbanm.experiment2_spec()

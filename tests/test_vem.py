@@ -708,12 +708,12 @@ class TestFit:
             assert (calls["pair_moments"], calls["gaps"], calls["workspaces"]) == (T + 1, T, 1)
             assert len(per_e_step) == T
             assert all(products == passes > 0 for products, passes in per_e_step)
-            # Once per parameter set: the start and each M-step; the
-            # designated parameters reuse the last set's.
-            assert calls["coefficients"] == T + 1
+            # Once per parameter set: the start, each M-step and the
+            # designated parameters the final ELBO scores.
+            assert calls["coefficients"] == T + 2
             sbanm.icl(net, result)
             assert calls["pair_moments"] == T + 1 + icl_passes
-            assert calls["coefficients"] == T + 2
+            assert calls["coefficients"] == T + 3
 
     def test_fit_is_the_same_for_either_weight_layout(self, planted60):
         # Row-major weights put into a network after it was made bypass the
