@@ -39,8 +39,6 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 import sbanm
 
 SUITES = ("separable", "unfiltered", "svi")
@@ -87,13 +85,12 @@ def fit_outcome(suite: str, K: int, seed: int, drawn=None) -> Outcome:
     result = sbanm.fit(net, sbanm.FitConfig(Q=params.Q, seed=seed), svi=svi)
     hard = result.hard_membership
     exact = sbanm.exact_recovery(labels, hard)
-    trace = result.elbo_trace
     return Outcome(
         exact=exact,
         noise_typed=bool(exact and hard[labels == params.noise_block][0] == result.params.noise_block),
-        empty_block=bool(np.any(np.bincount(hard, minlength=params.Q) == 0)),
-        elbo_drop=bool(np.any(-np.diff(trace) > DROP_TOL * np.abs(trace[:-1]))),
-        outer_iters=trace.size,
+        empty_block=bool(result.empty_blocks),
+        elbo_drop=bool(result.elbo_drops(DROP_TOL)),
+        outer_iters=result.elbo_trace.size,
         ari=sbanm.ari(labels, hard),
     )
 

@@ -83,14 +83,14 @@ def _add_fit_flags(p, blocks: bool = True):
     p.add_argument("--input", required=True)
     if blocks:
         p.add_argument("--blocks", type=int, required=True)
-    p.add_argument("--max-iter", type=int, default=200)
-    p.add_argument("--tol-elbo", type=float, default=1e-8)
-    p.add_argument("--tol-tau", type=float, default=1e-6)
-    p.add_argument("--damping", type=float, default=0.7)
+    p.add_argument("--max-iter", type=int, default=vem.FitConfig.max_outer)
+    p.add_argument("--tol-elbo", type=float, default=vem.FitConfig.tol_elbo)
+    p.add_argument("--tol-tau", type=float, default=vem.FitConfig.tol_tau)
+    p.add_argument("--damping", type=float, default=vem.FitConfig.damping)
     p.add_argument("--svi", action="store_true")
-    p.add_argument("--svi-a", type=int, default=150)
-    p.add_argument("--svi-kappa-m", type=float, default=2.0)
-    p.add_argument("--svi-kappa-w", type=float, default=0.7)
+    p.add_argument("--svi-a", type=int, default=SviConfig.a)
+    p.add_argument("--svi-kappa-m", type=float, default=SviConfig.kappa_m)
+    p.add_argument("--svi-kappa-w", type=float, default=SviConfig.kappa_w)
     p.add_argument("--threads", type=int, default=1,
                    help="accepted for compatibility; has no effect")
     p.add_argument("--seed", type=_parse_seed, default=0)
@@ -119,18 +119,13 @@ def _fit(args, net, Q: int) -> vem.FitResult:
             a=args.svi_a, kappa_m=args.svi_kappa_m, kappa_w=args.svi_kappa_w, seed=args.seed
         )
     result = vem.fit(net, cfg, svi=svi)
-    sizes = np.bincount(result.hard_membership, minlength=Q)
-    empty = ", ".join(str(q) for q in np.flatnonzero(sizes == 0))
-    if empty:
-        print(f"warning: Q={Q}: no node assigned to block(s) {empty}", file=sys.stderr)
-    # Entry t of the trace is iteration t of the iteration log; the fit
-    # stops on a non-finite ELBO term, so the trace is finite.
-    trace = result.elbo_trace
-    drop = -np.diff(trace) / np.abs(trace[:-1])
-    dropped = ", ".join(str(t + 1) for t in np.flatnonzero(drop > args.tol_elbo))
-    if dropped:
-        print(f"warning: Q={Q}: ELBO decreased at iteration(s) {dropped} "
-              f"(largest relative drop {drop.max():.2e})", file=sys.stderr)
+    if result.empty_blocks:
+        print(f"warning: Q={Q}: no node assigned to block(s) "
+              f"{', '.join(map(str, result.empty_blocks))}", file=sys.stderr)
+    drops = result.elbo_drops(args.tol_elbo)
+    if drops:
+        print(f"warning: Q={Q}: ELBO decreased at iteration(s) {', '.join(map(str, drops))} "
+              f"(largest relative drop {max(drops.values()):.2e})", file=sys.stderr)
     return result
 
 
@@ -148,9 +143,9 @@ def _cmd_simulate(args) -> int:
     if args.candidates < 1:
         raise DataError("--candidates must be at least 1")
     if args.experiment2:
-        if args.layers != 3 or args.nodes != 300:
-            raise DataError("--experiment2 requires --layers 3 --nodes 300")
         params, sizes = simulate.experiment2_spec()
+        if (args.layers, args.nodes) != (params.K, sizes.sum()):
+            raise DataError(f"--experiment2 requires --layers {params.K} --nodes {sizes.sum()}")
         kept = [(i, params, sizes) for i in range(args.candidates)]
     else:
         spec = simulate.experiment1_spec(args.nodes, args.layers, args.blocks)

@@ -64,6 +64,7 @@ from .text import float_text, int_text, table_text
 
 _R_CLAMP = 1e-7   # keeps agreement ratios inside atanh's domain
 _P_CLAMP = 1e-12  # keeps strength ratios inside logit's domain
+_ANSWERS = {"1": 1.0, "0": 0.0, "NA": math.nan}  # response CSV cells
 
 _NET_HEADER = re.compile(r"^#sbanm-net v1 n=(\d+) K=(\d+)$")
 
@@ -109,25 +110,21 @@ def build_similarity_network(responses: ResponseMatrix) -> MultilayerNetwork:
     For each pair and item: +1 if both answered yes, -1 if both no,
     0 otherwise (missing counts as 0).  The per-layer mean agreement ratio
     is clamped away from +-1 and Fisher-transformed into the edge weight.
+    Each pair tile's counts are those of its rows r0..r1-1 against the
+    nodes from r0 on, so no n x n array is built.
     """
-    n = responses.n_subjects
-    iu, ju = np.triu_indices(n, 1)
-    cols = []
-    for _, block in responses.layers:
-        U = block.shape[1]
-        yes = np.where(np.nan_to_num(block, nan=0.0) == 1.0, 1.0, 0.0)
-        no = np.where(np.nan_to_num(block, nan=-1.0) == 0.0, 1.0, 0.0)
-        h_sum = yes @ yes.T - no @ no.T
-        r = h_sum[iu, ju] / U
-        r = np.clip(r, -1.0 + _R_CLAMP, 1.0 - _R_CLAMP)
-        cols.append(np.arctanh(r))
-    return MultilayerNetwork(
-        n=n,
-        K=len(cols),
-        # Layer-major: the transpose of the stacked layer columns.
-        weights=np.array(cols).T,
-        node_labels=list(responses.subjects) if responses.subjects else None,
-    )
+    n, K = responses.n_subjects, len(responses.layers)
+    weights = np.empty((num_pairs(n), K), order="F")
+    for k, (_, block) in enumerate(responses.layers):
+        # NaN (missing) is neither yes nor no.
+        yes, no = (block == 1.0).astype(float), (block == 0.0).astype(float)
+        for p0, p1, r0, r1 in pair_tiles(n):
+            I, J = tile_endpoints(n, r0, r1)
+            agree = yes[r0:r1] @ yes[r0:].T - no[r0:r1] @ no[r0:].T
+            r = agree[I - r0, J - r0] / block.shape[1]
+            weights[p0:p1, k] = np.arctanh(np.clip(r, -1.0 + _R_CLAMP, 1.0 - _R_CLAMP))
+    labels = list(responses.subjects) if responses.subjects else None
+    return MultilayerNetwork(n=n, K=K, weights=weights, node_labels=labels)
 
 
 def normalize_logit(net: MultilayerNetwork) -> MultilayerNetwork:
@@ -338,18 +335,11 @@ def read_responses(path: str) -> ResponseMatrix:
             if len(row) != len(header):
                 raise DataError(f"{path}:{lineno}: expected {len(header)} cells")
             subjects.append(row[0])
-            vals = []
-            for cell in row[1:]:
-                cell = cell.strip()
-                if cell == "1":
-                    vals.append(1.0)
-                elif cell == "0":
-                    vals.append(0.0)
-                elif cell == "NA":
-                    vals.append(math.nan)
-                else:
-                    raise DataError(f"{path}:{lineno}: cell {cell!r} not in {{1,0,NA}}")
-            rows.append(vals)
+            try:
+                rows.append([_ANSWERS[cell.strip()] for cell in row[1:]])
+            except KeyError as exc:
+                cell = exc.args[0]
+                raise DataError(f"{path}:{lineno}: cell {cell!r} not in {{1,0,NA}}") from None
     if len(rows) < 2:
         raise DataError(f"{path}: need at least 2 subjects")
     data = np.asarray(rows, dtype=float)

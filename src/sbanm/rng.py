@@ -13,6 +13,9 @@ import numpy as np
 
 
 def _tag_word(tag) -> int:
+    # A numpy integer names the stream of the equal Python int; its repr
+    # differs from the int's and between numpy versions.
+    tag = int(tag) if isinstance(tag, np.integer) else tag
     digest = hashlib.sha256(repr(tag).encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")
 

@@ -234,7 +234,7 @@ def draw_separable(spec: SimSpec, seed: int, candidates: int, keep_frac: float) 
 
 def candidate_network(params: ModelParams, sizes: np.ndarray, seed: int, i: int):
     """gen_network of candidate i from the (seed, "network", i) substream."""
-    return gen_network(params, sizes, substream(seed, "network", int(i)))
+    return gen_network(params, sizes, substream(seed, "network", i))
 
 
 def experiment2_spec() -> tuple[ModelParams, np.ndarray]:

@@ -91,6 +91,20 @@ class FitResult:
     icl: float | None = None
     partition_moments: tuple[np.ndarray, np.ndarray] | None = None
 
+    @property
+    def empty_blocks(self) -> list[int]:
+        """The blocks the hard partition assigns no node."""
+        return sorted(set(range(self.params.Q)) - set(self.hard_membership.tolist()))
+
+    def elbo_drops(self, rel_tol: float) -> dict[int, float]:
+        """Iteration t -> the ELBO's fall from iteration t - 1 relative to
+        its magnitude there, where that exceeds rel_tol."""
+        # Entry t of the trace is iteration t of the iteration log; the fit
+        # stops on a non-finite ELBO term, so the trace is finite.
+        drop = -np.diff(self.elbo_trace) / np.abs(self.elbo_trace[:-1])
+        (t,) = np.nonzero(drop > rel_tol)
+        return dict(zip((t + 1).tolist(), drop[t].tolist()))
+
 
 def m_step_alpha(state: VariationalState) -> np.ndarray:
     """Column means of tau."""

@@ -1,9 +1,11 @@
 """References the tests check the library against: Gaussian log-densities
 evaluated pair by pair and the dense symmetric matrix of per-pair values
-(for the moment and packed passes), and the network and membership file
-texts built one value at a time with Python's format(v, ".17g") (for the
-vectorised writers).  The library computes none of them; its tests import
-them from here.  The numeric ones have their own tests in test_model.py.
+(for the moment and packed passes), the survey similarity weights from
+dense n x n agreement matrices (for the tile-walked builder), and the
+network and membership file texts built one value at a time with
+Python's format(v, ".17g") (for the vectorised writers).  The library
+computes none of them; its tests import them from here.  The numeric
+ones have their own tests in test_model.py.
 """
 
 import csv
@@ -49,6 +51,22 @@ def pairs_to_square(n: int, values) -> np.ndarray:
     out[upper] = values
     out.swapaxes(0, 1)[upper] = values
     return out
+
+
+def similarity_weights(responses) -> np.ndarray:
+    """The (pairs, K) Fisher-transformed agreement ratios of a
+    ResponseMatrix, clamped to 1e-7 inside +-1, each layer from its dense
+    n x n agreement counts."""
+    clamp = 1e-7
+    iu, ju = np.triu_indices(responses.n_subjects, 1)
+    cols = []
+    for _, block in responses.layers:
+        yes = np.where(np.nan_to_num(block, nan=0.0) == 1.0, 1.0, 0.0)
+        no = np.where(np.nan_to_num(block, nan=-1.0) == 0.0, 1.0, 0.0)
+        h_sum = yes @ yes.T - no @ no.T
+        r = np.clip(h_sum[iu, ju] / block.shape[1], -1.0 + clamp, 1.0 - clamp)
+        cols.append(np.arctanh(r))
+    return np.array(cols).T
 
 
 def reference_network_text(net) -> str:

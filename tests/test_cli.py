@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import sbanm
-from sbanm.cli import main
+from sbanm.cli import _build_parser, main
 
 from conftest import planted_network
 
@@ -262,10 +262,12 @@ class TestSimulate:
             for name in ("net.tsv", "truth.csv", "params.json"):
                 assert read_bytes(got / name) == read_bytes(want / name), name
 
-    def test_experiment2_requires_matching_shape(self, tmp_path):
+    def test_experiment2_requires_matching_shape(self, tmp_path, capsys):
         code = run_cli("simulate", "--layers", "2", "--nodes", "300",
                        "--experiment2", "--seed", "1", "--out", str(tmp_path / "x"))
         assert code == 2
+        err = capsys.readouterr().err
+        assert "sbanm: data error: --experiment2 requires --layers 3 --nodes 300\n" in err
 
     @pytest.mark.parametrize(
         "flags, message",
@@ -408,6 +410,30 @@ class TestExitCodes:
     def test_missing_file_is_plain_error(self, tmp_path):
         assert run_cli("fit", "--input", str(tmp_path / "nope.tsv"), "--blocks", "2",
                        "--out", str(tmp_path / "o")) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["fit", "--blocks", "3", "--out", "o"], ["select", "--qmin", "2", "--qmax", "3"]],
+    )
+    def test_fit_flag_defaults_are_the_config_defaults(self, argv):
+        args = _build_parser().parse_args([*argv, "--input", "net.tsv"])
+        fit_defaults = {f.name: f.default for f in dataclasses.fields(sbanm.FitConfig)}
+        svi_defaults = {f.name: f.default for f in dataclasses.fields(sbanm.SviConfig)}
+        assert (args.max_iter, args.tol_elbo, args.tol_tau, args.damping, args.seed) == (
+            fit_defaults["max_outer"], fit_defaults["tol_elbo"], fit_defaults["tol_tau"],
+            fit_defaults["damping"], fit_defaults["seed"],
+        )
+        assert (args.svi_a, args.svi_kappa_m, args.svi_kappa_w) == (
+            svi_defaults["a"], svi_defaults["kappa_m"], svi_defaults["kappa_w"],
+        )
+
+    def test_default_config_echo(self, tmp_path, capsys):
+        run_cli("fit", "--input", str(tmp_path / "nope.tsv"), "--blocks", "3", "--out", "o")
+        assert capsys.readouterr().err.splitlines()[0] == (
+            f"sbanm fit: blocks=3 damping=0.7 input={tmp_path / 'nope.tsv'} max_iter=200 "
+            "out=o seed=0 svi=False svi_a=150 svi_kappa_m=2.0 svi_kappa_w=0.7 threads=1 "
+            "tol_elbo=1e-08 tol_tau=1e-06"
+        )
 
     def test_config_echoed_to_stderr(self, planted_files, tmp_path, capsys):
         net_path, _ = planted_files

@@ -4,6 +4,7 @@ import os
 import re
 import struct
 import tempfile
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -30,7 +31,7 @@ from sbanm.model import pair_tiles
 from sbanm.text import float_text, table_text
 
 from conftest import random_network, separable_params_2layer
-from reference import reference_memberships_text, reference_network_text
+from reference import reference_memberships_text, reference_network_text, similarity_weights
 
 
 def responses_from_rows(rows):
@@ -90,6 +91,37 @@ class TestSimilarity:
         for k, (_, block) in enumerate(responses.layers):
             single = ResponseMatrix(n_subjects=6, layers=[("L", block)])
             assert np.array_equal(net.weights[:, k], build_similarity_network(single).weights[:, 0])
+
+    # Tiles of 1 pair hold one row each.  Tiles of 7 and 40 pairs hold one
+    # row longer than the tile at the start of n = 23 and several short
+    # rows at its end.  The default tile holds all pairs of every n here.
+    @pytest.mark.parametrize("tile", [1, 7, 40, model.PAIR_TILE])
+    def test_weights_are_the_dense_reference_bytes(self, tile, monkeypatch):
+        monkeypatch.setattr(model, "PAIR_TILE", tile)
+        rng = np.random.default_rng(tile)
+        for n in (2, 3, 9, 23):
+            data = rng.choice([0.0, 1.0, math.nan], size=(n, 7), p=[0.45, 0.45, 0.1])
+            # All yes, all no and all missing clamp at +-1 and give 0.
+            data[:3] = np.array([[1.0], [0.0], [math.nan]])[:n]
+            responses = ResponseMatrix(
+                n_subjects=n, layers=[("a", data[:, :4]), ("b", data[:, 4:])]
+            )
+            got = build_similarity_network(responses).weights
+            assert got.tobytes() == similarity_weights(responses).tobytes()
+
+    def test_peak_memory_is_below_twice_the_weights(self):
+        rng = np.random.default_rng(400)
+        data = rng.choice([0.0, 1.0, math.nan], size=(400, 20), p=[0.45, 0.45, 0.1])
+        responses = ResponseMatrix(
+            n_subjects=400, layers=[("a", data[:, :10]), ("b", data[:, 10:])]
+        )
+        tracemalloc.start()
+        try:
+            net = build_similarity_network(responses)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * net.weights.nbytes
 
     def test_empty_layer_rejected(self):
         with pytest.raises(DataError, match="no items"):
@@ -721,6 +753,7 @@ class TestMembershipAndParamsFiles:
 
     def test_response_csv_bad_cell_names_line(self, tmp_path):
         path = tmp_path / "r.csv"
-        path.write_text("subject,a:q\ns1,1\ns2,2\n")
-        with pytest.raises(DataError, match=":3:"):
+        path.write_text("subject,a:q,a:r\ns1,1,NA\ns2,0, 2 \n")
+        with pytest.raises(DataError) as info:
             sbanm.read_responses(str(path))
+        assert str(info.value) == f"{path}:3: cell '2' not in {{1,0,NA}}"

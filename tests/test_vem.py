@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import runpy
@@ -599,6 +600,22 @@ class TestFit:
             result = fit(net, FitConfig(Q=3, seed=seed))
             diffs = np.diff(result.elbo_trace)
             assert diffs.size == 0 or diffs.min() > -1e-6
+
+    def test_result_names_empty_blocks_and_elbo_drops(self):
+        net, _, _ = planted_network(seed=0)
+        result = fit(net, FitConfig(Q=3, seed=0))
+        assert result.empty_blocks == []
+        # The partition with block 1 merged into block 0, and a trace that
+        # falls by 0.5% at iteration 2 and by 0.002/90 at iteration 4.
+        hard = np.where(result.hard_membership == 1, 0, result.hard_membership)
+        trace = np.array([-110.0, -100.0, -100.5, -90.0, -90.002])
+        flawed = dataclasses.replace(result, hard_membership=hard, elbo_trace=trace)
+        assert flawed.empty_blocks == [1]
+        assert flawed.elbo_drops(1e-8) == {
+            2: pytest.approx(0.005, rel=1e-12), 4: pytest.approx(0.002 / 90, rel=1e-9)
+        }
+        assert list(flawed.elbo_drops(1e-3)) == [2]
+        assert flawed.elbo_drops(0.01) == {}
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1e-9])
     @pytest.mark.parametrize("field", ["tol_tau", "tol_elbo"])
