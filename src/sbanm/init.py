@@ -29,100 +29,105 @@ SOFT_EPS = 0.05
 # A Ritz pair of top_eigenpairs has converged once its residual norm is at
 # most this share of the largest Ritz value's magnitude.
 LANCZOS_TOL = 1e-12
-# Restarts after which top_eigenpairs gives up.
-LANCZOS_MAX_RESTARTS = 1000
 # A new Lanczos vector that keeps less than this share of the product it
 # came from spans nothing new: the basis is an invariant subspace.
 _BREAKDOWN = 1e-12
 
 
-def _orthogonalize(w: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Coefficients h of w on the orthonormal rows of V, with w <- w - h @ V
-    in place; two passes, so w ends orthogonal to V to working precision."""
-    h = V @ w
-    w -= h @ V
-    c = V @ w
-    w -= c @ V
-    return h + c
+def _orthogonalize(w: np.ndarray, blocks: list) -> np.ndarray:
+    """Coefficients h of w on the orthonormal rows of the arrays in blocks,
+    with w <- w - h @ V in place for V those rows stacked; two passes over
+    all of them, so w ends orthogonal to every row to working precision."""
+    h = 0.0
+    for _ in range(2):
+        c = [B @ w for B in blocks]
+        for B, c_B in zip(blocks, c):
+            w -= c_B @ B
+        h = h + np.concatenate(c)
+    return h
 
 
 def top_eigenpairs(matvec, v0: np.ndarray, Q: int) -> np.ndarray:
     """Eigenvectors (n x Q, by descending eigenvalue) of the Q largest
     eigenvalues of the symmetric operator x -> matvec(x) on R^n, n = v0.size.
 
-    Thick-restart Lanczos (Wu & Simon 2000) from v0 with full
-    reorthogonalization.  The basis holds at most ncv = max(2Q + 1, 20)
-    vectors (n at most), as ARPACK's default.  When it is full, the top Q
-    Ritz pairs of its projection have converged once each residual norm is
-    at most LANCZOS_TOL * max |theta|.  Until then, the top
-    Q + (ncv - Q) // 2 Ritz vectors and the residual direction start the
-    next basis.  A breakdown (an invariant subspace) goes on from a seeded
-    random vector.
+    Lanczos from v0 with full reorthogonalization and no restarts: the
+    basis grows by one vector per product, to n vectors at most.  The top Q
+    Ritz pairs of the projection on the expanded vectors have converged once
+    each residual norm is at most LANCZOS_TOL * max |theta|; they are tested
+    after ncv = max(2Q + 1, 20) products (ARPACK's default basis size, n at
+    most) and after every product from then on.  A breakdown (an invariant
+    subspace) goes on from a seeded random vector; after n products the
+    projection is exact.
 
     A single start vector meets the eigenspace of a repeated eigenvalue in
-    one direction only, so a converged basis may still lack eigenvalues
-    above its top Q.  Unless the basis is all of R^n, the Q converged
-    vectors and a seeded random vector start a check: (ncv - Q) // 2
-    Lanczos steps, after which the converged vectors are returned if no top
-    Q Ritz value has grown; otherwise the basis fills up and goes on.
+    one direction only, so converged pairs may still miss eigenvalues above
+    them.  A seeded random vector then joins the basis, and after
+    (ncv - Q) // 2 more products the converged vectors are returned unless a
+    top Q Ritz value has grown; if one has, the tests go on.
 
-    Raises NumericalError on a non-finite product or after
-    LANCZOS_MAX_RESTARTS restarts without a result.
+    Raises NumericalError on a non-finite product.
     """
     n = v0.size
     ncv = min(n, max(2 * Q + 1, 20))
-    keep = Q + (ncv - Q) // 2
     seeds = itertools.count()
+    # The basis is the rows of `blocks`, ncv to a block, so it grows without
+    # copying.  Row j of H holds the coefficients of the product with basis
+    # vector j on the basis: after p products H[:p, :p] (lower triangle) is
+    # the projection on the expanded vectors and H[:p, p:size] couples them
+    # to the others.
+    blocks, H, size = [], np.zeros((0, 0)), 0
 
-    def fresh(basis):
-        """A seeded random unit vector orthogonal to the rows of basis."""
-        w = substream(0, "lanczos-fresh", next(seeds)).uniform(-1.0, 1.0, n)
-        _orthogonalize(w, basis)
-        return w / np.linalg.norm(w)
+    def basis(m):
+        """The first m basis vectors, as row blocks."""
+        return [B[: m - k * ncv] for k, B in enumerate(blocks) if k * ncv < m]
 
-    V = np.empty((ncv + 1, n))
-    V[0] = v0 / np.linalg.norm(v0)
-    # H = V^T M V, lower triangle; row j is filled when vector j is expanded.
-    H = np.zeros((ncv, ncv))
-    # The basis grows from `start` to `stop` vectors; `accepted` holds the
-    # top Q Ritz values under check, whose vectors are V[:Q].
-    start, stop, accepted = 0, ncv, None
-    for _ in range(LANCZOS_MAX_RESTARTS + 1):
-        for j in range(start, stop):
-            w = matvec(V[j])
-            scale = np.linalg.norm(w)
-            H[j, : j + 1] = _orthogonalize(w, V[: j + 1])
-            beta = np.linalg.norm(w)
-            if not np.isfinite(beta):
-                raise NumericalError("spectral initialization: non-finite Lanczos vector")
-            if beta > _BREAKDOWN * scale:
-                V[j + 1] = w / beta
-            else:
-                beta = 0.0
-                if j + 1 < n:
-                    V[j + 1] = fresh(V[: j + 1])
-        theta, S = np.linalg.eigh(H[:stop, :stop])
-        tol = LANCZOS_TOL * np.max(np.abs(theta))
-        if accepted is not None:
-            if np.all(theta[-Q:] <= accepted + tol):
-                return V[Q - 1 :: -1].T
-            start, stop, accepted = stop, ncv, None
+    def append(vector=None):
+        """Append vector, or a seeded random unit vector orthogonal to the basis."""
+        nonlocal H, size
+        if vector is None:
+            vector = substream(0, "lanczos-fresh", next(seeds)).uniform(-1.0, 1.0, n)
+            _orthogonalize(vector, basis(size))
+            vector /= np.linalg.norm(vector)
+        if size % ncv == 0:
+            blocks.append(np.empty((min(ncv, n - size), n)))
+            H = np.pad(H, (0, len(blocks[-1])))
+        blocks[-1][size % ncv] = vector
+        size += 1
+
+    append(v0 / np.linalg.norm(v0))
+    # The top Q Ritz values under check, their vectors, and the product
+    # count at which the check ends.
+    accepted = kept = check_end = None
+    for p in range(1, n + 1):
+        w = matvec(blocks[(p - 1) // ncv][(p - 1) % ncv])
+        scale = np.linalg.norm(w)
+        H[p - 1, :size] = _orthogonalize(w, basis(size))
+        beta = np.linalg.norm(w)
+        if not np.isfinite(beta):
+            raise NumericalError("spectral initialization: non-finite Lanczos vector")
+        if size < n:
+            # A breakdown (an invariant subspace) goes on from a fresh vector.
+            broke = beta <= _BREAKDOWN * scale
+            append(None if broke else w / beta)
+            H[p - 1, size - 1] = 0.0 if broke else beta
+        if p < n and (p < ncv or (accepted is not None and p < check_end)):
             continue
-        # The residual of Ritz pair i is beta times the last entry of S[:, i].
-        if np.all(beta * np.abs(S[-1, -Q:]) <= tol):
-            if ncv == n:
-                return V[:ncv].T @ S[:, ::-1][:, :Q]
-            accepted, kept, stop = theta[-Q:], Q, keep
-        else:
-            kept = keep
-        V[:kept] = S[:, -kept:].T @ V[:ncv]
-        V[kept] = V[ncv] if accepted is None else fresh(V[:kept])
-        H[:] = 0.0
-        H[:kept, :kept] = np.diag(theta[-kept:])
-        start = kept
-    raise NumericalError(
-        f"spectral initialization did not converge in {LANCZOS_MAX_RESTARTS} restarts"
-    )
+        theta, S = np.linalg.eigh(H[:p, :p])
+        tol = LANCZOS_TOL * np.max(np.abs(theta))
+        if accepted is not None and np.all(theta[-Q:] <= accepted + tol):
+            return kept
+        accepted = None
+        # The residual of Ritz pair i is the norm of H[:p, p:size].T @ S[:, i]:
+        # none is left once the products have expanded all of R^n.
+        residuals = np.linalg.norm(S[:, -Q:].T @ H[:p, p:size], axis=1)
+        if np.all(residuals <= tol):
+            Y = sum(S[k * ncv : (k + 1) * ncv, -Q:].T @ B for k, B in enumerate(basis(p)))
+            accepted, kept, check_end = theta[-Q:], Y[::-1].T, p + (ncv - Q) // 2
+            # Once the basis spans R^n, its unexpanded vectors run the check.
+            if size < n:
+                append()
+    return kept
 
 
 def spectral_embedding(net: MultilayerNetwork, Q: int) -> np.ndarray:

@@ -6,7 +6,6 @@ import scipy.linalg
 
 import sbanm
 from sbanm import MultilayerNetwork, spectral_init
-from sbanm import init
 from sbanm.errors import DataError, NumericalError
 from sbanm.init import kmeans, spectral_embedding, top_eigenpairs
 from sbanm.model import pair_index
@@ -165,16 +164,21 @@ def symmetric_with_spectrum(eigenvalues, seed):
 
 
 class TestTopEigenpairs:
-    """top_eigenpairs (thick-restart Lanczos) against np.linalg.eigh."""
+    """top_eigenpairs (Lanczos with a basis that grows by one vector per
+    product) against np.linalg.eigh."""
 
     @staticmethod
-    def check_top_subspace(M, Q, products=None):
+    def check_top_subspace(M, Q, max_products):
+        """The top-Q subspace of M, in at most max_products products (the
+        counts of the thick-restart solver this one replaced) and at most
+        n; returns the product count."""
         n = M.shape[0]
         v0 = substream(1, "oracle-start").uniform(-1.0, 1.0, n)
+        products = 0
 
         def matvec(x):
-            if products is not None:
-                products.append(1)
+            nonlocal products
+            products += 1
             return M @ x
 
         vecs = top_eigenpairs(matvec, v0, Q)
@@ -187,34 +191,33 @@ class TestTopEigenpairs:
         # Columns by descending eigenvalue.
         rayleigh = np.einsum("iq,iq->q", vecs, M @ vecs)
         assert np.allclose(rayleigh, vals[::-1][:Q], rtol=0, atol=1e-12)
+        assert products <= min(n, max_products)
+        return products
 
-    @pytest.mark.parametrize("Q", [1, 3, 5, 6])
-    def test_top_eigenvalue_repeated_Q_times(self, Q):
+    @pytest.mark.parametrize(
+        "n, Q, max_products", [(60, 1, 39), (60, 3, 82), (60, 5, 129), (60, 6, 167), (21, 3, 54)]
+    )
+    def test_top_eigenvalue_repeated_Q_times(self, n, Q, max_products):
         # A single start vector meets each eigenspace in one direction: the
         # other Q - 1 copies come from the seeded vectors of the checks that
         # follow convergence.  ARPACK's eigsh, from the same start, returns
-        # a wrong subspace at Q = 6.
-        spectrum = np.concatenate([np.ones(Q), np.linspace(-0.5, 0.5, 60 - Q)])
-        self.check_top_subspace(symmetric_with_spectrum(spectrum, Q), Q)
+        # a wrong subspace at n = 60, Q = 6.  At n = 21 the basis spans R^n
+        # before the last product, so its unexpanded vectors run the check.
+        spectrum = np.concatenate([np.ones(Q), np.linspace(-0.5, 0.5, n - Q)])
+        self.check_top_subspace(symmetric_with_spectrum(spectrum, Q), Q, max_products)
 
     @pytest.mark.parametrize("n", [2, 3, 6])
     def test_all_but_one_eigenvector_of_a_tiny_matrix(self, n):
         spectrum = substream(n, "tiny").normal(size=n)
-        self.check_top_subspace(symmetric_with_spectrum(spectrum, n), n - 1)
+        self.check_top_subspace(symmetric_with_spectrum(spectrum, n), n - 1, n)
 
-    def test_clustered_spectrum_needs_restarts(self):
-        # 300 eigenvalues evenly spread: the top 4 converge only after
-        # several restarts of the 20-vector basis.
-        products = []
-        self.check_top_subspace(
-            symmetric_with_spectrum(np.linspace(0.0, 1.0, 300), 3), 4, products
+    def test_clustered_spectrum_grows_the_basis_past_3_ncv(self):
+        # 300 eigenvalues evenly spread: the top 4 converge only once the
+        # basis holds more than three times ncv = 20 vectors.
+        products = self.check_top_subspace(
+            symmetric_with_spectrum(np.linspace(0.0, 1.0, 300), 3), 4, 180
         )
-        assert len(products) > 3 * 20
-
-    def test_too_few_restarts_raise(self, monkeypatch):
-        monkeypatch.setattr(init, "LANCZOS_MAX_RESTARTS", 2)
-        with pytest.raises(NumericalError, match="did not converge"):
-            self.check_top_subspace(symmetric_with_spectrum(np.linspace(0.0, 1.0, 300), 3), 4)
+        assert products > 3 * 20
 
     def test_nan_product_raises(self):
         v0 = np.ones(30)
