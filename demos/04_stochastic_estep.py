@@ -10,12 +10,12 @@ import time
 import sbanm
 from sbanm.rng import substream
 
-cfg = sbanm.SviConfig(a=150, kappa_m=2.0, kappa_w=0.7, seed=0)
+cfg = sbanm.SviConfig(a=150, seed=0)
 n = 300
 print("schedules for n=300, a=150:")
 print("  t  subsample  avg-weight")
 for t in range(6):
-    print(f"  {t}   {sbanm.subsample_size(t, cfg, n):8d}  {sbanm.averaging_weight(t, cfg):10.4f}")
+    print(f"  {t}   {sbanm.subsample_size(t, cfg, n):8d}  {sbanm.averaging_weight(t):10.4f}")
 
 truth, sizes = sbanm.experiment2_spec()
 net, labels = sbanm.gen_network(truth, sizes, substream(9, "network"))

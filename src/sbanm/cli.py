@@ -86,11 +86,8 @@ def _add_fit_flags(p, blocks: bool = True):
     p.add_argument("--max-iter", type=int, default=vem.FitConfig.max_outer)
     p.add_argument("--tol-elbo", type=float, default=vem.FitConfig.tol_elbo)
     p.add_argument("--tol-tau", type=float, default=vem.FitConfig.tol_tau)
-    p.add_argument("--damping", type=float, default=vem.FitConfig.damping)
-    p.add_argument("--svi", action="store_true")
-    p.add_argument("--svi-a", type=int, default=SviConfig.a)
-    p.add_argument("--svi-kappa-m", type=float, default=SviConfig.kappa_m)
-    p.add_argument("--svi-kappa-w", type=float, default=SviConfig.kappa_w)
+    p.add_argument("--svi", type=int, nargs="?", const=SviConfig.a, metavar="A",
+                   help=f"subsampled E-steps, the first on A nodes (default {SviConfig.a})")
     p.add_argument("--threads", type=int, default=1,
                    help="accepted for compatibility; has no effect")
     p.add_argument("--seed", type=_parse_seed, default=0)
@@ -110,14 +107,9 @@ def _fit(args, net, Q: int) -> vem.FitResult:
         max_outer=args.max_iter,
         tol_elbo=args.tol_elbo,
         tol_tau=args.tol_tau,
-        damping=args.damping,
         seed=args.seed,
     )
-    svi = None
-    if args.svi:
-        svi = SviConfig(
-            a=args.svi_a, kappa_m=args.svi_kappa_m, kappa_w=args.svi_kappa_w, seed=args.seed
-        )
+    svi = None if args.svi is None else SviConfig(a=args.svi, seed=args.seed)
     result = vem.fit(net, cfg, svi=svi)
     if result.empty_blocks:
         print(f"warning: Q={Q}: no node assigned to block(s) "

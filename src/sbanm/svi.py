@@ -7,7 +7,6 @@ a decaying averaging weight.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,33 +16,32 @@ from .estep import e_step
 from .model import ModelParams, MultilayerNetwork, VariationalState
 from .rng import substream
 
+# Step-size exponents (Hoffman, Blei, Wang & Paisley 2013).  KAPPA_W lies in
+# (0.5, 1], so the averaging weights satisfy Robbins-Monro; KAPPA_M is
+# finite, so the subsample reaches n.
+KAPPA_M = 2.0
+KAPPA_W = 0.7
+
 
 @dataclass
 class SviConfig:
     a: int = 150
-    kappa_m: float = 2.0
-    kappa_w: float = 0.7
     seed: int = 0
 
     def __post_init__(self):
         if self.a < 2:
             raise DataError("base subsample size must be at least 2")
-        # With kappa_m = inf the subsample would stay at a nodes for good.
-        if not 0 <= self.kappa_m < math.inf:
-            raise DataError("kappa_m must be nonnegative and finite")
-        if not 0.5 < self.kappa_w <= 1.0:
-            raise DataError("kappa_w must lie in (0.5, 1]")
 
 
 def subsample_size(t: int, cfg: SviConfig, n: int) -> int:
-    """min(a + (t/(t+1))^kappa_m * n, n), floored to an integer."""
-    grown = cfg.a + (t / (t + 1)) ** cfg.kappa_m * n
+    """min(a + (t/(t+1))^KAPPA_M * n, n), floored to an integer."""
+    grown = cfg.a + (t / (t + 1)) ** KAPPA_M * n
     return int(min(grown, n))
 
 
-def averaging_weight(t: int, cfg: SviConfig) -> float:
-    """(t+1)^(-kappa_w); sums diverge while squared sums converge."""
-    return (t + 1) ** (-cfg.kappa_w)
+def averaging_weight(t: int) -> float:
+    """(t+1)^(-KAPPA_W); sums diverge while squared sums converge."""
+    return (t + 1) ** (-KAPPA_W)
 
 
 def svi_e_step(
@@ -72,6 +70,6 @@ def svi_e_step(
     rng = substream(cfg.seed, "svi-sample", t)
     nodes = np.sort(rng.choice(n, size=m, replace=False))
     return e_step(
-        net, params, state, nodes, inner=1, damping=averaging_weight(t, cfg),
+        net, params, state, nodes, inner=1, damping=averaging_weight(t),
         workspace=workspace, coefficients=coefficients,
     )

@@ -46,6 +46,8 @@ logger = logging.getLogger(__name__)
 _MASS_FLOOR = 1e-8
 # Most damped tau passes in one full-batch E-step.
 TAU_INNER_MAX = 50
+# Weight of the new tau in each of those passes.
+TAU_DAMPING = 0.7
 
 
 @dataclass
@@ -54,7 +56,6 @@ class FitConfig:
     max_outer: int = 200
     tol_tau: float = 1e-6
     tol_elbo: float = 1e-8
-    damping: float = 0.7
     seed: int = 0
 
     def __post_init__(self):
@@ -62,8 +63,6 @@ class FitConfig:
             raise DataError("Q must be at least 1")
         if not (0.0 < self.tol_tau < math.inf and 0.0 < self.tol_elbo < math.inf):
             raise DataError("tolerances must be finite and positive")
-        if not 0.0 < self.damping <= 1.0:
-            raise DataError("damping must lie in (0, 1]")
         if self.max_outer < 1:
             raise DataError("max_outer must be at least 1")
 
@@ -249,7 +248,7 @@ def fit(
         full = svi is None or subsample_size(it, svi, net.n) >= net.n
         if full:
             tau = e_step(
-                net, params, state, inner=TAU_INNER_MAX, damping=cfg.damping, tol=cfg.tol_tau,
+                net, params, state, inner=TAU_INNER_MAX, damping=TAU_DAMPING, tol=cfg.tol_tau,
                 workspace=workspace, coefficients=coefficients,
             )
         else:

@@ -94,13 +94,29 @@ class TestFitEvalRoundTrip:
         net_path, truth_path = planted_files
         out = tmp_path / "svi"
         assert run_cli("fit", "--input", str(net_path), "--blocks", "3", "--seed", "7",
-                       "--svi", "--svi-a", "20", "--out", str(out)) == 0
+                       "--svi", "20", "--out", str(out)) == 0
         run_cli("eval", "--truth", str(truth_path),
                 "--pred", str(out / "memberships.csv"))
         lines = dict(
             line.split("\t") for line in capsys.readouterr().out.strip().splitlines()
         )
         assert lines["exact_recovery"] == "true"
+
+    def test_svi_flag_without_size_uses_the_default(self, tmp_path, capsys):
+        # 210 nodes: the first two steps run on subsamples of 150 and 202.
+        net, _, _ = planted_network(sizes=(80, 70, 60), seed=31)
+        net_path, out = tmp_path / "net.tsv", tmp_path / "svi"
+        sbanm.write_network(net, str(net_path))
+        svi = sbanm.SviConfig(a=150, seed=7)
+        assert sbanm.subsample_size(1, svi, net.n) < net.n
+        assert run_cli("fit", "--input", str(net_path), "--blocks", "3", "--seed", "7",
+                       "--svi", "--out", str(out)) == 0
+        assert " svi=150 " in capsys.readouterr().err.splitlines()[0]
+        want = sbanm.fit(net, sbanm.FitConfig(Q=3, seed=7), svi=svi)
+        _, hard, _ = sbanm.read_memberships(str(out / "memberships.csv"))
+        _, extras = sbanm.read_params(str(out / "params.json"))
+        assert np.array_equal(hard, want.hard_membership)
+        assert extras["elbo"] == want.elbo
 
 
     def test_unconverged_fit_reports_last_iterate(self, planted_files, tmp_path, capsys):
@@ -129,7 +145,7 @@ class TestFitEvalRoundTrip:
         assert len(result.elbo_trace) == cfg.max_outer
         assert sbanm.fit(net, cfg).converged
         assert run_cli("fit", "--input", str(net_path), "--blocks", "3", "--seed", "7",
-                       "--svi", "--svi-a", "3", "--max-iter", "20",
+                       "--svi", "3", "--max-iter", "20",
                        "--out", str(tmp_path / "svi")) == 0
         assert "warning: fit did not converge; last iterate written\n" in capsys.readouterr().err
 
@@ -337,6 +353,17 @@ class TestExitCodes:
     def test_unknown_flag_is_usage_error(self):
         assert run_cli("fit", "--nonsense", "1") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["fit", "--blocks", "3", "--out", "o"], ["select", "--qmin", "2", "--qmax", "3"]],
+    )
+    @pytest.mark.parametrize("flag", ["--damping", "--svi-kappa-m", "--svi-kappa-w", "--svi-a"])
+    def test_step_size_flags_are_gone(self, argv, flag, capsys):
+        # The step sizes are module constants, and `--svi A` sets the
+        # subsample size.
+        assert run_cli(*argv, "--input", "net.tsv", "--svi", flag, "2") == 1
+        assert f"error: unrecognized arguments: {flag} 2" in capsys.readouterr().err
+
     def test_missing_subcommand_is_usage_error(self):
         assert run_cli() == 1
 
@@ -367,18 +394,6 @@ class TestExitCodes:
         assert run_cli("eval", "--truth", str(bad), "--pred", str(truth_path)) == 2
         assert f"{bad}:3: not valid UTF-8" in capsys.readouterr().err
 
-    def test_negative_svi_kappa_m_is_data_error(self, planted_files, tmp_path, capsys):
-        net_path, _ = planted_files
-        assert run_cli("fit", "--input", str(net_path), "--blocks", "3", "--svi",
-                       "--svi-kappa-m", "-1", "--out", str(tmp_path / "o")) == 2
-        assert "kappa_m must be nonnegative" in capsys.readouterr().err
-
-    def test_infinite_svi_kappa_m_is_data_error(self, planted_files, tmp_path, capsys):
-        net_path, _ = planted_files
-        assert run_cli("fit", "--input", str(net_path), "--blocks", "3", "--svi",
-                       "--svi-kappa-m", "inf", "--out", str(tmp_path / "o")) == 2
-        assert "kappa_m must be nonnegative and finite" in capsys.readouterr().err
-
     def test_svi_base_size_below_q_is_data_error(self, planted_files, tmp_path, capsys,
                                                  monkeypatch):
         def no_init(*args):
@@ -387,7 +402,7 @@ class TestExitCodes:
         monkeypatch.setattr(sbanm.vem, "spectral_init", no_init)
         net_path, _ = planted_files
         assert run_cli("fit", "--input", str(net_path), "--blocks", "3", "--svi",
-                       "--svi-a", "2", "--out", str(tmp_path / "o")) == 2
+                       "2", "--out", str(tmp_path / "o")) == 2
         assert "subsample too small for Q blocks" in capsys.readouterr().err
 
     def test_negative_counts_for_logit_strength_are_data_error(self, tmp_path, capsys):
@@ -418,21 +433,19 @@ class TestExitCodes:
     def test_fit_flag_defaults_are_the_config_defaults(self, argv):
         args = _build_parser().parse_args([*argv, "--input", "net.tsv"])
         fit_defaults = {f.name: f.default for f in dataclasses.fields(sbanm.FitConfig)}
-        svi_defaults = {f.name: f.default for f in dataclasses.fields(sbanm.SviConfig)}
-        assert (args.max_iter, args.tol_elbo, args.tol_tau, args.damping, args.seed) == (
+        assert (args.max_iter, args.tol_elbo, args.tol_tau, args.seed) == (
             fit_defaults["max_outer"], fit_defaults["tol_elbo"], fit_defaults["tol_tau"],
-            fit_defaults["damping"], fit_defaults["seed"],
+            fit_defaults["seed"],
         )
-        assert (args.svi_a, args.svi_kappa_m, args.svi_kappa_w) == (
-            svi_defaults["a"], svi_defaults["kappa_m"], svi_defaults["kappa_w"],
-        )
+        assert args.svi is None
+        bare = _build_parser().parse_args([*argv, "--input", "net.tsv", "--svi"])
+        assert bare.svi == sbanm.SviConfig.a
 
     def test_default_config_echo(self, tmp_path, capsys):
         run_cli("fit", "--input", str(tmp_path / "nope.tsv"), "--blocks", "3", "--out", "o")
         assert capsys.readouterr().err.splitlines()[0] == (
-            f"sbanm fit: blocks=3 damping=0.7 input={tmp_path / 'nope.tsv'} max_iter=200 "
-            "out=o seed=0 svi=False svi_a=150 svi_kappa_m=2.0 svi_kappa_w=0.7 threads=1 "
-            "tol_elbo=1e-08 tol_tau=1e-06"
+            f"sbanm fit: blocks=3 input={tmp_path / 'nope.tsv'} max_iter=200 "
+            "out=o seed=0 svi=None threads=1 tol_elbo=1e-08 tol_tau=1e-06"
         )
 
     def test_config_echoed_to_stderr(self, planted_files, tmp_path, capsys):

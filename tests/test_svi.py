@@ -12,8 +12,12 @@ from conftest import planted_network
 
 
 class TestSchedules:
+    def test_step_size_exponents(self):
+        assert sbanm.svi.KAPPA_M == 2.0
+        assert sbanm.svi.KAPPA_W == 0.7
+
     def test_subsample_size_values(self):
-        cfg = SviConfig(a=100, kappa_m=2.0)
+        cfg = SviConfig(a=100)
         assert subsample_size(0, cfg, 500) == 100
         assert subsample_size(1, cfg, 500) == 225  # 100 + (1/2)^2 * 500
         assert subsample_size(10**6, cfg, 500) == 500
@@ -25,20 +29,19 @@ class TestSchedules:
         assert max(sizes) == 400
 
     def test_averaging_weight_values(self):
-        cfg = SviConfig(kappa_w=0.7)
-        assert averaging_weight(0, cfg) == 1.0
-        assert averaging_weight(3, cfg) == pytest.approx(4 ** -0.7, abs=1e-12)
-        assert averaging_weight(3, cfg) == pytest.approx(0.3789, abs=5e-5)
+        assert averaging_weight(0) == 1.0
+        assert averaging_weight(3) == pytest.approx(4 ** -0.7, abs=1e-12)
+        assert averaging_weight(3) == pytest.approx(0.3789, abs=5e-5)
 
-    def test_weight_series_divergence_profile(self):
+    def test_weight_series_divergence_profile(self, monkeypatch):
         # Integral-test bounds on the partial sums: sum delta_t dominates a
         # divergent minorant while sum delta_t^2 stays under its convergent
         # majorant, for every admissible exponent.
         T = 200_000
         t = np.arange(T)
         for kappa in (0.51, 0.7, 1.0):
-            cfg = SviConfig(kappa_w=kappa)
-            d = averaging_weight(t, cfg)
+            monkeypatch.setattr(sbanm.svi, "KAPPA_W", kappa)
+            d = averaging_weight(t)
             assert np.allclose(d, (t + 1.0) ** -kappa)
             sums = np.cumsum(d)
             n = np.arange(1, T + 1)
@@ -53,13 +56,6 @@ class TestSchedules:
     def test_config_validation(self):
         with pytest.raises(DataError):
             SviConfig(a=1)
-        with pytest.raises(DataError):
-            SviConfig(kappa_w=0.5)
-
-    @pytest.mark.parametrize("kappa_m", [-1.0, -1e-12, float("nan"), float("inf")])
-    def test_negative_or_nan_kappa_m_rejected(self, kappa_m):
-        with pytest.raises(DataError, match="kappa_m"):
-            SviConfig(kappa_m=kappa_m)
 
 
 class TestSviEStep:

@@ -29,7 +29,7 @@ from sbanm.errors import DataError, NumericalError
 from sbanm.estep import block_gaps, signal_probs
 from sbanm.model import EPS_PROB, law_coefficients, pair_moments
 from sbanm.svi import SviConfig, svi_e_step
-from sbanm.vem import TAU_INNER_MAX, _m_step
+from sbanm.vem import TAU_DAMPING, TAU_INNER_MAX, _m_step
 from sbanm.rng import substream
 
 from conftest import offset_planted_network, planted_network
@@ -63,7 +63,7 @@ def fit_e_step(net, params, state):
     """Memberships from the fit's full-batch E-step at the default settings."""
     cfg = FitConfig(Q=state.Q)
     return e_step(
-        net, params, state, inner=TAU_INNER_MAX, damping=cfg.damping, tol=cfg.tol_tau
+        net, params, state, inner=TAU_INNER_MAX, damping=TAU_DAMPING, tol=cfg.tol_tau
     )
 
 
@@ -74,6 +74,15 @@ def p_update(net, params, tau):
 
 
 class TestEstimateTau:
+    def test_tau_damping_value(self, planted60):
+        # A one-iteration fit's tau is the full-batch E-step at TAU_DAMPING.
+        assert TAU_DAMPING == 0.7
+        net, _, _ = planted60
+        state = soft_state(net.n, 3, seed=1)
+        params = _m_step(net, state, pair_moments(net, state.tau))
+        result = sbanm.fit(net, FitConfig(Q=3, max_outer=1), init_state=state)
+        assert np.array_equal(result.state.tau, fit_e_step(net, params, state))
+
     def test_q1_all_ones(self):
         net = constant_network(5, 1, 0.3)
         params = twin_block_params(Q=1)
