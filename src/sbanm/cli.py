@@ -53,7 +53,9 @@ def _build_parser() -> _Parser:
     group.add_argument("--experiment2", action="store_true",
                        help="fixed trivariate 4-block benchmark parameters")
     sim.add_argument("--candidates", type=int, default=1)
-    sim.add_argument("--keep-frac", type=float, default=0.10)
+    sim.add_argument("--keep-frac", type=float, default=0.10,
+                     help="share of --blocks candidates kept by the separability filter; "
+                          "--experiment2 keeps every candidate")
     sim.add_argument("--seed", type=_parse_seed, default=0)
     sim.add_argument("--out", required=True)
 
@@ -84,8 +86,6 @@ def _add_fit_flags(p, blocks: bool = True):
     if blocks:
         p.add_argument("--blocks", type=int, required=True)
     p.add_argument("--max-iter", type=int, default=vem.FitConfig.max_outer)
-    p.add_argument("--tol-elbo", type=float, default=vem.FitConfig.tol_elbo)
-    p.add_argument("--tol-tau", type=float, default=vem.FitConfig.tol_tau)
     p.add_argument("--svi", type=int, nargs="?", const=SviConfig.a, metavar="A",
                    help=f"subsampled E-steps, the first on A nodes (default {SviConfig.a})")
     p.add_argument("--threads", type=int, default=1,
@@ -101,20 +101,15 @@ def _echo_config(args) -> None:
 def _fit(args, net, Q: int) -> vem.FitResult:
     """Fit Q blocks with the command's settings; warn when the returned hard
     partition leaves blocks without a node, and when the ELBO fell between
-    iterations by more than --tol-elbo times its previous magnitude."""
-    cfg = vem.FitConfig(
-        Q=Q,
-        max_outer=args.max_iter,
-        tol_elbo=args.tol_elbo,
-        tol_tau=args.tol_tau,
-        seed=args.seed,
-    )
+    iterations by more than vem.TOL_ELBO times its previous magnitude.  The
+    fit stops on vem.TOL_TAU and vem.TOL_ELBO, which no flag sets."""
+    cfg = vem.FitConfig(Q=Q, max_outer=args.max_iter, seed=args.seed)
     svi = None if args.svi is None else SviConfig(a=args.svi, seed=args.seed)
     result = vem.fit(net, cfg, svi=svi)
     if result.empty_blocks:
         print(f"warning: Q={Q}: no node assigned to block(s) "
               f"{', '.join(map(str, result.empty_blocks))}", file=sys.stderr)
-    drops = result.elbo_drops(args.tol_elbo)
+    drops = result.elbo_drops(vem.TOL_ELBO)
     if drops:
         print(f"warning: Q={Q}: ELBO decreased at iteration(s) {', '.join(map(str, drops))} "
               f"(largest relative drop {max(drops.values()):.2e})", file=sys.stderr)

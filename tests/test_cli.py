@@ -357,10 +357,13 @@ class TestExitCodes:
         "argv",
         [["fit", "--blocks", "3", "--out", "o"], ["select", "--qmin", "2", "--qmax", "3"]],
     )
-    @pytest.mark.parametrize("flag", ["--damping", "--svi-kappa-m", "--svi-kappa-w", "--svi-a"])
+    @pytest.mark.parametrize(
+        "flag",
+        ["--damping", "--svi-kappa-m", "--svi-kappa-w", "--svi-a", "--tol-elbo", "--tol-tau"],
+    )
     def test_step_size_flags_are_gone(self, argv, flag, capsys):
-        # The step sizes are module constants, and `--svi A` sets the
-        # subsample size.
+        # The step sizes and stopping tolerances are module constants, and
+        # `--svi A` sets the subsample size.
         assert run_cli(*argv, "--input", "net.tsv", "--svi", flag, "2") == 1
         assert f"error: unrecognized arguments: {flag} 2" in capsys.readouterr().err
 
@@ -415,13 +418,6 @@ class TestExitCodes:
                        "--out", str(tmp_path / "norm")) == 2
         assert "layer 1 has a negative weight" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--tol-elbo", "--tol-tau"])
-    def test_nan_tolerance_is_data_error(self, planted_files, tmp_path, capsys, flag):
-        net_path, _ = planted_files
-        assert run_cli("fit", "--input", str(net_path), "--blocks", "3", flag, "nan",
-                       "--out", str(tmp_path / "o")) == 2
-        assert "tolerances must be finite and positive" in capsys.readouterr().err
-
     def test_missing_file_is_plain_error(self, tmp_path):
         assert run_cli("fit", "--input", str(tmp_path / "nope.tsv"), "--blocks", "2",
                        "--out", str(tmp_path / "o")) == 1
@@ -433,10 +429,7 @@ class TestExitCodes:
     def test_fit_flag_defaults_are_the_config_defaults(self, argv):
         args = _build_parser().parse_args([*argv, "--input", "net.tsv"])
         fit_defaults = {f.name: f.default for f in dataclasses.fields(sbanm.FitConfig)}
-        assert (args.max_iter, args.tol_elbo, args.tol_tau, args.seed) == (
-            fit_defaults["max_outer"], fit_defaults["tol_elbo"], fit_defaults["tol_tau"],
-            fit_defaults["seed"],
-        )
+        assert (args.max_iter, args.seed) == (fit_defaults["max_outer"], fit_defaults["seed"])
         assert args.svi is None
         bare = _build_parser().parse_args([*argv, "--input", "net.tsv", "--svi"])
         assert bare.svi == sbanm.SviConfig.a
@@ -445,7 +438,7 @@ class TestExitCodes:
         run_cli("fit", "--input", str(tmp_path / "nope.tsv"), "--blocks", "3", "--out", "o")
         assert capsys.readouterr().err.splitlines()[0] == (
             f"sbanm fit: blocks=3 input={tmp_path / 'nope.tsv'} max_iter=200 "
-            "out=o seed=0 svi=None threads=1 tol_elbo=1e-08 tol_tau=1e-06"
+            "out=o seed=0 svi=None threads=1"
         )
 
     def test_config_echoed_to_stderr(self, planted_files, tmp_path, capsys):
