@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import os
 
@@ -177,6 +178,27 @@ class TestFitEvalRoundTrip:
         assert "did not converge" not in err
         assert (out / "memberships.csv").exists()
 
+    @pytest.mark.parametrize("drop, warned", [(0.5e-8, False), (2e-8, True)],
+                             ids=["below-tol-elbo", "above-tol-elbo"])
+    def test_elbo_drop_warning_threshold_is_tol_elbo(
+        self, planted_files, tmp_path, capsys, monkeypatch, drop, warned
+    ):
+        # The CLI warns of an ELBO fall only where it exceeds vem.TOL_ELBO
+        # times the previous magnitude.
+        real_fit = sbanm.vem.fit
+
+        def falling_fit(*args, **kwargs):
+            result = real_fit(*args, **kwargs)
+            trace = np.array([-110.0, -100.0, -100.0 * (1.0 + drop)])
+            return dataclasses.replace(result, elbo_trace=trace)
+
+        monkeypatch.setattr(sbanm.vem, "fit", falling_fit)
+        net_path, _ = planted_files
+        assert run_cli("fit", "--input", str(net_path), "--blocks", "3",
+                       "--seed", "7", "--out", str(tmp_path / "fit")) == 0
+        err = capsys.readouterr().err
+        assert ("warning: Q=3: ELBO decreased at iteration(s) 2 " in err) == warned
+
     def test_separable_seed_37_is_recovered(self, tmp_path, capsys):
         # On this separable candidate, blending each block with the noise
         # law loses block 2 in the first iteration (ARI 0.810); the fit
@@ -237,6 +259,24 @@ class TestSimulate:
         assert len(dirs) == 2  # ceil(0.1 * 20)
         for d in dirs:
             assert (out / d / "net.tsv").exists()
+
+    def test_experiment2_keeps_every_candidate(self, tmp_path, capsys):
+        # --keep-frac filters --blocks candidates only.
+        out = tmp_path / "exp2"
+        assert run_cli("simulate", "--layers", "3", "--nodes", "300", "--experiment2",
+                       "--candidates", "3", "--keep-frac", "0.1", "--seed", "4",
+                       "--out", str(out)) == 0
+        assert "kept candidates: [0, 1, 2]\n" in capsys.readouterr().err
+        assert sorted(d for d in os.listdir(out) if d.startswith("cand")) == [
+            "cand000", "cand001", "cand002"
+        ]
+
+    def test_keep_frac_help_names_its_scope(self, capsys):
+        assert run_cli("simulate", "--help") == 0
+        assert (
+            "share of --blocks candidates kept by the separability filter; "
+            "--experiment2 keeps every candidate"
+        ) in " ".join(capsys.readouterr().out.split())
 
     @pytest.mark.parametrize(
         "flags, draw",
@@ -433,6 +473,18 @@ class TestExitCodes:
         assert args.svi is None
         bare = _build_parser().parse_args([*argv, "--input", "net.tsv", "--svi"])
         assert bare.svi == sbanm.SviConfig.a
+
+    @pytest.mark.parametrize("command, flags", [
+        ("fit", ["--blocks", "--input", "--max-iter", "--out", "--seed", "--svi", "--threads"]),
+        ("select",
+         ["--input", "--max-iter", "--qmax", "--qmin", "--seed", "--svi", "--threads"]),
+    ])
+    def test_fit_commands_take_seven_flags(self, command, flags):
+        parser = _build_parser()
+        (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        options = [a.option_strings[0] for a in sub.choices[command]._actions
+                   if a.dest != "help"]
+        assert sorted(options) == flags
 
     def test_default_config_echo(self, tmp_path, capsys):
         run_cli("fit", "--input", str(tmp_path / "nope.tsv"), "--blocks", "3", "--out", "o")

@@ -627,6 +627,25 @@ class TestFit:
         assert (TOL_TAU, TOL_ELBO) == (1e-6, 1e-8)
         assert [f.name for f in dataclasses.fields(FitConfig)] == ["Q", "max_outer", "seed"]
 
+    @pytest.mark.parametrize(
+        "field, message",
+        [("Q", "Q must be at least 1"), ("max_outer", "max_outer must be at least 1")],
+    )
+    def test_config_counts_must_be_positive(self, field, message):
+        with pytest.raises(DataError, match=message):
+            FitConfig(**{"Q": 2, field: 0})
+
+    def test_tau_rule_alone_stops_the_fit(self, monkeypatch):
+        # No ELBO change is below 0, so only the tau test can stop; on this
+        # network it stops the default fit too, at the same iteration.
+        net, _, _ = planted_network(seed=2)
+        want = fit(net, FitConfig(Q=3, seed=2))
+        monkeypatch.setattr(sbanm.vem, "TOL_ELBO", 0.0)
+        got = fit(net, FitConfig(Q=3, seed=2))
+        assert got.converged and got.partition_moments is not None
+        assert np.array_equal(got.elbo_trace, want.elbo_trace)
+        assert np.array_equal(got.hard_membership, want.hard_membership)
+
     def test_q1_collapses_to_global_noise(self):
         net, _, _ = planted_network(sizes=(8, 7, 5), seed=14)
         result = fit(net, FitConfig(Q=1, seed=0))
