@@ -1,14 +1,12 @@
 """The E-step of hierarchical variational EM.
 
-A damped fixed point for the membership posteriors tau, in one packed gap
-workspace that a fit allocates once and every E-step refills.  Full-batch
-EM runs it on every node; the stochastic variant (sbanm.svi) runs one pass
-of it on a node subsample, damped by its decaying averaging weight.  The
-update of the posterior over which block is the noise block (P_q, the
-probability that block q is signal, is one minus its entry) reads the
-block gaps off a pair_moments pass: signal_probs(block_gaps(...)).
-Each takes the laws as their model.law_coefficients, which a fit computes
-once per parameter set.
+A damped fixed point for the membership posteriors tau, on packed gap
+matrices that each E-step builds from the laws' model.law_coefficients.
+Full-batch EM runs it on every node; the stochastic variant (sbanm.svi)
+runs one pass of it on a node subsample, damped by its decaying averaging
+weight.  The update of the posterior over which block is the noise block
+(P_q, the probability that block q is signal, is one minus its entry)
+reads the block gaps off a pair_moments pass: signal_probs(block_gaps(...)).
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ from .model import (
     VariationalState,
     clip_prob,
     law_coefficients,
-    packed_blocks,
     packed_matvec,
     packed_pairs,
     pair_features,
@@ -30,26 +27,17 @@ from .model import (
 )
 
 
-def gap_workspace(n: int, Q: int) -> list:
-    """Storage for the Q gap matrices of _gap_squares: model.packed_blocks
-    row blocks with lead axis Q.  The gaps only ever write the entries
-    above the diagonal, so the others stay zero across refills."""
-    return packed_blocks(n, (Q,))
-
-
-def _gap_squares(net: MultilayerNetwork, coefficients: tuple, workspace: list) -> list:
+def _gap_squares(net: MultilayerNetwork, params: ModelParams) -> list:
     """Each block's signal-minus-noise log-density gap over all pairs, as Q
-    symmetric n x n matrices, written into and returned as `workspace` (a
-    gap_workspace(n, Q)).  `coefficients` are the laws' law_coefficients
-    about net.center."""
-    noise, blocks = coefficients
+    symmetric n x n matrices in model.packed_pairs row blocks."""
+    noise, blocks = law_coefficients(params, net.center)
     # Overflow or inf - inf here is caught by the E-step's finite check.
     with np.errstate(over="ignore", invalid="ignore"):
         coef = blocks - noise
         return packed_pairs(
             net.n,
             lambda p0, p1, r0, r1: coef @ pair_features(net.weights[p0:p1], net.center),
-            out=workspace,
+            (params.Q,),
         )
 
 
@@ -88,8 +76,6 @@ def e_step(
     inner: int = 1,
     damping: float = 1.0,
     tol: float = 0.0,
-    workspace: list | None = None,
-    coefficients: tuple | None = None,
 ) -> np.ndarray:
     """One tau update on the rows in `nodes` (sorted, distinct node indices;
     all nodes when None); returns the new tau.
@@ -105,17 +91,10 @@ def e_step(
     are kept unchanged.  A full-batch step damps its passes; an SVI step
     (sbanm.svi) is one pass with its averaging weight as `damping`.  P is
     not updated here: the fit takes it at the new tau from the next moment
-    pass, signal_probs(block_gaps(coefficients, pair_moments(net, tau))).
-
-    The gap matrices are written into `workspace`, a gap_workspace(n, Q),
-    which is allocated here when None.  `coefficients` are
-    law_coefficients(params, net.center), computed here when None.
+    pass, signal_probs(block_gaps(law_coefficients(params, net.center),
+    pair_moments(net, tau))).
     """
-    if workspace is None:
-        workspace = gap_workspace(net.n, params.Q)
-    if coefficients is None:
-        coefficients = law_coefficients(params, net.center)
-    gaps = _gap_squares(net, coefficients, workspace)
+    gaps = _gap_squares(net, params)
     rows = slice(None) if nodes is None else nodes
     const = safe_log(params.alpha)[None, :] - 1.0
     # Memberships zeroed outside `rows`: the whole-graph product read at

@@ -102,37 +102,30 @@ def tile_endpoints(m: int, r0: int, r1: int) -> tuple[np.ndarray, np.ndarray]:
     return I, J
 
 
-def packed_blocks(m: int, lead: tuple = ()) -> list[tuple[int, np.ndarray]]:
-    """Zeroed storage for symmetric zero-diagonal m x m matrices (one per
-    index of `lead`) as row blocks: a list of (r0, T), T of shape
-    lead + (r1 - r0, m - r0) holding rows r0 <= i < r1 from column r0 on.
-    Blocks are PACKED_BLOCK_ROWS rows high (the last one may be lower),
-    cover rows 0..m-2 and are views of one buffer."""
+def packed_pairs(m: int, tile_values, lead: tuple = ()) -> list[tuple[int, np.ndarray]]:
+    """Symmetric zero-diagonal m x m matrices (one per index of `lead`) as
+    row blocks: a list of (r0, T), T of shape lead + (r1 - r0, m - r0)
+    holding rows r0 <= i < r1 from column r0 on.  Blocks are
+    PACKED_BLOCK_ROWS rows high (the last one may be lower), cover rows
+    0..m-2 and are views of one buffer.  The entries of the pairs
+    p0 <= p < p1 of each pair_tiles(m) tile (p0, p1, r0, r1) are
+    tile_values(p0, p1, r0, r1); each of its rows goes to its block as one
+    slice, after the row's zeros at and below the diagonal."""
     starts = range(0, m - 1, PACKED_BLOCK_ROWS)
     shapes = [lead + (min(PACKED_BLOCK_ROWS, m - 1 - r0), m - r0) for r0 in starts]
-    buffer = np.zeros(sum(math.prod(shape) for shape in shapes))
+    # Every entry is written once below, so the buffer is not zeroed first;
+    # zeroing it added 4-5 ms to each ~14 ms E-step gap build at n = 1200.
+    buffer = np.empty(sum(math.prod(shape) for shape in shapes))
     blocks, offset = [], 0
     for r0, shape in zip(starts, shapes):
         blocks.append((r0, buffer[offset : offset + math.prod(shape)].reshape(shape)))
         offset += math.prod(shape)
-    return blocks
-
-
-def packed_pairs(
-    m: int, tile_values, lead: tuple = (), out=None
-) -> list[tuple[int, np.ndarray]]:
-    """Symmetric zero-diagonal m x m matrices (one per index of `lead`) in
-    packed_blocks(m, lead) row blocks, written into `out` (such blocks,
-    zero at and below the diagonal) or into new ones.  The entries of the
-    pairs p0 <= p < p1 of each pair_tiles(m) tile (p0, p1, r0, r1) are
-    tile_values(p0, p1, r0, r1); each of its rows goes to its block as one
-    slice.  Entries at and below the diagonal are never written."""
-    blocks = packed_blocks(m, lead) if out is None else out
     for p0, p1, r0, r1 in pair_tiles(m):
         values = tile_values(p0, p1, r0, r1)
         p = p0
         for i in range(r0, r1):
             b0, T = blocks[i // PACKED_BLOCK_ROWS]
+            T[..., i - b0, : i + 1 - b0] = 0.0
             T[..., i - b0, i + 1 - b0 :] = values[..., p - p0 : p - p0 + m - 1 - i]
             p += m - 1 - i
         # Free this tile's values before the next tile's are built.
@@ -485,9 +478,6 @@ def gaussian_coefficients(mu: np.ndarray, cov: np.ndarray, center: np.ndarray) -
 def law_coefficients(params: ModelParams, center: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """gaussian_coefficients of the noise law (length D) and of every block
     law (shape (Q, D)), all about `center`, from one stacked call.
-
-    A fit computes them once per parameter set and hands them to the
-    E-step, the P update and the ELBO that use that set.
     """
     laws = [params.noise, *params.blocks]
     # Far-out centers overflow to inf; the E-step, the P update and the

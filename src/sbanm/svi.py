@@ -50,8 +50,6 @@ def svi_e_step(
     state: VariationalState,
     t: int,
     cfg: SviConfig,
-    workspace: list | None = None,
-    coefficients: tuple | None = None,
 ) -> np.ndarray:
     """One stochastic E-step; returns the new tau.
 
@@ -61,7 +59,6 @@ def svi_e_step(
     new rows plus the rest times the previous ones, renormalized; the
     others are kept.  P is not blended: the fit takes it at the new tau
     from the whole-graph moment pass, as after a full-batch step.
-    `workspace` and `coefficients` are e_step's.
     """
     n = state.n
     m = subsample_size(t, cfg, n)
@@ -69,7 +66,4 @@ def svi_e_step(
         raise DataError("subsample too small for Q blocks")
     rng = substream(cfg.seed, "svi-sample", t)
     nodes = np.sort(rng.choice(n, size=m, replace=False))
-    return e_step(
-        net, params, state, nodes, inner=1, damping=averaging_weight(t),
-        workspace=workspace, coefficients=coefficients,
-    )
+    return e_step(net, params, state, nodes, inner=1, damping=averaging_weight(t))

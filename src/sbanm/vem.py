@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .estep import block_gaps, e_step, gap_workspace, signal_probs
+from .estep import block_gaps, e_step, signal_probs
 from .init import spectral_init
 from .model import (
     VAR_FLOOR,
@@ -161,7 +161,6 @@ def elbo(
     params: ModelParams,
     state: VariationalState,
     moments: np.ndarray,
-    coefficients: tuple | None = None,
 ) -> float:
     """Hierarchical evidence lower bound.
 
@@ -169,14 +168,11 @@ def elbo(
     parts) plus the membership prior and entropy, and the entropy of the
     posterior N = 1 - P over which block is noise with its uniform prior
     1/Q (a constant while N sums to one); all logs clamped.  `moments` is
-    pair_moments(net, state.tau); `coefficients` are
-    law_coefficients(params, net.center), computed here when None.
+    pair_moments(net, state.tau).
     """
     tau, P = state.tau, state.P
-    if coefficients is None:
-        coefficients = law_coefficients(params, net.center)
     with np.errstate(over="ignore", invalid="ignore"):  # caught by the finite check
-        ll = expected_log_likelihood(coefficients, moments, P)
+        ll = expected_log_likelihood(law_coefficients(params, net.center), moments, P)
     terms = {
         "likelihood": ll,
         "membership prior": float(np.sum(tau * safe_log(params.alpha)[None, :])),
@@ -212,13 +208,10 @@ def fit(
     fit stops when the max-abs tau change drops below TOL_TAU or the
     relative ELBO change below TOL_ELBO, or after max_outer iterations.
     With an SviConfig the E-step runs on growing node subsamples until the
-    subsample covers the graph, then continues full batch.  Every E-step
-    refills one gap workspace, allocated once per fit.  The laws'
-    coefficients (model.law_coefficients) are computed once per parameter
-    set and serve its E-step, P update and ELBO.  When the tau test
-    has passed, or the iteration is the last allowed one, the iteration's
-    moment pass also sums the moments of the hard partition, which the
-    result keeps for the ICL.  The tau test ends most fits: the ELBO test
+    subsample covers the graph, then continues full batch.  When the tau
+    test has passed, or the iteration is the last allowed one, the
+    iteration's moment pass also sums the moments of the hard partition,
+    which the result keeps for the ICL.  The tau test ends most fits: the ELBO test
     ends 8 of the 240 fits of scripts/recovery_suites.py, and after such a
     stop evaluate.icl makes its own moment pass.  The block with the
     smallest fitted P is designated as noise and its parameters are
@@ -236,8 +229,6 @@ def fit(
     state = init_state
     # The loop's E-step needs model parameters.
     params = _m_step(net, state, pair_moments(net, state.tau))
-    coefficients = law_coefficients(params, net.center)
-    workspace = gap_workspace(net.n, cfg.Q)
 
     trace: list[float] = []
     converged = False
@@ -249,14 +240,9 @@ def fit(
         # is full batch.
         full = svi is None or subsample_size(it, svi, net.n) >= net.n
         if full:
-            tau = e_step(
-                net, params, state, inner=TAU_INNER_MAX, damping=TAU_DAMPING, tol=TOL_TAU,
-                workspace=workspace, coefficients=coefficients,
-            )
+            tau = e_step(net, params, state, inner=TAU_INNER_MAX, damping=TAU_DAMPING, tol=TOL_TAU)
         else:
-            tau = svi_e_step(
-                net, params, state, it, svi, workspace=workspace, coefficients=coefficients
-            )
+            tau = svi_e_step(net, params, state, it, svi)
         delta_tau = float(np.max(np.abs(tau - state.tau)))
         if (full and delta_tau < TOL_TAU) or it == cfg.max_outer - 1:
             # This iteration is the last: its pass also sums the moments of
@@ -266,11 +252,10 @@ def fit(
             partition_moments = (z, hard)
         else:
             moments = pair_moments(net, tau)
-        P = signal_probs(block_gaps(coefficients, moments))
+        P = signal_probs(block_gaps(law_coefficients(params, net.center), moments))
         state = VariationalState(tau=tau, P=P)
         params = _m_step(net, state, moments)
-        coefficients = law_coefficients(params, net.center)
-        value = elbo(net, params, state, moments, coefficients)
+        value = elbo(net, params, state, moments)
         trace.append(value)
         logger.info(
             "iter=%d elbo=%.10e dtau=%.3e minP=%.3e", it, value, delta_tau, state.P.min()

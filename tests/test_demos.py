@@ -1,4 +1,5 @@
-"""Every demo script runs to completion, warning-free, and writes no files."""
+"""Every demo script runs to completion, warning-free, writes no files, and
+prints the same output every time."""
 
 import os
 import subprocess
@@ -17,10 +18,14 @@ def test_demo_runs_cleanly(demo, tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
-        [sys.executable, "-W", "error", str(demo)],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == ""
-    assert list(tmp_path.iterdir()) == []
+    stdouts = []
+    for _ in range(2):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", str(demo)],
+            cwd=tmp_path, env=env, capture_output=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stderr == b""
+        assert list(tmp_path.iterdir()) == []
+        stdouts.append(proc.stdout)
+    assert stdouts[0] == stdouts[1]

@@ -6,7 +6,7 @@ from scipy.special import logsumexp, softmax
 
 import sbanm
 from sbanm import model
-from sbanm.estep import block_gaps, e_step, gap_workspace, signal_probs, softmax_rows
+from sbanm.estep import block_gaps, e_step, signal_probs, softmax_rows
 from sbanm.model import EPS_PROB, law_coefficients, pair_moments
 from sbanm.rng import substream
 
@@ -105,24 +105,6 @@ class TestPackedGapsAgainstDenseReference:
     ):
         monkeypatch.setattr(model, "PAIR_TILE", tile)
         self.check_against_dense_e_step(seed, subset, inner, damping)
-
-
-def test_refilled_workspace_gives_the_fresh_e_step():
-    # One workspace refilled at three parameter sets, full batch and on a
-    # subsample, gives the tau of a fresh workspace bit for bit: nothing
-    # of an earlier fill survives, and below the diagonal stays zero.
-    net, _, params = planted_network(sizes=(40, 35, 30), seed=4)
-    state = soft_state(net.n, 3, 4)
-    nodes = np.sort(substream(4, "nodes").choice(net.n, size=60, replace=False))
-    workspace = gap_workspace(net.n, 3)
-    for factor in (0.01, 1.0, 0.1):
-        shrunk = shrunk_params(params, factor)
-        for rows in (None, nodes):
-            fresh = e_step(net, shrunk, state, rows, inner=3, damping=0.7)
-            got = e_step(net, shrunk, state, rows, inner=3, damping=0.7, workspace=workspace)
-            assert np.array_equal(got, fresh)
-    for r0, T in workspace:
-        assert not np.any(np.tril(T))
 
 
 def test_e_step_peak_memory_below_dense_gap_squares():

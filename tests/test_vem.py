@@ -27,9 +27,9 @@ from sbanm import (
 )
 from sbanm.errors import DataError, NumericalError
 from sbanm.estep import block_gaps, signal_probs
-from sbanm.model import EPS_PROB, law_coefficients, pair_moments
+from sbanm.model import EPS_PROB, law_coefficients, noise_moments, pair_moments
 from sbanm.svi import SviConfig, svi_e_step
-from sbanm.vem import TAU_DAMPING, TAU_INNER_MAX, TOL_ELBO, TOL_TAU, _m_step
+from sbanm.vem import _MASS_FLOOR, TAU_DAMPING, TAU_INNER_MAX, TOL_ELBO, TOL_TAU, _m_step
 from sbanm.rng import substream
 
 from conftest import offset_planted_network, planted_network
@@ -57,6 +57,15 @@ def twin_block_params(K=1, Q=2, mu=0.0, var=1.0):
         noise=NoiseParams(mu=[mu] * K, var=[var] * K),
         alpha=np.full(Q, 1.0 / Q),
     )
+
+
+def overflow_instance():
+    """Three nodes whose weights sit 1e203 standard deviations from every
+    law's mean, so the laws' law_coefficients overflow."""
+    net = MultilayerNetwork(n=3, K=1, weights=np.full((3, 1), 1e200))
+    params = twin_block_params(Q=2, var=1e-6)
+    state = VariationalState(tau=np.full((3, 2), 0.5), P=[0.5, 0.5])
+    return net, params, state
 
 
 def fit_e_step(net, params, state):
@@ -101,10 +110,7 @@ class TestEstimateTau:
         assert np.max(np.abs(tau.sum(axis=1) - 1.0)) < 1e-10
 
     def test_divergence_reported(self):
-        w = np.full((3, 1), 1e200)
-        net = MultilayerNetwork(n=3, K=1, weights=w)
-        params = twin_block_params(Q=2, var=1e-6)
-        state = VariationalState(tau=np.full((3, 2), 0.5), P=[0.5, 0.5])
+        net, params, state = overflow_instance()
         with pytest.raises(NumericalError, match="tau update diverged"):
             fit_e_step(net, params, state)
 
@@ -187,6 +193,11 @@ class TestEstimateP:
         tau[2:, 1] = 1.0
         P = p_update(net, params, tau)
         assert P[0] == 1.0 - EPS_PROB
+
+    def test_overflowing_coefficients_reported(self):
+        net, params, state = overflow_instance()
+        with pytest.raises(NumericalError, match="non-finite block gap"):
+            p_update(net, params, state.tau)
 
     def test_matches_scalar_hand_computation(self):
         # K=1, sd 1 everywhere: f_sig - f_noise = mu*x - mu^2/2, so the
@@ -391,6 +402,18 @@ class TestMStepNoise:
         assert np.allclose(got.mu, mu, atol=1e-12)
         assert np.allclose(got.var, var, atol=1e-12)
 
+    def test_massless_noise_reported(self):
+        # All nodes in block 0 with P_0 at its upper clamp: the noise
+        # weights sum to 6 pairs times EPS_PROB, below the mass floor.
+        net = constant_network(4, 1, 0.5)
+        tau = np.zeros((4, 2))
+        tau[:, 0] = 1.0
+        state = VariationalState(tau=tau, P=[1 - EPS_PROB, 0.5])
+        moments = pair_moments(net, state.tau)
+        assert 0 < noise_moments(moments, state.P)[0] < _MASS_FLOOR
+        with pytest.raises(NumericalError, match="noise estimate undefined"):
+            m_step_noise(net, state, moments)
+
 
 def nudged(params, target, index, step):
     """A copy of params with one value moved by step: two entries of alpha
@@ -504,6 +527,11 @@ class TestElbo:
         )
         got = elbo(net, params, state, pair_moments(net, state.tau))
         assert got == pytest.approx(expected, abs=1e-10)
+
+    def test_overflowing_coefficients_reported(self):
+        net, params, state = overflow_instance()
+        with pytest.raises(NumericalError, match="non-finite ELBO term: likelihood"):
+            elbo(net, params, state, pair_moments(net, state.tau))
 
     def test_zero_entropy_limit_equals_complete_data_loglik(self):
         net, labels, params = planted_network(sizes=(6, 5, 4), seed=13)
@@ -690,12 +718,11 @@ class TestFit:
     def test_fit_and_icl_make_one_moment_pass_per_m_step(self, planted60, monkeypatch):
         # One moment pass for the bootstrap M-step and one per outer
         # iteration (shared by that iteration's P update, M-step and ELBO,
-        # the last also by the final ELBO); one gap workspace per fit,
-        # refilled by one gap build per E-step; one product over all
-        # blocks per inner tau pass and none for P.  The ICL reads the final partition's moments
-        # from the fit's last pass when the tau test ended the fit, and
-        # makes its own pass when the ELBO test did.  The laws' coefficients
-        # are computed once per parameter set, and once more by the ICL.
+        # the last also by the final ELBO); one gap build per E-step; one
+        # product over all blocks per inner tau pass and none for P.  The
+        # ICL reads the final partition's moments from the fit's last pass
+        # when the tau test ended the fit, and makes its own pass when the
+        # ELBO test did.
         net, _, _ = planted60
         calls = {}
 
@@ -727,11 +754,9 @@ class TestFit:
 
         count(sbanm.model.pair_moments, "pair_moments")
         count(sbanm.estep._gap_squares, "gaps")
-        count(sbanm.estep.gap_workspace, "workspaces")
         count(sbanm.model.packed_matvec, "packed_matvec")
         count(sbanm.estep.softmax_rows, "softmax_rows")
         count(sbanm.estep.e_step, "e_step", products_and_passes)
-        count(sbanm.model.law_coefficients, "coefficients")
 
         for tol_tau, icl_passes in [
             (TOL_TAU, 0),
@@ -746,15 +771,11 @@ class TestFit:
             assert result.converged
             assert (result.partition_moments is None) == (icl_passes == 1)
             T = len(result.elbo_trace)
-            assert (calls["pair_moments"], calls["gaps"], calls["workspaces"]) == (T + 1, T, 1)
+            assert (calls["pair_moments"], calls["gaps"]) == (T + 1, T)
             assert len(per_e_step) == T
             assert all(products == passes > 0 for products, passes in per_e_step)
-            # Once per parameter set: the start, each M-step and the
-            # designated parameters the final ELBO scores.
-            assert calls["coefficients"] == T + 2
             sbanm.icl(net, result)
             assert calls["pair_moments"] == T + 1 + icl_passes
-            assert calls["coefficients"] == T + 3
 
     def test_fit_is_the_same_for_either_weight_layout(self, planted60):
         # Row-major weights put into a network after it was made bypass the
