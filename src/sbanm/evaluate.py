@@ -90,23 +90,58 @@ def nmi(a, b) -> float:
     return float(mi / math.sqrt(ha * hb))
 
 
+def _max_assignment(gain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, columns) of an assignment of maximal total gain, for a table
+    with no more rows than columns: Kuhn-Munkres by shortest augmenting
+    paths with row and column potentials (Jonker & Volgenant 1987).  Each
+    row in turn grows a Dijkstra tree over the reduced costs from the
+    virtual column m until it reaches a free column, then flips the path.
+    """
+    cost = -gain.astype(float)
+    n, m = cost.shape
+    u, v = np.zeros(n), np.zeros(m + 1)  # row and column potentials
+    row_of = np.full(m + 1, -1)  # row matched to each column; m is virtual
+    for i in range(n):
+        row_of[m], j = i, m
+        dist = np.full(m + 1, np.inf)  # reduced length of the path to each column
+        prev = np.full(m + 1, m)  # the column before it on that path
+        done = np.zeros(m + 1, dtype=bool)
+        while row_of[j] >= 0:
+            done[j] = True
+            r = row_of[j]
+            reduced = cost[r] - u[r] - v[:m]
+            closer = ~done[:m] & (reduced < dist[:m])
+            dist[:m][closer] = reduced[closer]
+            prev[:m][closer] = j
+            j = int(np.argmin(np.where(done[:m], np.inf, dist[:m])))
+            delta = dist[j]
+            u[row_of[done]] += delta
+            v[done] -= delta
+            dist[~done] -= delta
+        while j != m:
+            row_of[j] = row_of[prev[j]]
+            j = prev[j]
+    cols = np.flatnonzero(row_of[:m] >= 0)
+    return row_of[cols], cols
+
+
 def optimal_matching(truth, fitted) -> dict[int, int]:
     """Label bijection maximizing agreement, as {truth label: fitted label}.
 
     Solved as an assignment problem on the confusion matrix; unmatched
     labels (unequal cluster counts) are simply absent from the map.
     """
-    # Imported here: a fit, ICL or `sbanm eval` never needs scipy.optimize.
-    from scipy.optimize import linear_sum_assignment
-
     truth, fitted = _as_labels(truth), _as_labels(fitted)
     if truth.size != fitted.size:
         raise DataError("partitions must have equal length")
     ut = np.unique(truth)
     uf = np.unique(fitted)
     table = _contingency(truth, fitted)
-    rows, cols = linear_sum_assignment(-table)
-    return {int(ut[r]): int(uf[c]) for r, c in zip(rows, cols)}
+    if ut.size <= uf.size:
+        rows, cols = _max_assignment(table)
+    else:
+        cols, rows = _max_assignment(table.T)
+    return {int(ut[r]): int(uf[c]) for r, c in sorted(zip(rows, cols))}
 
 
 def exact_recovery(truth, fitted) -> bool:

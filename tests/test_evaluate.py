@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 import sbanm
 from sbanm import ari, exact_recovery, nmi, optimal_matching, param_report
@@ -384,3 +385,26 @@ class TestOptimalMatching:
         fitted = relabel[truth]
         m = optimal_matching(truth, fitted)
         assert m == {0: 2, 1: 3, 2: 0, 3: 1}
+
+    # Up to 8 labels per side (negative and unequal counts included) on up
+    # to 40 nodes, so many tables have tied optima.
+    @given(st.lists(st.tuples(st.integers(-4, 3), st.integers(0, 7)), min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_optimal_against_scipy_and_brute_force(self, pairs):
+        truth, fitted = (np.array(x) for x in zip(*pairs))
+        ut, uf = np.unique(truth), np.unique(fitted)
+        m = optimal_matching(truth, fitted)
+        assert len(m) == min(ut.size, uf.size)
+        assert set(m) <= set(ut.tolist()) and set(m.values()) <= set(uf.tolist())
+        assert len(set(m.values())) == len(m)
+        got = sum(m.get(t) == f for t, f in zip(truth, fitted))
+        table = np.array([[np.sum((truth == t) & (fitted == f)) for f in uf] for t in ut])
+        rows, cols = linear_sum_assignment(-table)
+        assert got == table[rows, cols].sum()
+        if max(ut.size, uf.size) <= 6:
+            wide = table if ut.size <= uf.size else table.T
+            best = max(
+                sum(wide[r, c] for r, c in enumerate(perm))
+                for perm in itertools.permutations(range(wide.shape[1]), wide.shape[0])
+            )
+            assert got == best
