@@ -163,19 +163,13 @@ def icl(net: MultilayerNetwork, fit: FitResult) -> float:
     Gaussian penalty Q*log(n(n-1)K/2) + Q(Q-1)/2 * K * log(n(n-1)/2).
     The K = 1 middle term uses log(n * max(K-1, 1)).
 
-    `net` is the network `fit` was fitted on.  The likelihood's moments
-    are fit.partition_moments when those belong to fit.hard_membership
-    (the fit's last moment pass summed them); otherwise this makes its own
-    pass over the pairs.
+    `net` is the network `fit` was fitted on; the likelihood's moments
+    come from one pass over its pairs at the one-hot hard memberships.
     """
     params = fit.params
     z = fit.hard_membership
     n, K, Q = net.n, net.K, params.Q
-    stored = fit.partition_moments
-    if stored is not None and np.array_equal(stored[0], z):
-        moments = stored[1]
-    else:
-        moments = pair_moments(net, np.eye(Q)[z])
+    moments = pair_moments(net, np.eye(Q)[z])
     # With P = 1 each block's pairs are scored under its own law; a
     # designated noise block's law is the noise law (ModelParams checks).
     ll = expected_log_likelihood(law_coefficients(params, net.center), moments, np.ones(Q))

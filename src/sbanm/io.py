@@ -149,16 +149,6 @@ def normalize_logit(net: MultilayerNetwork) -> MultilayerNetwork:
     )
 
 
-def sum_layers(net: MultilayerNetwork) -> MultilayerNetwork:
-    """Entrywise sum across layers; returns a single-layer network."""
-    return MultilayerNetwork(
-        n=net.n,
-        K=1,
-        weights=net.weights.sum(axis=1, keepdims=True),
-        node_labels=net.node_labels,
-    )
-
-
 def _atomic_write(path: str, data: bytes | Iterable[bytes]) -> None:
     """Write bytes, or a stream of byte chunks, via a temp file in the same
     directory, then rename; on any error the temp file is removed and an

@@ -184,30 +184,25 @@ def pair_moments(net: "MultilayerNetwork", tau: np.ndarray) -> np.ndarray:
     is taken once as the sum over all pairs minus the Q within-block rows.
     Every Gaussian log-density sum the fit needs is a dot product of such a
     row with gaussian_coefficients(..., net.center).
-
-    A stack of memberships, shape (S, n, Q), gives shape (S, Q+1, D) from
-    one pass over the pairs, which builds each tile's features once; each
-    membership matrix's rows are summed as they would be on its own.
     """
     n = net.n
-    tau = np.asarray(tau, dtype=float)
     # Memberships block by block: each block's row of tau_t is contiguous.
-    tau_t = np.ascontiguousarray(np.swapaxes(tau.reshape((-1,) + tau.shape[-2:]), 1, 2))
-    S, Q = tau_t.shape[:2]
-    out = np.zeros((S, Q + 1, feature_dim(net.K)))
+    tau_t = np.ascontiguousarray(np.asarray(tau, dtype=float).T)
+    Q = tau_t.shape[0]
+    out = np.zeros((Q + 1, feature_dim(net.K)))
     for p0, p1, r0, r1 in pair_tiles(n):
         # Column p - p0 of w weights pair p: row i of the tile pairs node i
         # with each of the nodes i+1.., a contiguous slice of tau_t.
-        w = np.empty((S, Q + 1, p1 - p0))
+        w = np.empty((Q + 1, p1 - p0))
         np.multiply(
-            np.repeat(tau_t[..., r0:r1], n - 1 - np.arange(r0, r1), axis=2),
-            np.concatenate([tau_t[..., i + 1 :] for i in range(r0, r1)], axis=2),
-            out=w[:, :Q],
+            np.repeat(tau_t[:, r0:r1], n - 1 - np.arange(r0, r1), axis=1),
+            np.concatenate([tau_t[:, i + 1 :] for i in range(r0, r1)], axis=1),
+            out=w[:Q],
         )
-        w[:, Q] = 1.0
+        w[Q] = 1.0
         out += w @ pair_features(net.weights[p0:p1], net.center).T
-    out[:, Q] -= out[:, :Q].sum(axis=1)
-    return out.reshape(tau.shape[:-2] + out.shape[1:])
+    out[Q] -= out[:Q].sum(axis=0)
+    return out
 
 
 def moment_stats(row: np.ndarray, center: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -73,12 +73,6 @@ class FitResult:
     variational state, its hard partition (row argmax of tau), the ELBO
     after each outer iteration and at the end, and whether a stopping test
     passed.  `icl` is left for the caller (evaluate.icl).
-
-    `partition_moments` is (z, pair_moments(net, one-hot z)) for the fitted
-    network when the fit's last moment pass also summed the moments of its
-    final hard partition z, which it does when it knows beforehand that the
-    iteration is the last one; evaluate.icl reads them while
-    hard_membership is still z.  None otherwise.
     """
 
     params: ModelParams
@@ -88,7 +82,6 @@ class FitResult:
     converged: bool
     elbo: float
     icl: float | None = None
-    partition_moments: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def empty_blocks(self) -> list[int]:
@@ -208,13 +201,8 @@ def fit(
     fit stops when the max-abs tau change drops below TOL_TAU or the
     relative ELBO change below TOL_ELBO, or after max_outer iterations.
     With an SviConfig the E-step runs on growing node subsamples until the
-    subsample covers the graph, then continues full batch.  When the tau
-    test has passed, or the iteration is the last allowed one, the
-    iteration's moment pass also sums the moments of the hard partition,
-    which the result keeps for the ICL.  The tau test ends most fits: the ELBO test
-    ends 8 of the 240 fits of scripts/recovery_suites.py, and after such a
-    stop evaluate.icl makes its own moment pass.  The block with the
-    smallest fitted P is designated as noise and its parameters are
+    subsample covers the graph, then continues full batch.  The block with
+    the smallest fitted P is designated as noise and its parameters are
     overwritten with the ambient-noise law.
     """
     if net.n <= cfg.Q:
@@ -233,7 +221,6 @@ def fit(
     trace: list[float] = []
     converged = False
     prev_elbo = None
-    partition_moments = None
     for it in range(cfg.max_outer):
         # The subsample never shrinks, so the SVI steps come first and SVI
         # step t is outer iteration t; once it covers the graph, every step
@@ -244,14 +231,7 @@ def fit(
         else:
             tau = svi_e_step(net, params, state, it, svi)
         delta_tau = float(np.max(np.abs(tau - state.tau)))
-        if (full and delta_tau < TOL_TAU) or it == cfg.max_outer - 1:
-            # This iteration is the last: its pass also sums the moments of
-            # the final hard partition, for the ICL.
-            z = np.argmax(tau, axis=1)
-            moments, hard = pair_moments(net, np.stack([tau, np.eye(cfg.Q)[z]]))
-            partition_moments = (z, hard)
-        else:
-            moments = pair_moments(net, tau)
+        moments = pair_moments(net, tau)
         P = signal_probs(block_gaps(law_coefficients(params, net.center), moments))
         state = VariationalState(tau=tau, P=P)
         params = _m_step(net, state, moments)
@@ -283,5 +263,4 @@ def fit(
         elbo_trace=np.asarray(trace),
         converged=converged,
         elbo=final,
-        partition_moments=partition_moments,
     )

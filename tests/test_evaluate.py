@@ -204,6 +204,26 @@ class TestParamReport:
             param_report(truth, other, {0: 0, 1: 1})
 
 
+def per_pair_icl(net, params, z):
+    """ICL of hard memberships z summed pair by pair: a pair within a signal
+    block under its block's law, every other pair under the noise law."""
+    iu, ju = np.triu_indices(net.n, 1)
+    zi, zj = z[iu], z[ju]
+    signal = (zi == zj) & (zi != params.noise_block)
+    ld = log_density_batch(net.weights, params.noise.mu, params.noise.covariance())
+    for q in np.unique(zi[signal]):
+        b = params.blocks[q]
+        mask = signal & (zi == q)
+        ld[mask] = log_density_batch(net.weights[mask], b.mu, b.covariance())
+    ll = math.fsum(ld) + float(np.log(np.maximum(params.alpha, 1e-9))[z].sum())
+    n, K, Q = net.n, net.K, params.Q
+    middle = 0.5 * Q * (Q - 1) * math.log(n * max(K - 1, 1))
+    pen = Q * math.log(n * (n - 1) * K / 2) + (Q * (Q - 1) / 2) * K * math.log(
+        n * (n - 1) / 2
+    )
+    return ll - middle - pen
+
+
 class TestIcl:
     def test_penalty_terms_match_direct_evaluation(self):
         n, K, Q = 200, 3, 5
@@ -254,21 +274,8 @@ class TestIcl:
             converged=True,
             elbo=0.0,
         )
-        iu, ju = np.triu_indices(net.n, 1)
-        li, lj = labels[iu], labels[ju]
-        signal = (li == lj) & (li != params.noise_block)
-        ld = log_density_batch(net.weights, params.noise.mu, params.noise.covariance())
-        for q in np.unique(li[signal]):
-            b = params.blocks[q]
-            mask = signal & (li == q)
-            ld[mask] = log_density_batch(net.weights[mask], b.mu, b.covariance())
-        ll = math.fsum(ld) + float(np.log(params.alpha)[labels].sum())
-        n, K, Q = net.n, net.K, 3
-        middle = 0.5 * Q * (Q - 1) * math.log(n * (K - 1))
-        pen = Q * math.log(n * (n - 1) * K / 2) + (Q * (Q - 1) / 2) * K * math.log(
-            n * (n - 1) / 2
-        )
-        assert sbanm.icl(net, result) == pytest.approx(ll - middle - pen, rel=1e-12, abs=0)
+        want = per_pair_icl(net, params, labels)
+        assert sbanm.icl(net, result) == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_empty_block_matches_per_pair_reference(self):
         # Block 2's nodes moved into block 1: block 2 has no pair, and
@@ -306,8 +313,8 @@ class TestIcl:
 
     @staticmethod
     def fitted(case):
-        """(net, result) of a fit whose last moment pass also summed the
-        moments of its final hard partition."""
+        """(net, result) of a fit: converged by either stopping test, cut off
+        by max_outer, or ended on SVI steps."""
         if case == "k1":
             net, _, _ = planted_network(sizes=(8, 7, 5), seed=17)
             net = sbanm.MultilayerNetwork(n=net.n, K=1, weights=net.weights[:, :1])
@@ -343,16 +350,13 @@ class TestIcl:
         "case",
         ["planted60", "planted-tau-test", "k1", "q1", "max-outer", "svi", "svi-max-outer"],
     )
-    def test_stored_partition_moments_give_the_fresh_pass_icl(self, case, monkeypatch):
+    def test_one_pass_gives_the_per_pair_icl(self, case, monkeypatch):
         net, result = self.fitted(case)
-        z, _ = result.partition_moments
-        assert np.array_equal(z, result.hard_membership)
         passes = self.count_passes(monkeypatch)
-        stored = sbanm.icl(net, result)
-        assert passes[0] == 0
-        fresh = sbanm.icl(net, dataclasses.replace(result, partition_moments=None))
+        got = sbanm.icl(net, result)
         assert passes[0] == 1
-        assert stored == pytest.approx(fresh, rel=1e-12, abs=0)
+        want = per_pair_icl(net, result.params, result.hard_membership)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_changed_partition_gets_a_fresh_pass(self, monkeypatch):
         net, result = self.fitted("planted-tau-test")
@@ -361,7 +365,6 @@ class TestIcl:
         passes = self.count_passes(monkeypatch)
         got = sbanm.icl(net, moved)
         assert passes[0] == 1
-        assert got == sbanm.icl(net, dataclasses.replace(moved, partition_moments=None))
         assert got != sbanm.icl(net, result)
 
     def test_penalty_monotone_in_q(self):

@@ -21,7 +21,6 @@ from sbanm import (
     fisher,
     normalize_logit,
     read_network,
-    sum_layers,
     write_network,
 )
 from sbanm import io as sbanm_io
@@ -185,26 +184,6 @@ class TestNormalizeLogit:
         net = MultilayerNetwork(n=3, K=3, weights=weights)
         with pytest.raises(DataError, match="layer 1 has a negative weight"):
             normalize_logit(net)
-
-
-class TestSumLayers:
-    def test_single_layer_identity(self):
-        net = random_network(5, 1, seed=1)
-        assert np.array_equal(sum_layers(net).weights, net.weights)
-
-    def test_sums_values(self):
-        net = MultilayerNetwork(n=2, K=3, weights=np.array([[1.0, 2.0, 3.0]]))
-        assert sum_layers(net).weights[0, 0] == 6.0
-
-    def test_commutes_with_layer_permutation(self):
-        net = random_network(6, 3, seed=2)
-        permuted = MultilayerNetwork(n=6, K=3, weights=net.weights[:, [2, 0, 1]])
-        assert np.allclose(sum_layers(net).weights, sum_layers(permuted).weights)
-
-    def test_preserves_nodes_and_pairs(self):
-        net = random_network(7, 2, seed=3)
-        out = sum_layers(net)
-        assert out.n == net.n and out.n_pairs == net.n_pairs
 
 
 class TestNetworkFile:

@@ -670,7 +670,7 @@ class TestFit:
         want = fit(net, FitConfig(Q=3, seed=2))
         monkeypatch.setattr(sbanm.vem, "TOL_ELBO", 0.0)
         got = fit(net, FitConfig(Q=3, seed=2))
-        assert got.converged and got.partition_moments is not None
+        assert got.converged
         assert np.array_equal(got.elbo_trace, want.elbo_trace)
         assert np.array_equal(got.hard_membership, want.hard_membership)
 
@@ -720,9 +720,7 @@ class TestFit:
         # iteration (shared by that iteration's P update, M-step and ELBO,
         # the last also by the final ELBO); one gap build per E-step; one
         # product over all blocks per inner tau pass and none for P.  The
-        # ICL reads the final partition's moments from the fit's last pass
-        # when the tau test ended the fit, and makes its own pass when the
-        # ELBO test did.
+        # ICL makes one pass of its own, whichever test ended the fit.
         net, _, _ = planted60
         calls = {}
 
@@ -758,24 +756,21 @@ class TestFit:
         count(sbanm.estep.softmax_rows, "softmax_rows")
         count(sbanm.estep.e_step, "e_step", products_and_passes)
 
-        for tol_tau, icl_passes in [
-            (TOL_TAU, 0),
-            # No tau change is below 1e-300, so only the ELBO test can stop.
-            (1e-300, 1),
-        ]:
+        # The tau test ends the default fit.  No tau change is below 1e-300,
+        # so with that tolerance only the ELBO test can stop.
+        for tol_tau in [TOL_TAU, 1e-300]:
             monkeypatch.setattr(sbanm.vem, "TOL_TAU", tol_tau)
             for key in calls:
                 calls[key] = 0
             per_e_step.clear()
             result = fit(net, FitConfig(Q=3, seed=2))
             assert result.converged
-            assert (result.partition_moments is None) == (icl_passes == 1)
             T = len(result.elbo_trace)
             assert (calls["pair_moments"], calls["gaps"]) == (T + 1, T)
             assert len(per_e_step) == T
             assert all(products == passes > 0 for products, passes in per_e_step)
             sbanm.icl(net, result)
-            assert calls["pair_moments"] == T + 1 + icl_passes
+            assert calls["pair_moments"] == T + 2
 
     def test_fit_is_the_same_for_either_weight_layout(self, planted60):
         # Row-major weights put into a network after it was made bypass the
@@ -798,8 +793,7 @@ class TestFit:
             laws = [np.concatenate([b.mu, b.var, [b.rho]]) for b in p.blocks]
             return np.concatenate([
                 *laws, p.noise.mu, p.noise.var, p.alpha, r.state.tau.ravel(), r.state.P,
-                r.hard_membership, r.elbo_trace, r.partition_moments[1].ravel(),
-                [r.elbo, r.icl, r.converged, p.noise_block],
+                r.hard_membership, r.elbo_trace, [r.elbo, r.icl, r.converged, p.noise_block],
             ])
 
         for result in results[1:]:
