@@ -124,6 +124,21 @@ class TestSpectralEmbedding:
         assert np.max(np.abs(emb @ emb.T - ref @ ref.T)) <= 1e-8
         assert np.array_equal(kmeans(emb, Q, 0), kmeans(ref, Q, 0))
 
+    def test_layers_are_summed_in_order(self):
+        # The affinities are the layers added left to right, so a
+        # one-layer network of that sum has the same embedding bit for bit.
+        net, _, _ = planted_network(seed=7)
+        w = net.weights
+        summed = MultilayerNetwork(n=net.n, K=1, weights=(w[:, 0] + w[:, 1])[:, None])
+        assert np.array_equal(spectral_embedding(net, 3), spectral_embedding(summed, 3))
+
+    def test_layer_order_leaves_the_subspace(self):
+        net, _, _ = planted_network(seed=8)
+        swapped = MultilayerNetwork(n=net.n, K=net.K, weights=net.weights[:, ::-1])
+        emb, emb_s = spectral_embedding(net, 3), spectral_embedding(swapped, 3)
+        assert np.max(np.abs(emb @ emb.T - emb_s @ emb_s.T)) <= 1e-10
+        assert np.array_equal(kmeans(emb, 3, 0), kmeans(emb_s, 3, 0))
+
     @pytest.mark.parametrize("Q", [0, 8, 9])
     def test_needs_1_le_Q_lt_n(self, Q):
         with pytest.raises(DataError, match="1 <= Q < n"):

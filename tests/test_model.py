@@ -248,6 +248,27 @@ class TestPairPasses:
         monkeypatch.setattr(model, "PAIR_TILE", tile)
         self.check_moments_against_per_pair_sums()
 
+    def test_rows_sum_to_the_all_pair_total(self):
+        # Whatever the memberships, the cross row takes what the Q
+        # within-block rows leave of the sum over all pairs.
+        rng = substream(8, "moments-total")
+        n, K, Q = 50, 2, 3
+        net = MultilayerNetwork(n=n, K=K, weights=rng.normal(size=(n * (n - 1) // 2, K)))
+        moments = pair_moments(net, rng.dirichlet(np.ones(Q), size=n))
+        assert moments.shape == (Q + 1, model.feature_dim(K))
+        total = pair_features(net.weights, net.center).sum(axis=1)
+        assert np.allclose(moments.sum(axis=0), total, rtol=1e-12, atol=1e-10)
+
+    def test_relabelled_blocks_permute_the_within_rows(self):
+        rng = substream(9, "moments-relabel")
+        n, K, Q = 40, 3, 4
+        net = MultilayerNetwork(n=n, K=K, weights=rng.normal(size=(n * (n - 1) // 2, K)))
+        tau = rng.dirichlet(np.ones(Q), size=n)
+        perm = np.array([2, 0, 3, 1])
+        moments, relabelled = pair_moments(net, tau), pair_moments(net, tau[:, perm])
+        assert np.allclose(relabelled[:Q], moments[perm], rtol=1e-12, atol=1e-10)
+        assert np.allclose(relabelled[Q], moments[Q], rtol=1e-12, atol=1e-10)
+
     def test_q1_cross_block_row_is_zero(self):
         # One block holds every pair: the cross row, all pairs minus the
         # within row, cancels to rounding.
