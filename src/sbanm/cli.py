@@ -172,6 +172,8 @@ def _cmd_select(args) -> int:
     if args.qmin < 1 or args.qmax < args.qmin:
         raise DataError("need 1 <= qmin <= qmax")
     net = io.read_network(args.input)
+    if args.qmax >= net.n:
+        raise DataError(f"need more nodes than blocks: qmax={args.qmax}, n={net.n}")
     rows = []
     for Q in range(args.qmin, args.qmax + 1):
         rows.append((Q, evaluate.icl(net, _fit(args, net, Q))))

@@ -30,8 +30,10 @@ Memberships (CSV): header ``node,block,tau_0,...,tau_{Q-1}``; tau cells
 printed as format(t, ".17g") prints them.
 
 Parameters (JSON): keys Q, K, alpha, psi, noise_block,
-blocks[{mu,var,rho}], noise{mu,var}, elbo, icl, seed.  The reader checks
-Q against the number of blocks and psi against (Q-1)/Q.
+blocks[{mu,var,rho}], noise{mu,var}, elbo, icl, seed.  The noise law's
+rho is 0 and not stored.  Q and K are JSON integers, noise_block an
+integer or null.  The reader checks Q against the number of blocks, K
+against every law's layer count and psi against (Q-1)/Q.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ import json
 import math
 import os
 import re
-import tempfile
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -55,7 +56,6 @@ from .model import (
     BlockParams,
     ModelParams,
     MultilayerNetwork,
-    NoiseParams,
     num_pairs,
     pair_tiles,
     tile_endpoints,
@@ -152,9 +152,11 @@ def normalize_logit(net: MultilayerNetwork) -> MultilayerNetwork:
 def _atomic_write(path: str, data: bytes | Iterable[bytes]) -> None:
     """Write bytes, or a stream of byte chunks, via a temp file in the same
     directory, then rename; on any error the temp file is removed and an
-    existing file at path keeps its bytes."""
+    existing file at path keeps its bytes.  The temp file is created with
+    mode 0o666 less the umask, as open(path, "w") would create path."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.writelines([data] if isinstance(data, bytes) else data)
@@ -417,6 +419,14 @@ def read_params(path: str) -> tuple[ModelParams, dict]:
             raise DataError(f"{path}: non-finite number {token}")
         return value
 
+    def integer(key: str, null: bool = False) -> int | None:
+        # json gives true and false as bools, an int subclass.
+        value = doc[key]
+        if type(value) is int or (null and value is None):
+            return value
+        kind = "an integer or null" if null else "an integer"
+        raise TypeError(f"{key} must be {kind}, got {value!r}")
+
     with _open_utf8(path) as fh:
         text = fh.read()
     try:
@@ -432,11 +442,11 @@ def read_params(path: str) -> tuple[ModelParams, dict]:
                 BlockParams(mu=b["mu"], var=b["var"], rho=b["rho"])
                 for b in doc["blocks"]
             ],
-            noise=NoiseParams(mu=doc["noise"]["mu"], var=doc["noise"]["var"]),
+            noise=BlockParams(mu=doc["noise"]["mu"], var=doc["noise"]["var"], rho=0.0),
             alpha=doc["alpha"],
-            noise_block=doc["noise_block"],
+            noise_block=integer("noise_block", null=True),
         )
-        Q, K, psi = int(doc["Q"]), int(doc["K"]), float(doc["psi"])
+        Q, K, psi = integer("Q"), integer("K"), float(doc["psi"])
     except KeyError as exc:
         raise DataError(f"{path}: missing key {exc}") from exc
     except (TypeError, ValueError, OverflowError, DataError, NumericalError) as exc:

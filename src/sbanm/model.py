@@ -4,7 +4,8 @@ A network is stored densely: one weight vector of length K per unordered
 node pair (i, j), i < j, in lexicographic pair order, kept layer-major, so
 each layer's weights are one contiguous run of pairs.  Signal blocks carry
 an equicorrelation covariance (one correlation shared by every layer
-pair); the ambient-noise law is a diagonal Gaussian.
+pair); the ambient-noise law is the block law with correlation 0, a
+diagonal Gaussian.
 
 Every Gaussian log-density summed over pairs with membership weights is
 linear in the pair features phi = [1, y, upper(y y^T)], y = x - center:
@@ -271,8 +272,9 @@ class MultilayerNetwork:
 
 @dataclass
 class BlockParams:
-    """Signal-block Gaussian: per-layer means/variances plus one shared
-    cross-layer correlation."""
+    """A block's Gaussian law: per-layer means/variances plus one shared
+    cross-layer correlation.  The ambient-noise law is the one with rho 0,
+    a diagonal covariance."""
 
     mu: np.ndarray
     var: np.ndarray
@@ -294,34 +296,13 @@ class BlockParams:
         return self.mu.size
 
     def covariance(self) -> np.ndarray:
-        return build_covariance(self.var, self.rho)
-
-
-@dataclass
-class NoiseParams:
-    """Ambient-noise Gaussian: diagonal covariance, off-diagonals zero."""
-
-    mu: np.ndarray
-    var: np.ndarray
-
-    def __post_init__(self):
-        self.mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
-        self.var = np.atleast_1d(np.asarray(self.var, dtype=float))
-        if self.mu.shape != self.var.shape or self.mu.ndim != 1:
-            raise DataError("mu and var must be 1-d vectors of equal length")
-        if np.any(self.var <= 0):
-            raise DataError("noise variances must be positive")
-
-    @property
-    def K(self) -> int:
-        return self.mu.size
-
-    def covariance(self) -> np.ndarray:
-        return np.diag(self.var)
-
-    def as_block(self) -> BlockParams:
-        """The noise law as a block law: the same means and variances, rho 0."""
-        return BlockParams(mu=self.mu.copy(), var=self.var.copy(), rho=0.0)
+        """Equicorrelation covariance: var on the diagonal, rho*sd_h*sd_k off
+        it.  At rho 0 the off-diagonal entries are +0.0, so the result is
+        np.diag(var) bit for bit."""
+        sd = np.sqrt(self.var)
+        cov = self.rho * np.outer(sd, sd)
+        np.fill_diagonal(cov, self.var)
+        return cov
 
 
 @dataclass
@@ -331,18 +312,25 @@ class ModelParams:
     block.  Q = len(blocks) and the signal prior psi = (Q-1)/Q follow from
     the blocks.
 
-    noise_block is None while estimation is still running; a finished fit
-    always sets it, and the designated entry of `blocks` mirrors `noise`.
+    The noise law is the BlockParams with rho 0, and every law has its K
+    layers.  noise_block is None while estimation is still running; a
+    finished fit always sets it, and the designated entry of `blocks`
+    mirrors `noise`.
     """
 
     blocks: list[BlockParams]
-    noise: NoiseParams
+    noise: BlockParams
     alpha: np.ndarray
     noise_block: int | None = None
 
     def __post_init__(self):
         if not self.blocks:
             raise DataError("need at least one block parameter set")
+        if self.noise.rho != 0.0:
+            raise DataError(f"noise law must have rho 0, got {self.noise.rho}")
+        for q, b in enumerate(self.blocks):
+            if b.K != self.K:
+                raise DataError(f"block {q} has {b.K} layers, the noise law {self.K}")
         self.alpha = np.asarray(self.alpha, dtype=float)
         if self.alpha.shape != (self.Q,) or np.any(self.alpha < 0):
             raise DataError("alpha must be Q nonnegative entries")
@@ -413,23 +401,6 @@ def rho_lower_bound(K: int) -> float:
     """-1/(K-1) (-1 when K = 1): an equicorrelation matrix of K layers is
     positive definite exactly for rho in (rho_lower_bound(K), 1)."""
     return -1.0 / (K - 1) if K > 1 else -1.0
-
-
-def build_covariance(var: np.ndarray, rho: float) -> np.ndarray:
-    """Equicorrelation covariance: var on the diagonal, rho*sd_h*sd_k off it.
-
-    rho must lie in the open interval (-1/(K-1), 1) so the result is
-    symmetric positive definite.
-    """
-    var = np.atleast_1d(np.asarray(var, dtype=float))
-    if np.any(var <= 0):
-        raise DataError("variances must be positive")
-    if not (rho_lower_bound(var.size) < rho < 1.0):
-        raise NumericalError("correlation violates positive definiteness")
-    sd = np.sqrt(var)
-    cov = rho * np.outer(sd, sd)
-    np.fill_diagonal(cov, var)
-    return cov
 
 
 def clamp_rho(rho: float) -> float:

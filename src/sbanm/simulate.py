@@ -21,7 +21,6 @@ from .model import (
     BlockParams,
     ModelParams,
     MultilayerNetwork,
-    NoiseParams,
     clamp_rho,
     num_pairs,
     pair_index,
@@ -87,8 +86,8 @@ def gen_params(spec: SimSpec, rng: np.random.Generator) -> ModelParams:
     """Draw one ground-truth parameter set; block 0 is the noise block."""
     lo, hi = spec.q_bounds()
     Q = int(rng.integers(lo, hi + 1)) if hi > lo else lo
-    noise = NoiseParams(mu=spec.noise_mu.copy(), var=np.full(spec.K, NOISE_VAR))
-    blocks = [noise.as_block()]
+    noise = BlockParams(mu=spec.noise_mu.copy(), var=np.full(spec.K, NOISE_VAR), rho=0.0)
+    blocks = [noise]
     for _ in range(1, Q):
         mu = spec.prior_means + PRIOR_SD * rng.standard_normal(spec.K)
         var = np.maximum(np.abs(PRIOR_SD * rng.standard_normal(spec.K)), _VAR_PRIOR_FLOOR)
@@ -175,8 +174,7 @@ def _draw_runs(X: np.ndarray, runs: list, law, rng: np.random.Generator) -> None
 
 
 def bhattacharyya(p, q) -> float:
-    """Bhattacharyya distance between two Gaussian laws given as parameter
-    objects exposing .mu and .covariance()."""
+    """Bhattacharyya distance between two BlockParams laws."""
     mu_p, mu_q = p.mu, q.mu
     cov_p, cov_q = p.covariance(), q.covariance()
     avg = 0.5 * (cov_p + cov_q)
@@ -247,14 +245,15 @@ def experiment2_spec() -> tuple[ModelParams, np.ndarray]:
     var_z = [6.69, 4.15, 0.06, 4.36]
     rho = [0.00, 0.40, 0.15, 0.34]
     sizes = np.array([76, 97, 93, 34])
-    noise = NoiseParams(mu=[mu_x[0], mu_y[0], mu_z[0]], var=[var_x[0], var_y[0], var_z[0]])
-    blocks = [noise.as_block()] + [
+    blocks = [
         BlockParams(
             mu=[mu_x[q], mu_y[q], mu_z[q]],
             var=[var_x[q], var_y[q], var_z[q]],
             rho=rho[q],
         )
-        for q in range(1, 4)
+        for q in range(4)
     ]
-    params = ModelParams(blocks=blocks, noise=noise, alpha=sizes / sizes.sum(), noise_block=0)
+    params = ModelParams(
+        blocks=blocks, noise=blocks[0], alpha=sizes / sizes.sum(), noise_block=0
+    )
     return params, sizes

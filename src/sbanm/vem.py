@@ -28,7 +28,6 @@ from .model import (
     BlockParams,
     ModelParams,
     MultilayerNetwork,
-    NoiseParams,
     VariationalState,
     clamp_rho,
     expected_log_likelihood,
@@ -106,7 +105,7 @@ def m_step_alpha(state: VariationalState) -> np.ndarray:
 def m_step_block(
     net: MultilayerNetwork,
     q: int,
-    noise: NoiseParams,
+    noise: BlockParams,
     moments: np.ndarray,
 ) -> BlockParams:
     """Block q's law maximising the ELBO at fixed (tau, P): the mean and
@@ -121,7 +120,7 @@ def m_step_block(
     mass = moments[q, 0]
     if mass < _MASS_FLOOR:
         logger.info("block %d degenerate (mass %.3g); reset to noise parameters", q, mass)
-        return noise.as_block()
+        return noise
     mu, cov = moment_stats(moments[q], net.center)
     var = np.maximum(np.diag(cov), VAR_FLOOR)
     rho = 0.0
@@ -135,10 +134,11 @@ def m_step_noise(
     net: MultilayerNetwork,
     state: VariationalState,
     moments: np.ndarray,
-) -> NoiseParams:
+) -> BlockParams:
     """Ambient-noise law maximising the ELBO at fixed (tau, P): the mean and
     per-layer variances of the weights under each pair's noise weight, its
-    cross-block mass plus the (1 - P_q) share of its block-q mass.
+    cross-block mass plus the (1 - P_q) share of its block-q mass, and
+    rho 0.
 
     `moments` is pair_moments(net, state.tau).
     """
@@ -146,7 +146,7 @@ def m_step_noise(
     if row[0] < _MASS_FLOOR:
         raise NumericalError("noise estimate undefined")
     mean, cov = moment_stats(row, net.center)
-    return NoiseParams(mu=mean, var=np.maximum(np.diag(cov), VAR_FLOOR))
+    return BlockParams(mu=mean, var=np.maximum(np.diag(cov), VAR_FLOOR), rho=0.0)
 
 
 def elbo(
@@ -251,7 +251,7 @@ def fit(
 
     q_nb = int(np.argmin(state.P))
     blocks = list(params.blocks)
-    blocks[q_nb] = params.noise.as_block()
+    blocks[q_nb] = params.noise
     params = ModelParams(
         blocks=blocks, noise=params.noise, alpha=params.alpha, noise_block=q_nb
     )

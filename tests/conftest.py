@@ -18,7 +18,7 @@ def separable_params_2layer():
             sbanm.BlockParams(mu=(2.5, 4.0), var=(0.8, 0.5), rho=0.4),
             sbanm.BlockParams(mu=(-3.0, -2.5), var=(0.6, 1.2), rho=0.2),
         ],
-        noise=sbanm.NoiseParams(mu=(-1.0, 0.0), var=(1.0, 1.0)),
+        noise=sbanm.BlockParams(mu=(-1.0, 0.0), var=(1.0, 1.0), rho=0.0),
         alpha=(0.4, 0.35, 0.25),
         noise_block=0,
     )
@@ -42,7 +42,7 @@ def offset_planted_network(seed=0):
             sbanm.BlockParams(mu=(20.6, 19.5), var=(0.05, 0.06), rho=0.3),
             sbanm.BlockParams(mu=(19.4, 20.5), var=(0.07, 0.05), rho=-0.2),
         ],
-        noise=sbanm.NoiseParams(mu=(20.0, 20.1), var=(0.06, 0.07)),
+        noise=sbanm.BlockParams(mu=(20.0, 20.1), var=(0.06, 0.07), rho=0.0),
         alpha=(0.4, 0.3, 0.3),
         noise_block=0,
     )

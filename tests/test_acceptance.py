@@ -194,7 +194,7 @@ class TestCriterion5PropertySuites:
         rng = substream(51, "oracle")
         net10 = sbanm.MultilayerNetwork(n=10, K=3, weights=rng.normal(size=(45, 3)))
         st10 = soft_state(10, 3, seed=51)
-        noise = sbanm.NoiseParams(mu=rng.normal(size=3), var=rng.uniform(0.5, 2, 3))
+        noise = sbanm.BlockParams(mu=rng.normal(size=3), var=rng.uniform(0.5, 2, 3), rho=0.0)
         moments10 = sbanm.pair_moments(net10, st10.tau)
         got = sbanm.m_step_block(net10, 1, noise, moments10)
         mu_o, var_o, rho_o = oracle_block_params(net10, st10, 1)

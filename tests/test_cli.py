@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import logging
 import os
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 import sbanm
 from sbanm.cli import _build_parser, main
 
-from conftest import planted_network
+from conftest import planted_network, random_network
 
 
 def run_cli(*argv):
@@ -357,6 +358,20 @@ class TestSelect:
         assert [row[0] for row in table] == ["2", "3", "4", "best"]
         icls = {int(row[0]): float(row[1]) for row in table[:-1]}
         assert int(table[-1][1]) == max(icls, key=icls.get) == 3
+
+    def test_qmax_not_below_n_fails_before_any_fit(self, tmp_path, capsys, caplog):
+        # The fits log each outer iteration as `iter=...`; none may run.
+        caplog.set_level(logging.INFO)
+        net_path = tmp_path / "net.tsv"
+        sbanm.write_network(random_network(12, 2, seed=4), str(net_path))
+        code = run_cli("select", "--input", str(net_path), "--qmin", "2", "--qmax", "12")
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.splitlines()[1:] == [
+            "sbanm: data error: need more nodes than blocks: qmax=12, n=12"
+        ]
+        assert captured.out == ""
+        assert "iter=" not in caplog.text
 
 
 class TestBuildNet:

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import stat
 import struct
 import tempfile
 import tracemalloc
@@ -546,6 +547,23 @@ class TestNetworkFileFastPath:
         assert [p.name for p in tmp_path.iterdir()] == ["net.tsv"]
 
 
+class TestOutputFileMode:
+    """Every writer leaves its file with the mode open(path, "w") gives it,
+    0o666 less the umask, and no temp file behind."""
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_writers_apply_the_umask(self, tmp_path, umask, mode):
+        old = os.umask(umask)
+        try:
+            write_network(random_network(6, 2, seed=1), str(tmp_path / "net.tsv"))
+            sbanm.write_memberships(str(tmp_path / "m.csv"), np.array([0, 1]), np.eye(2))
+            sbanm.write_params(str(tmp_path / "p.json"), separable_params_2layer())
+        finally:
+            os.umask(old)
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+        assert modes == {"net.tsv": mode, "m.csv": mode, "p.json": mode}
+
+
 class TestUndecodableInput:
     """Every reader turns bytes that are not UTF-8 into a DataError naming
     the line."""
@@ -640,6 +658,16 @@ class TestMembershipAndParamsFiles:
             ),
             pytest.param(lambda doc: [1, 2], "expected a JSON object, got list", id="array"),
             pytest.param(
+                lambda doc: {
+                    **doc,
+                    "blocks": [
+                        doc["blocks"][0], {"mu": [1.0], "var": [1.0], "rho": 0.0},
+                        *doc["blocks"][2:],
+                    ],
+                },
+                "malformed value (block 1 has 1 layers, the noise law 3)", id="one-layer-block",
+            ),
+            pytest.param(
                 lambda doc: {**doc, "noise": {**doc["noise"], "mu": ["a", 1.0, 2.0]}},
                 "malformed value (could not convert string to float: 'a')", id="text-mu",
             ),
@@ -706,6 +734,7 @@ class TestMembershipAndParamsFiles:
         [
             pytest.param("psi", 0.5, "psi must equal (Q-1)/Q", id="psi-half"),
             pytest.param("Q", 2, "Q=2 but 3 blocks", id="Q-2"),
+            pytest.param("K", 3, "K does not match block dimensions", id="K-3"),
         ],
     )
     def test_params_q_and_psi_checked_against_blocks(self, tmp_path, key, value, message):
@@ -715,6 +744,35 @@ class TestMembershipAndParamsFiles:
         with pytest.raises(DataError) as info:
             sbanm.read_params(str(path))
         assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize(
+        "key, value, kind",
+        [
+            pytest.param("Q", "3", "an integer", id="Q-text"),
+            pytest.param("Q", 3.7, "an integer", id="Q-fraction"),
+            pytest.param("Q", 3.0, "an integer", id="Q-float"),
+            pytest.param("Q", True, "an integer", id="Q-bool"),
+            pytest.param("K", 2.2, "an integer", id="K-fraction"),
+            pytest.param("K", None, "an integer", id="K-null"),
+            pytest.param("noise_block", 0.0, "an integer or null", id="noise-block-float"),
+            pytest.param("noise_block", False, "an integer or null", id="noise-block-bool"),
+            pytest.param("noise_block", "0", "an integer or null", id="noise-block-text"),
+        ],
+    )
+    def test_params_counts_are_json_integers(self, tmp_path, key, value, kind):
+        path = tmp_path / "p.json"
+        sbanm.write_params(str(path), separable_params_2layer())
+        path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
+        with pytest.raises(DataError) as info:
+            sbanm.read_params(str(path))
+        assert str(info.value) == f"{path}: malformed value ({key} must be {kind}, got {value!r})"
+
+    def test_params_noise_block_may_be_null(self, tmp_path):
+        path = tmp_path / "p.json"
+        sbanm.write_params(str(path), separable_params_2layer())
+        path.write_text(json.dumps({**json.loads(path.read_text()), "noise_block": None}))
+        params, _ = sbanm.read_params(str(path))
+        assert params.noise_block is None and params.Q == 3
 
     def test_response_csv_parsing(self, tmp_path):
         path = tmp_path / "r.csv"

@@ -12,9 +12,7 @@ from sbanm import (
     BlockParams,
     ModelParams,
     MultilayerNetwork,
-    NoiseParams,
     VariationalState,
-    build_covariance,
     param_count,
     psi,
 )
@@ -50,6 +48,11 @@ def dense_log_density(x, mu, cov):
     )
 
 
+def equicorrelation(var, rho):
+    """The covariance of the block law with variances var and correlation rho."""
+    return BlockParams(mu=np.zeros(len(var)), var=var, rho=rho).covariance()
+
+
 class TestLogDensity:
     def test_standard_normal_at_mean(self):
         assert log_density([0.0], [0.0], [[1.0]]) == pytest.approx(
@@ -68,7 +71,7 @@ class TestLogDensity:
         for _ in range(20):
             var = rng.uniform(0.2, 3.0, size=3)
             rho = rng.uniform(-0.45, 0.95)
-            cov = build_covariance(var, rho)
+            cov = equicorrelation(var, rho)
             x = rng.normal(size=3)
             mu = rng.normal(size=3)
             assert log_density(x, mu, cov) == pytest.approx(
@@ -103,7 +106,7 @@ class TestGaussianCoefficients:
         rng = substream(K, "coefficients", rho)
         mu = 20.0 + rng.normal(size=K)
         var = rng.uniform(0.05, 2.0, size=K)
-        cov = build_covariance(var, rho if K > 1 else 0.0)
+        cov = equicorrelation(var, rho if K > 1 else 0.0)
         x = rng.multivariate_normal(mu + 0.3, cov, size=200)
         center = x.mean(axis=0)
         theta = gaussian_coefficients(mu, cov, center)
@@ -122,8 +125,10 @@ class TestLawCoefficients:
         # Offset means and small variances, as in the fits of the
         # experiment-2 networks.
         rng = substream(K, "law-coefficients", Q)
-        noise = NoiseParams(mu=15.0 + rng.normal(size=K), var=rng.uniform(0.05, 8.0, K))
-        blocks = [noise.as_block()] + [
+        noise = BlockParams(
+            mu=15.0 + rng.normal(size=K), var=rng.uniform(0.05, 8.0, K), rho=0.0
+        )
+        blocks = [noise] + [
             BlockParams(
                 mu=15.0 + 5.0 * rng.normal(size=K),
                 var=rng.uniform(0.05, 8.0, K),
@@ -144,7 +149,7 @@ class TestLawCoefficients:
     def test_singular_covariance_rejected(self):
         params = ModelParams(
             blocks=[BlockParams(mu=[0.0, 0.0], var=[1.0, 1.0], rho=0.0)] * 2,
-            noise=NoiseParams(mu=[0.0, 0.0], var=[1.0, 1.0]),
+            noise=BlockParams(mu=[0.0, 0.0], var=[1.0, 1.0], rho=0.0),
             alpha=[0.5, 0.5],
         )
         singular = mock.Mock(mu=np.zeros(2))
@@ -384,17 +389,17 @@ class TestMomentStats:
         assert np.allclose(cov, ref, rtol=1e-8, atol=0)
 
 
-class TestBuildCovariance:
+class TestBlockCovariance:
     def test_identity(self):
-        assert np.array_equal(build_covariance([1.0, 1.0], 0.0), np.eye(2))
+        assert np.array_equal(equicorrelation([1.0, 1.0], 0.0), np.eye(2))
 
     def test_entrywise_formula(self):
-        got = build_covariance([1.0, 4.0], 0.5)
+        got = equicorrelation([1.0, 4.0], 0.5)
         assert np.allclose(got, [[1.0, 1.0], [1.0, 4.0]])
 
     def test_rho_below_pd_bound_rejected(self):
         with pytest.raises(NumericalError, match="positive definiteness"):
-            build_covariance([1.0, 1.0, 1.0], -0.6)
+            equicorrelation([1.0, 1.0, 1.0], -0.6)
 
     @given(
         var=st.lists(st.floats(0.05, 10.0), min_size=1, max_size=5),
@@ -405,7 +410,15 @@ class TestBuildCovariance:
         K = len(var)
         lo = -1.0 / (K - 1) if K > 1 else -1.0
         rho = lo + u * (1.0 - lo) * 0.999  # strictly inside (lo, 1)
-        np.linalg.cholesky(build_covariance(var, rho))
+        np.linalg.cholesky(equicorrelation(var, rho))
+
+    @given(var=st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_rho_zero_is_the_diagonal_bit_for_bit(self, var):
+        # The noise law's covariance, so its Cholesky factor and
+        # coefficients, is np.diag(var) exactly: no -0.0 off the diagonal.
+        cov = equicorrelation(var, 0.0)
+        assert cov.tobytes() == np.diag(np.asarray(var, dtype=float)).tobytes()
 
 
 class TestPsi:
@@ -458,7 +471,7 @@ class TestDomainTypes:
             BlockParams(mu=[0.0], var=[-1.0], rho=0.0)
 
     def test_model_params_validate_simplex_and_mirror(self):
-        noise = NoiseParams(mu=[0.0], var=[1.0])
+        noise = BlockParams(mu=[0.0], var=[1.0], rho=0.0)
         blocks = [
             BlockParams(mu=[0.0], var=[1.0], rho=0.0),
             BlockParams(mu=[2.0], var=[1.0], rho=0.0),
@@ -469,6 +482,22 @@ class TestDomainTypes:
             ModelParams(blocks=blocks, noise=noise, alpha=[0.5, 0.5], noise_block=1)
         ok = ModelParams(blocks=blocks, noise=noise, alpha=[0.5, 0.5], noise_block=0)
         assert ok.K == 1
+
+    @pytest.mark.parametrize("rho", [0.3, -0.2, 1e-300])
+    def test_model_params_reject_a_correlated_noise_law(self, rho):
+        noise = BlockParams(mu=[0.0, 1.0], var=[1.0, 2.0], rho=rho)
+        blocks = [BlockParams(mu=[0.0, 1.0], var=[1.0, 2.0], rho=rho)] * 2
+        with pytest.raises(DataError, match=f"noise law must have rho 0, got {rho}"):
+            ModelParams(blocks=blocks, noise=noise, alpha=[0.5, 0.5])
+
+    def test_model_params_reject_laws_of_other_layer_counts(self):
+        noise = BlockParams(mu=[0.0, 0.0], var=[1.0, 1.0], rho=0.0)
+        blocks = [noise, BlockParams(mu=[2.0], var=[1.0], rho=0.0)]
+        with pytest.raises(DataError, match="block 1 has 1 layers, the noise law 2"):
+            ModelParams(blocks=blocks, noise=noise, alpha=[0.5, 0.5])
+        blocks = [BlockParams(mu=[0.0] * 3, var=[1.0] * 3, rho=0.5), noise]
+        with pytest.raises(DataError, match="block 0 has 3 layers, the noise law 2"):
+            ModelParams(blocks=blocks, noise=noise, alpha=[0.5, 0.5], noise_block=1)
 
     def test_state_validates_rows_and_P(self):
         with pytest.raises(DataError, match="sum to 1"):

@@ -6,9 +6,9 @@ import sbanm
 # classes, none of its submodules.
 PUBLIC = [
     "BlockParams", "DataError", "FitConfig", "FitResult", "ModelParams", "MultilayerNetwork",
-    "NoiseParams", "NumericalError", "ParamReport", "ResponseMatrix", "SBANMError", "SimSpec",
+    "NumericalError", "ParamReport", "ResponseMatrix", "SBANMError", "SimSpec",
     "SviConfig", "VariationalState", "ari", "averaging_weight", "bhattacharyya",
-    "build_covariance", "build_similarity_network", "candidate_network", "draw_candidate",
+    "build_similarity_network", "candidate_network", "draw_candidate",
     "draw_separable", "e_step", "elbo", "exact_recovery", "experiment1_spec",
     "experiment2_spec", "filter_separable", "fisher", "fit", "gen_network", "gen_params", "icl",
     "m_step_alpha", "m_step_block", "m_step_noise", "nmi", "normalize_logit",

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import sbanm
 from sbanm import SimSpec, bhattacharyya, filter_separable, gen_network, gen_params
 from sbanm.errors import DataError
-from sbanm.model import BlockParams, NoiseParams, clamp_rho
+from sbanm.model import BlockParams, clamp_rho
 from sbanm.rng import substream
 from sbanm.simulate import draw_candidate, draw_sizes, min_block_distance
 
@@ -63,7 +63,7 @@ def one_node_blocks():
 def no_noise_block():
     # Block 0 keeps its own law, which differs from the cross-block noise.
     params, sizes = random_k2()
-    noise = NoiseParams(mu=params.noise.mu + 1.5, var=params.noise.var * 2.0)
+    noise = BlockParams(mu=params.noise.mu + 1.5, var=params.noise.var * 2.0, rho=0.0)
     return dataclasses.replace(params, noise=noise, noise_block=None), sizes
 
 
@@ -77,7 +77,7 @@ def generator_cases(draw):
     K = draw(st.integers(1, 3))
     noise_block = draw(st.integers(0, len(sizes) - 1))
     rng = substream(draw(st.integers(0, 2**32 - 1)), "generator-case")
-    noise = NoiseParams(mu=rng.normal(size=K), var=rng.uniform(0.5, 2.0, K))
+    noise = BlockParams(mu=rng.normal(size=K), var=rng.uniform(0.5, 2.0, K), rho=0.0)
     blocks = [
         BlockParams(
             mu=rng.normal(size=K),
@@ -86,7 +86,7 @@ def generator_cases(draw):
         )
         for _ in sizes
     ]
-    blocks[noise_block] = noise.as_block()
+    blocks[noise_block] = noise
     sizes = np.array(sizes)
     params = sbanm.ModelParams(
         blocks=blocks, noise=noise, alpha=sizes / sizes.sum(), noise_block=noise_block
@@ -150,7 +150,7 @@ class TestGenNetwork:
                 BlockParams(mu=[0.0, 0.0], var=[1.0, 1.0], rho=0.0),
                 BlockParams(mu=[3.0, -2.0], var=[2.0, 0.5], rho=0.6),
             ],
-            noise=NoiseParams(mu=[0.0, 0.0], var=[1.0, 1.0]),
+            noise=BlockParams(mu=[0.0, 0.0], var=[1.0, 1.0], rho=0.0),
             alpha=[0.5, 0.5],
             noise_block=0,
         )
@@ -250,8 +250,8 @@ class TestBhattacharyya:
             q = BlockParams(mu=rng.normal(size=3), var=rng.uniform(0.5, 2, 3), rho=rng.uniform(0, 0.8))
             assert bhattacharyya(p, q) == pytest.approx(bhattacharyya(q, p), abs=1e-12)
 
-    def test_mixed_parameter_types(self):
-        p = NoiseParams(mu=[0.0, 0.0], var=[1.0, 1.0])
+    def test_diagonal_against_correlated_law(self):
+        p = BlockParams(mu=[0.0, 0.0], var=[1.0, 1.0], rho=0.0)
         q = BlockParams(mu=[1.0, 1.0], var=[1.0, 1.0], rho=0.5)
         assert bhattacharyya(p, q) > 0
 
@@ -287,7 +287,7 @@ class TestFilterSeparable:
                         BlockParams(mu=[0.0], var=[1.0], rho=0.0),
                         BlockParams(mu=[s * 10], var=[1.0], rho=0.0),
                     ],
-                    noise=NoiseParams(mu=[0.0], var=[1.0]),
+                    noise=BlockParams(mu=[0.0], var=[1.0], rho=0.0),
                     alpha=[0.5, 0.5],
                     noise_block=0,
                 )

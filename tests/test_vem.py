@@ -16,7 +16,6 @@ from sbanm import (
     FitConfig,
     ModelParams,
     MultilayerNetwork,
-    NoiseParams,
     VariationalState,
     e_step,
     elbo,
@@ -54,7 +53,7 @@ def twin_block_params(K=1, Q=2, mu=0.0, var=1.0):
     blocks = [BlockParams(mu=[mu] * K, var=[var] * K, rho=0.0) for _ in range(Q)]
     return ModelParams(
         blocks=blocks,
-        noise=NoiseParams(mu=[mu] * K, var=[var] * K),
+        noise=BlockParams(mu=[mu] * K, var=[var] * K, rho=0.0),
         alpha=np.full(Q, 1.0 / Q),
     )
 
@@ -121,7 +120,7 @@ class TestEstimateTau:
                 BlockParams(mu=[0.0, 0.0], var=[1.0, 1.0], rho=0.0),
                 BlockParams(mu=[5.0, 6.0], var=[0.5, 0.8], rho=0.3),
             ],
-            noise=NoiseParams(mu=[0.0, 0.0], var=[1.0, 1.0]),
+            noise=BlockParams(mu=[0.0, 0.0], var=[1.0, 1.0], rho=0.0),
             alpha=[0.5, 0.5],
             noise_block=0,
         )
@@ -159,7 +158,7 @@ class TestEstimateP:
                 BlockParams(mu=[-3.0], var=[0.5], rho=0.0),
                 BlockParams(mu=[0.0], var=[1.0], rho=0.0),
             ],
-            noise=NoiseParams(mu=[0.0], var=[1.0]),
+            noise=BlockParams(mu=[0.0], var=[1.0], rho=0.0),
             alpha=[1 / 3, 1 / 3, 1 / 3],
         )
         net, _ = sbanm.gen_network(
@@ -184,7 +183,7 @@ class TestEstimateP:
                 BlockParams(mu=[200.0], var=[1.0], rho=0.0),
                 BlockParams(mu=[0.0], var=[1.0], rho=0.0),
             ],
-            noise=NoiseParams(mu=[0.0], var=[1.0]),
+            noise=BlockParams(mu=[0.0], var=[1.0], rho=0.0),
             alpha=[0.5, 0.5],
         )
         net = constant_network(4, 1, 200.0)
@@ -207,7 +206,7 @@ class TestEstimateP:
                 BlockParams(mu=[1.0], var=[1.0], rho=0.0),
                 BlockParams(mu=[1.0], var=[1.0], rho=0.0),
             ],
-            noise=NoiseParams(mu=[0.0], var=[1.0]),
+            noise=BlockParams(mu=[0.0], var=[1.0], rho=0.0),
             alpha=[0.5, 0.5],
         )
         weights = np.zeros((6, 1))
@@ -309,7 +308,7 @@ class TestMStepBlock:
         rng = substream(seed, "mblock")
         net = MultilayerNetwork(n=8, K=3, weights=rng.normal(size=(28, 3)))
         state = soft_state(8, 2, seed=seed)
-        noise = NoiseParams(mu=rng.normal(size=3), var=rng.uniform(0.5, 2.0, size=3))
+        noise = BlockParams(mu=rng.normal(size=3), var=rng.uniform(0.5, 2.0, size=3), rho=0.0)
         got = m_step_block(net, 0, noise, pair_moments(net, state.tau))
         mu, var, rho = oracle_block_params(net, state, 0)
         assert np.allclose(got.mu, mu, atol=1e-10)
@@ -324,6 +323,20 @@ class TestMStepBlock:
         got = m_step_block(net, 2, params.noise, pair_moments(net, state.tau))
         assert np.array_equal(got.mu, params.noise.mu)
         assert got.rho == 0.0
+
+    def test_degenerate_block_is_the_m_step_noise_law(self):
+        # The reset hands back the noise law itself, not a copy, so the
+        # M-step's block list holds the law it fitted for the noise.
+        net, _, _ = planted_network(sizes=(5, 4, 3), seed=10)
+        tau = np.full((12, 3), EPS_PROB)
+        tau[:, 0] = 1.0 - 2 * EPS_PROB
+        state = VariationalState(tau=tau, P=[0.5] * 3)
+        moments = pair_moments(net, state.tau)
+        noise = m_step_noise(net, state, moments)
+        assert noise.rho == 0.0
+        assert m_step_block(net, 2, noise, moments) is noise
+        params = _m_step(net, state, moments)
+        assert [b is params.noise for b in params.blocks] == [False, True, True]
 
 
 def oracle_noise_params(net, state):
@@ -430,7 +443,7 @@ def nudged(params, target, index, step):
     values = {"mu": law.mu.copy(), "var": law.var.copy()}
     values[field][index % K] += step
     if owner == "noise":
-        noise = NoiseParams(**values)
+        noise = BlockParams(**values, rho=0.0)
     else:
         blocks[index % Q] = BlockParams(**values, rho=law.rho)
     return ModelParams(blocks=blocks, noise=noise, alpha=alpha)
@@ -512,7 +525,7 @@ class TestElbo:
         net = MultilayerNetwork(n=2, K=1, weights=np.array([[x]]))
         params = ModelParams(
             blocks=[BlockParams(mu=[mu], var=[var], rho=0.0)],
-            noise=NoiseParams(mu=[mu], var=[var]),
+            noise=BlockParams(mu=[mu], var=[var], rho=0.0),
             alpha=[1.0],
         )
         P = 0.25
