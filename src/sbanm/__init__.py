@@ -2,7 +2,6 @@
 block, fit by hierarchical variational EM."""
 
 from .errors import DataError, NumericalError, SBANMError
-from .estep import e_step
 from .evaluate import (
     ParamReport,
     ari,
@@ -47,10 +46,11 @@ from .simulate import (
     gen_network,
     gen_params,
 )
-from .svi import SviConfig, averaging_weight, subsample_size, svi_e_step
+from .svi import SviConfig, averaging_weight, subsample_nodes, subsample_size
 from .vem import (
     FitConfig,
     FitResult,
+    e_step,
     elbo,
     fit,
     m_step_alpha,
@@ -68,7 +68,7 @@ __all__ = [
     "m_step_alpha", "m_step_block", "m_step_noise", "nmi", "normalize_logit",
     "optimal_matching", "pair_moments", "param_count", "param_report", "psi",
     "read_memberships", "read_network", "read_params", "read_responses", "spectral_embedding",
-    "spectral_init", "subsample_size", "svi_e_step", "write_memberships",
+    "spectral_init", "subsample_nodes", "subsample_size", "write_memberships",
     "write_network", "write_params",
 ]
 

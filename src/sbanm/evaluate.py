@@ -27,28 +27,26 @@ from .vem import FitResult
 _APE_DENOM_FLOOR = 0.01
 
 
-def _as_labels(a) -> np.ndarray:
-    a = np.asarray(a, dtype=int)
-    if a.ndim != 1 or a.size < 1:
-        raise DataError("partition must be a nonempty 1-d label array")
-    return a
-
-
-def _contingency(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _contingency(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both partitions as label arrays, and their contingency table: a row
+    per distinct label of a, a column per distinct label of b."""
+    a, b = np.asarray(a, dtype=int), np.asarray(b, dtype=int)
+    for labels in (a, b):
+        if labels.ndim != 1 or labels.size < 1:
+            raise DataError("partition must be a nonempty 1-d label array")
+    if a.size != b.size:
+        raise DataError("partitions must have equal length")
     ua, ia = np.unique(a, return_inverse=True)
     ub, ib = np.unique(b, return_inverse=True)
     table = np.zeros((ua.size, ub.size), dtype=np.int64)
     np.add.at(table, (ia, ib), 1)
-    return table
+    return a, b, table
 
 
 def ari(a, b) -> float:
     """Adjusted Rand index via pair counting with the permutation-model
     expectation."""
-    a, b = _as_labels(a), _as_labels(b)
-    if a.size != b.size:
-        raise DataError("partitions must have equal length")
-    table = _contingency(a, b)
+    a, b, table = _contingency(a, b)
 
     def comb2(x):
         return (x * (x - 1) // 2).sum()
@@ -70,11 +68,9 @@ def nmi(a, b) -> float:
     By convention 1 if both partitions are a single shared cluster and 0
     if exactly one has zero entropy while the partitions differ.
     """
-    a, b = _as_labels(a), _as_labels(b)
-    if a.size != b.size:
-        raise DataError("partitions must have equal length")
-    table = _contingency(a, b).astype(float)
+    a, b, table = _contingency(a, b)
     n = a.size
+    table = table.astype(float)
     pa = table.sum(axis=1) / n
     pb = table.sum(axis=0) / n
     ha = -np.sum(pa * np.log(pa, where=pa > 0, out=np.zeros_like(pa)))
@@ -131,12 +127,8 @@ def optimal_matching(truth, fitted) -> dict[int, int]:
     Solved as an assignment problem on the confusion matrix; unmatched
     labels (unequal cluster counts) are simply absent from the map.
     """
-    truth, fitted = _as_labels(truth), _as_labels(fitted)
-    if truth.size != fitted.size:
-        raise DataError("partitions must have equal length")
-    ut = np.unique(truth)
-    uf = np.unique(fitted)
-    table = _contingency(truth, fitted)
+    truth, fitted, table = _contingency(truth, fitted)
+    ut, uf = np.unique(truth), np.unique(fitted)
     if ut.size <= uf.size:
         rows, cols = _max_assignment(table)
     else:
@@ -147,10 +139,7 @@ def optimal_matching(truth, fitted) -> dict[int, int]:
 def exact_recovery(truth, fitted) -> bool:
     """True iff some label bijection makes the partitions identical: every
     row and every column of the contingency table has one nonzero cell."""
-    truth, fitted = _as_labels(truth), _as_labels(fitted)
-    if truth.size != fitted.size:
-        raise DataError("partitions must have equal length")
-    nonzero = _contingency(truth, fitted) > 0
+    nonzero = _contingency(truth, fitted)[2] > 0
     return bool(np.all(nonzero.sum(axis=0) == 1) and np.all(nonzero.sum(axis=1) == 1))
 
 

@@ -21,8 +21,7 @@ streams the tiles, as ASCII bytes, into the atomic temp file.  A weight
 with 1e-4 <= |w| < 1e14 gets its 17 digits from exact two-limb uint64
 arithmetic (round half to even, as Python's float formatting does) and
 prints in fixed notation; every other weight goes through format() one
-at a time.  sbanm.text holds these kernels; the membership writer
-formats tau through the same code.
+at a time.  sbanm.text holds these kernels.
 
 Responses (CSV): header ``subject,<layer>:<item>,...``; cells in {1,0,NA}.
 
@@ -32,7 +31,8 @@ printed as format(t, ".17g") prints them.
 Parameters (JSON): keys Q, K, alpha, psi, noise_block,
 blocks[{mu,var,rho}], noise{mu,var}, elbo, icl, seed.  The noise law's
 rho is 0 and not stored.  Q and K are JSON integers, noise_block an
-integer or null.  The reader checks Q against the number of blocks, K
+integer or null; psi, every rho and every entry of alpha, mu and var are
+JSON numbers.  The reader checks Q against the number of blocks, K
 against every law's layer count and psi against (Q-1)/Q.
 """
 
@@ -348,15 +348,14 @@ def write_memberships(
     hard = np.asarray(hard, dtype=int)
     tau = np.atleast_2d(np.asarray(tau, dtype=float))
     n, Q = tau.shape
-    if hard.shape != (n,):
-        raise DataError("hard labels and tau disagree on n")
     names = node_labels if node_labels is not None else [str(i) for i in range(n)]
+    if hard.shape != (n,) or len(names) != n:
+        raise DataError("hard labels, node labels and tau disagree on n")
     buf = StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["node", "block"] + [f"tau_{q}" for q in range(Q)])
-    rows = table_text(list(float_text(tau.T)), ",").decode("ascii").splitlines()
-    for i in range(n):
-        writer.writerow([names[i], hard[i]] + rows[i].split(","))
+    for name, label, row in zip(names, hard.tolist(), tau.tolist()):
+        writer.writerow([name, label] + [format(t, ".17g") for t in row])
     _atomic_write(path, buf.getvalue().encode("utf-8"))
 
 
@@ -427,6 +426,17 @@ def read_params(path: str) -> tuple[ModelParams, dict]:
         kind = "an integer or null" if null else "an integer"
         raise TypeError(f"{key} must be {kind}, got {value!r}")
 
+    def number(key: str, value, many: bool = False):
+        # A JSON number, or with `many` a list of them; not a string or bool.
+        items = value if many and type(value) is list else [value]
+        if all(type(v) in (int, float) for v in items):
+            return value
+        raise TypeError(f"{key} must be {'numbers' if many else 'a number'}, got {value!r}")
+
+    def law(key: str, b: dict, rho) -> BlockParams:
+        mu, var = (number(f"{key}.{k}", b[k], True) for k in ("mu", "var"))
+        return BlockParams(mu=mu, var=var, rho=rho)
+
     with _open_utf8(path) as fh:
         text = fh.read()
     try:
@@ -439,14 +449,14 @@ def read_params(path: str) -> tuple[ModelParams, dict]:
     try:
         params = ModelParams(
             blocks=[
-                BlockParams(mu=b["mu"], var=b["var"], rho=b["rho"])
-                for b in doc["blocks"]
+                law(f"blocks[{q}]", b, number(f"blocks[{q}].rho", b["rho"]))
+                for q, b in enumerate(doc["blocks"])
             ],
-            noise=BlockParams(mu=doc["noise"]["mu"], var=doc["noise"]["var"], rho=0.0),
-            alpha=doc["alpha"],
+            noise=law("noise", doc["noise"], 0.0),
+            alpha=number("alpha", doc["alpha"], True),
             noise_block=integer("noise_block", null=True),
         )
-        Q, K, psi = integer("Q"), integer("K"), float(doc["psi"])
+        Q, K, psi = integer("Q"), integer("K"), float(number("psi", doc["psi"]))
     except KeyError as exc:
         raise DataError(f"{path}: missing key {exc}") from exc
     except (TypeError, ValueError, OverflowError, DataError, NumericalError) as exc:

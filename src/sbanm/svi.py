@@ -1,8 +1,9 @@
-"""Stochastic (subsampled) variant of the E-step for large graphs.
+"""Schedule of the stochastic (subsampled) E-step for large graphs.
 
-Each step draws a node subsample whose size grows toward n and runs one
-pass of the E-step kernel (sbanm.estep) on the pairs inside it, damped by
-a decaying averaging weight.
+SVI step t runs the E-step (sbanm.vem.e_step) once on the pairs inside a
+node subsample whose size grows toward n, damped by a decaying averaging
+weight.  This module only gives the schedule: sbanm.vem.fit makes every
+E-step, full batch or SVI.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .estep import e_step
-from .model import ModelParams, MultilayerNetwork, VariationalState
 from .rng import substream
 
 # Step-size exponents (Hoffman, Blei, Wang & Paisley 2013).  KAPPA_W lies in
@@ -44,26 +43,12 @@ def averaging_weight(t: int) -> float:
     return (t + 1) ** (-KAPPA_W)
 
 
-def svi_e_step(
-    net: MultilayerNetwork,
-    params: ModelParams,
-    state: VariationalState,
-    t: int,
-    cfg: SviConfig,
-) -> np.ndarray:
-    """One stochastic E-step; returns the new tau.
-
-    One e_step pass on the pairs inside a node subsample of size
-    subsample_size(t) (always the same for a given (seed, t)), with
-    damping=averaging_weight(t): sampled rows get that weight times the
-    new rows plus the rest times the previous ones, renormalized; the
-    others are kept.  P is not blended: the fit takes it at the new tau
-    from the whole-graph moment pass, as after a full-batch step.
+def subsample_nodes(t: int, cfg: SviConfig, n: int) -> np.ndarray | None:
+    """The sorted nodes of SVI step t, subsample_size(t) of them drawn
+    without replacement from the (seed, "svi-sample", t) substream (always
+    the same for a given (seed, t)); None once that size covers the graph.
     """
-    n = state.n
     m = subsample_size(t, cfg, n)
-    if m < state.Q:
-        raise DataError("subsample too small for Q blocks")
-    rng = substream(cfg.seed, "svi-sample", t)
-    nodes = np.sort(rng.choice(n, size=m, replace=False))
-    return e_step(net, params, state, nodes, inner=1, damping=averaging_weight(t))
+    if m >= n:
+        return None
+    return np.sort(substream(cfg.seed, "svi-sample", t).choice(n, size=m, replace=False))

@@ -1,4 +1,4 @@
-"""Fixed-width text kernels of the file writers: numpy builds the text of
+"""Fixed-width text kernels of the network writer: numpy builds the text of
 many numbers at once, byte for byte what Python's formatting gives.
 
 Text is laid out column-major: a (text rows, values) uint8 array whose

@@ -1,15 +1,16 @@
 """Hierarchical variational EM.
 
-E-step (sbanm.estep): damped fixed-point updates of the membership
-posteriors tau, on all nodes or, with SVI, on a node subsample.  Then one
-pass over the pairs sums the moments of the new tau; from them the
-posterior over which block is noise (P_q = 1 - N_q, the probability that
-block q is signal) is updated, and the M-step takes the closed-form
-maximisers of the ELBO at fixed (tau, P) -- each block's own tau-weighted
-moments, and the moments of the noise-weighted pairs (cross-block pairs
-plus the (1 - P_q) share of block q).  The objective is the hierarchical
-evidence lower bound; after convergence exactly one block (the argmin of
-P) is designated as the ambient-noise block.
+fit makes every E-step (e_step): damped fixed-point updates of the
+membership posteriors tau, on all nodes or, with SVI, one pass on the node
+subsample of sbanm.svi's schedule.  Then one pass over the pairs sums the
+moments of the new tau; from them the posterior over which block is noise
+(P_q = 1 - N_q, the probability that block q is signal) is updated, and
+the M-step takes the closed-form maximisers of the ELBO at fixed (tau, P)
+-- each block's own tau-weighted moments, and the moments of the
+noise-weighted pairs (cross-block pairs plus the (1 - P_q) share of block
+q).  The objective is the hierarchical evidence lower bound; after
+convergence exactly one block (the argmin of P) is designated as the
+ambient-noise block.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .estep import block_gaps, e_step, signal_probs
 from .init import spectral_init
 from .model import (
     VAR_FLOOR,
@@ -30,15 +30,19 @@ from .model import (
     MultilayerNetwork,
     VariationalState,
     clamp_rho,
+    clip_prob,
     expected_log_likelihood,
     law_coefficients,
     moment_stats,
     noise_moments,
+    packed_matvec,
+    packed_pairs,
+    pair_features,
     pair_moments,
     safe_log,
 )
 from .rng import derive_seed
-from .svi import SviConfig, subsample_size, svi_e_step
+from .svi import SviConfig, averaging_weight, subsample_nodes
 
 logger = logging.getLogger(__name__)
 
@@ -95,6 +99,97 @@ class FitResult:
         drop = -np.diff(self.elbo_trace) / np.abs(self.elbo_trace[:-1])
         (t,) = np.nonzero(drop > rel_tol)
         return dict(zip((t + 1).tolist(), drop[t].tolist()))
+
+
+def _gap_squares(net: MultilayerNetwork, params: ModelParams) -> list:
+    """Each block's signal-minus-noise log-density gap over all pairs, as Q
+    symmetric n x n matrices in model.packed_pairs row blocks."""
+    noise, blocks = law_coefficients(params, net.center)
+    # Overflow or inf - inf here is caught by the E-step's finite check.
+    with np.errstate(over="ignore", invalid="ignore"):
+        coef = blocks - noise
+        return packed_pairs(
+            net.n,
+            lambda p0, p1, r0, r1: coef @ pair_features(net.weights[p0:p1], net.center),
+            (params.Q,),
+        )
+
+
+def softmax_rows(logits: np.ndarray) -> np.ndarray:
+    """exp(logits) with each row normalized to sum to one; the row maximum
+    is subtracted first, so no entry overflows and the largest is 1."""
+    out = np.exp(logits - logits.max(axis=1, keepdims=True))
+    out /= out.sum(axis=1, keepdims=True)
+    return out
+
+
+def signal_probs(gaps: np.ndarray) -> np.ndarray:
+    """P* = 1 - N from the block gaps, clamped: N = softmax(-gaps) is the
+    posterior over which block is noise under a uniform prior."""
+    return clip_prob(1.0 - softmax_rows(-gaps[None])[0])
+
+
+def block_gaps(coefficients: tuple, moments: np.ndarray) -> np.ndarray:
+    """Each block's gap gap_q = sum_{i<j} tau_iq tau_jq (f_sig_q - f_noise)
+    over the pairs behind `moments` (pair_moments(net, tau)), taken as
+    moments[q] . (theta_q - theta_noise) with the laws' law_coefficients
+    `coefficients` about the moments' center."""
+    noise, blocks = coefficients
+    with np.errstate(over="ignore", invalid="ignore"):  # caught by the finite check
+        gaps = np.einsum("qd,qd->q", moments[: blocks.shape[0]], blocks - noise)
+    if not np.all(np.isfinite(gaps)):
+        raise NumericalError("non-finite block gap")
+    return gaps
+
+
+def e_step(
+    net: MultilayerNetwork,
+    params: ModelParams,
+    state: VariationalState,
+    nodes: np.ndarray | None = None,
+    inner: int = 1,
+    damping: float = 1.0,
+    tol: float = 0.0,
+) -> np.ndarray:
+    """One tau update on the rows in `nodes` (sorted, distinct node indices;
+    all nodes when None); returns the new tau.
+
+    Iterates log tau*_iq = log alpha_q + P_q sum_j tau_jq (f_sig - f_noise) - 1
+    over j in `nodes`, self term excluded, rows normalized by softmax_rows,
+    with tau <- damping*tau* + (1-damping)*tau renormalized, for at most
+    `inner` passes or until the max-abs change drops below `tol`.  (The
+    mean-field likelihood term sum_j [tau_jq (P_q f_sig + (1-P_q) f_noise)
+    + sum_{l != q} tau_jl f_noise] exceeds the gap term by sum_j f_noise,
+    which is the same for every q and cancels in the normalization.)  Each
+    pass makes one packed product over all Q blocks.  Rows outside `nodes`
+    are kept unchanged.  fit makes every call: a full-batch step damps its
+    passes; SVI step t is one pass on svi.subsample_nodes(t) with
+    averaging_weight(t) as `damping`.  P is not updated here: the fit takes
+    it at the new tau from the next moment pass,
+    signal_probs(block_gaps(law_coefficients(params, net.center),
+    pair_moments(net, tau))).
+    """
+    gaps = _gap_squares(net, params)
+    rows = slice(None) if nodes is None else nodes
+    const = safe_log(params.alpha)[None, :] - 1.0
+    # Memberships zeroed outside `rows`: the whole-graph product read at
+    # `rows` is the product with the subsample's own gap submatrix.
+    x = np.zeros((params.Q, net.n))
+    tau = state.tau.copy()
+    for it in range(inner):
+        previous = tau[rows]
+        x[:, rows] = previous.T
+        logits = state.P * packed_matvec(gaps, x)[:, rows].T + const
+        if not np.all(np.isfinite(logits)):
+            raise NumericalError(f"tau update diverged at inner iteration {it}")
+        damped = damping * softmax_rows(logits) + (1.0 - damping) * previous
+        damped /= damped.sum(axis=1, keepdims=True)
+        # Taken before the write: with all nodes, `previous` is a view of tau.
+        delta = np.max(np.abs(damped - previous))
+        tau[rows] = damped
+        if delta < tol:
+            break
+    return tau
 
 
 def m_step_alpha(state: VariationalState) -> np.ndarray:
@@ -200,14 +295,16 @@ def fit(
     block gaps at the E-step's parameters), the M-step and the ELBO.  The
     fit stops when the max-abs tau change drops below TOL_TAU or the
     relative ELBO change below TOL_ELBO, or after max_outer iterations.
-    With an SviConfig the E-step runs on growing node subsamples until the
-    subsample covers the graph, then continues full batch.  The block with
+    With an SviConfig the E-step runs once on each svi.subsample_nodes
+    sample, damped by averaging_weight, until the subsample covers the
+    graph, then continues full batch.  The block with
     the smallest fitted P is designated as noise and its parameters are
     overwritten with the ambient-noise law.
     """
     if net.n <= cfg.Q:
         raise DataError("need more nodes than blocks")
-    # SVI step 0 takes min(a, n) nodes; fail before the init, not after it.
+    # Every SVI step takes at least min(a, n) nodes; fail before the init,
+    # not after it.
     if svi is not None and svi.a < cfg.Q:
         raise DataError("subsample too small for Q blocks")
     if init_state is None:
@@ -225,11 +322,11 @@ def fit(
         # The subsample never shrinks, so the SVI steps come first and SVI
         # step t is outer iteration t; once it covers the graph, every step
         # is full batch.
-        full = svi is None or subsample_size(it, svi, net.n) >= net.n
-        if full:
+        nodes = None if svi is None else subsample_nodes(it, svi, net.n)
+        if nodes is None:
             tau = e_step(net, params, state, inner=TAU_INNER_MAX, damping=TAU_DAMPING, tol=TOL_TAU)
         else:
-            tau = svi_e_step(net, params, state, it, svi)
+            tau = e_step(net, params, state, nodes, damping=averaging_weight(it))
         delta_tau = float(np.max(np.abs(tau - state.tau)))
         moments = pair_moments(net, tau)
         P = signal_probs(block_gaps(law_coefficients(params, net.center), moments))
@@ -240,7 +337,7 @@ def fit(
         logger.info(
             "iter=%d elbo=%.10e dtau=%.3e minP=%.3e", it, value, delta_tau, state.P.min()
         )
-        if not full:
+        if nodes is not None:
             continue
         if delta_tau < TOL_TAU or (
             prev_elbo is not None and abs(value - prev_elbo) < TOL_ELBO * abs(prev_elbo)

@@ -173,9 +173,10 @@ class TestCriterion5PropertySuites:
         )
         if np.max(np.abs(tau.sum(axis=1) - 1.0)) > 1e-10:
             failures.append("tau rows not stochastic after e_step")
-        tau_svi = sbanm.svi_e_step(net60, boot, state, 0, sbanm.SviConfig(a=20, seed=50))
+        nodes = sbanm.subsample_nodes(0, sbanm.SviConfig(a=20, seed=50), net60.n)
+        tau_svi = sbanm.e_step(net60, boot, state, nodes, damping=sbanm.averaging_weight(0))
         if np.max(np.abs(tau_svi.sum(axis=1) - 1.0)) > 1e-10:
-            failures.append("tau rows not stochastic after svi_e_step")
+            failures.append("tau rows not stochastic after an SVI step")
 
         # full-batch ELBO non-decreasing within 1e-6 on 20 seeded 60-node fits
         # (VariationalState construction re-validates row sums each iteration).

@@ -6,9 +6,9 @@ from scipy.special import logsumexp, softmax
 
 import sbanm
 from sbanm import model
-from sbanm.estep import block_gaps, e_step, signal_probs, softmax_rows
 from sbanm.model import EPS_PROB, law_coefficients, pair_moments
 from sbanm.rng import substream
+from sbanm.vem import block_gaps, e_step, signal_probs, softmax_rows
 
 from conftest import planted_network
 from reference import log_density_batch, pairs_to_square

@@ -639,6 +639,20 @@ class TestMembershipAndParamsFiles:
         assert got_names == names and got_hard.tolist() == hard.tolist()
         assert got_tau.tobytes() == tau.tobytes()
 
+    @pytest.mark.parametrize(
+        "hard, names",
+        [
+            pytest.param([0, 1], None, id="short-hard"),
+            pytest.param([0, 1, 0], ["a", "b"], id="short-names"),
+            pytest.param([0, 1, 0], ["a", "b", "c", "d"], id="long-names"),
+        ],
+    )
+    def test_membership_writer_checks_n(self, tmp_path, hard, names):
+        path = tmp_path / "m.csv"
+        with pytest.raises(DataError, match="hard labels, node labels and tau disagree on n"):
+            sbanm.write_memberships(str(path), np.array(hard), np.eye(3)[[0, 1, 0]], names)
+        assert not path.exists()
+
     def test_params_round_trip(self, tmp_path):
         params, _ = sbanm.experiment2_spec()
         path = tmp_path / "p.json"
@@ -669,7 +683,7 @@ class TestMembershipAndParamsFiles:
             ),
             pytest.param(
                 lambda doc: {**doc, "noise": {**doc["noise"], "mu": ["a", 1.0, 2.0]}},
-                "malformed value (could not convert string to float: 'a')", id="text-mu",
+                "malformed value (noise.mu must be numbers, got ['a', 1.0, 2.0])", id="text-mu",
             ),
         ],
     )
@@ -705,6 +719,56 @@ class TestMembershipAndParamsFiles:
                 ("blocks", 1, "rho"), "-0.9",
                 "malformed value (correlation violates positive definiteness)",
                 id="rho-not-pd",
+            ),
+            # Float fields take JSON numbers only: no strings, no booleans.
+            pytest.param(
+                ("psi",), '"0.75"', "malformed value (psi must be a number, got '0.75')",
+                id="psi-text",
+            ),
+            pytest.param(
+                ("psi",), "true", "malformed value (psi must be a number, got True)",
+                id="psi-bool",
+            ),
+            pytest.param(
+                ("psi",), "[0.75]", "malformed value (psi must be a number, got [0.75])",
+                id="psi-list",
+            ),
+            pytest.param(
+                ("blocks", 1, "rho"), '"0.4"',
+                "malformed value (blocks[1].rho must be a number, got '0.4')", id="rho-text",
+            ),
+            pytest.param(
+                ("blocks", 0, "rho"), "false",
+                "malformed value (blocks[0].rho must be a number, got False)", id="rho-bool",
+            ),
+            pytest.param(
+                ("blocks", 2, "mu"), '["12", "10", "8"]',
+                "malformed value (blocks[2].mu must be numbers, got ['12', '10', '8'])",
+                id="mu-text",
+            ),
+            pytest.param(
+                ("blocks", 0, "var"), "[1.5, true, 1.5]",
+                "malformed value (blocks[0].var must be numbers, got [1.5, True, 1.5])",
+                id="var-bool",
+            ),
+            pytest.param(
+                ("noise", "var"), '["2.0", "2.0", "2.0"]',
+                "malformed value (noise.var must be numbers, got ['2.0', '2.0', '2.0'])",
+                id="noise-var-text",
+            ),
+            pytest.param(
+                ("noise", "mu"), "[[11.0], 10.0, 10.0]",
+                "malformed value (noise.mu must be numbers, got [[11.0], 10.0, 10.0])",
+                id="noise-mu-nested",
+            ),
+            pytest.param(
+                ("alpha",), '["0.25", "0.25", "0.25", "0.25"]',
+                "malformed value (alpha must be numbers, got ['0.25', '0.25', '0.25', '0.25'])",
+                id="alpha-text",
+            ),
+            pytest.param(
+                ("alpha",), '"0.25"', "malformed value (alpha must be numbers, got '0.25')",
+                id="alpha-string",
             ),
         ],
     )
@@ -766,6 +830,21 @@ class TestMembershipAndParamsFiles:
         with pytest.raises(DataError) as info:
             sbanm.read_params(str(path))
         assert str(info.value) == f"{path}: malformed value ({key} must be {kind}, got {value!r})"
+
+    def test_params_floats_may_be_json_integers(self, tmp_path):
+        path = tmp_path / "p.json"
+        sbanm.write_params(str(path), separable_params_2layer())
+        doc = json.loads(path.read_text())
+        # Noise block 0 and the noise law: mu (-1, 0), var (1, 1), rho 0.
+        for law in (doc["blocks"][0], doc["noise"]):
+            law.update(mu=[-1, 0], var=[1, 1])
+        doc["blocks"][0]["rho"] = 0
+        path.write_text(json.dumps(doc))
+        params, _ = sbanm.read_params(str(path))
+        expected = separable_params_2layer()
+        for law, want in zip([*params.blocks, params.noise], [*expected.blocks, expected.noise]):
+            assert law.mu.dtype == law.var.dtype == float and type(law.rho) is float
+            assert np.array_equal(law.mu, want.mu) and np.array_equal(law.var, want.var)
 
     def test_params_noise_block_may_be_null(self, tmp_path):
         path = tmp_path / "p.json"

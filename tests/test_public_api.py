@@ -14,7 +14,7 @@ PUBLIC = [
     "m_step_alpha", "m_step_block", "m_step_noise", "nmi", "normalize_logit",
     "optimal_matching", "pair_moments", "param_count", "param_report", "psi",
     "read_memberships", "read_network", "read_params", "read_responses", "spectral_embedding",
-    "spectral_init", "subsample_size", "svi_e_step", "write_memberships",
+    "spectral_init", "subsample_nodes", "subsample_size", "write_memberships",
     "write_network", "write_params",
 ]
 

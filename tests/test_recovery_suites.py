@@ -85,13 +85,15 @@ def test_svi_suite_fits_the_separable_networks_with_subsampled_steps(monkeypatch
     # Same network as the separable suite; the fit's first steps run on
     # node subsamples, as `sbanm fit --svi` does by default.
     steps = []
-    original = sbanm.vem.svi_e_step
+    original = sbanm.vem.subsample_nodes
 
-    def counted(net, params, state, t, cfg, **kwargs):
-        steps.append((t, cfg.a, cfg.seed))
-        return original(net, params, state, t, cfg, **kwargs)
+    def counted(t, cfg, n):
+        nodes = original(t, cfg, n)
+        if nodes is not None:
+            steps.append((t, cfg.a, cfg.seed))
+        return nodes
 
-    monkeypatch.setattr(sbanm.vem, "svi_e_step", counted)
+    monkeypatch.setattr(sbanm.vem, "subsample_nodes", counted)
     net, labels, _ = SUITES["network"]("svi", 2, 5)
     same, _, _ = SUITES["network"]("separable", 2, 5)
     assert net.weights.tobytes() == same.weights.tobytes()

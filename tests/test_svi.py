@@ -2,10 +2,16 @@ import numpy as np
 import pytest
 
 import sbanm
-from sbanm import FitConfig, SviConfig, averaging_weight, subsample_size, svi_e_step
+from sbanm import (
+    FitConfig,
+    SviConfig,
+    averaging_weight,
+    e_step,
+    subsample_nodes,
+    subsample_size,
+)
 from sbanm.errors import DataError
 from sbanm.rng import substream
-from sbanm.estep import e_step
 from sbanm.vem import _m_step
 
 from conftest import planted_network
@@ -58,47 +64,75 @@ class TestSchedules:
             SviConfig(a=1)
 
 
+class TestSubsampleNodes:
+    def test_none_exactly_when_the_size_covers_the_graph(self):
+        for a in (2, 5, 40):
+            cfg = SviConfig(a=a, seed=1)
+            for n in (3, 20, 41):
+                for t in range(12):
+                    nodes = subsample_nodes(t, cfg, n)
+                    assert (nodes is None) == (subsample_size(t, cfg, n) >= n)
+
+    def test_sorted_distinct_in_range_of_the_scheduled_size(self):
+        cfg = SviConfig(a=7, seed=4)
+        for t in range(5):
+            nodes = subsample_nodes(t, cfg, 60)
+            assert nodes.size == subsample_size(t, cfg, 60)
+            assert np.all(np.diff(nodes) > 0)
+            assert nodes[0] >= 0 and nodes[-1] < 60
+
+    def test_same_seed_and_step_give_the_same_sample(self):
+        cfg = SviConfig(a=20, seed=5)
+        assert np.array_equal(subsample_nodes(2, cfg, 60), subsample_nodes(2, cfg, 60))
+        # The sample of step 1 on 20 nodes, a = 5 (5 + 20/4 = 10 nodes), seed 3.
+        expected = [0, 1, 3, 6, 7, 9, 10, 12, 15, 16]
+        assert subsample_nodes(1, SviConfig(a=5, seed=3), 20).tolist() == expected
+
+
 class TestSviEStep:
+    """An SVI step as fit makes it: one e_step pass on subsample_nodes(t),
+    damped by averaging_weight(t)."""
+
     def setup_instance(self, seed=0):
         net, labels, params_true = planted_network(sizes=(24, 20, 16), seed=seed)
         state = sbanm.spectral_init(net, 3, seed)
         params = _m_step(net, state, sbanm.pair_moments(net, state.tau))
         return net, state, params
 
+    @staticmethod
+    def svi_step(net, params, state, t, cfg):
+        nodes = subsample_nodes(t, cfg, net.n)
+        return e_step(net, params, state, nodes, damping=averaging_weight(t))
+
     def test_deterministic_sample(self):
         net, state, params = self.setup_instance()
         cfg = SviConfig(a=20, seed=5)
-        tau1 = svi_e_step(net, params, state, 2, cfg)
-        tau2 = svi_e_step(net, params, state, 2, cfg)
+        tau1 = self.svi_step(net, params, state, 2, cfg)
+        tau2 = self.svi_step(net, params, state, 2, cfg)
         assert np.array_equal(tau1, tau2)
 
     def test_rows_stochastic_after_blend(self):
         net, state, params = self.setup_instance(seed=1)
-        tau = svi_e_step(net, params, state, 1, SviConfig(a=20, seed=1))
+        tau = self.svi_step(net, params, state, 1, SviConfig(a=20, seed=1))
         assert np.max(np.abs(tau.sum(axis=1) - 1.0)) < 1e-10
 
     def test_unsampled_rows_unchanged(self):
         net, state, params = self.setup_instance(seed=2)
         cfg = SviConfig(a=20, seed=2)
-        m = subsample_size(0, cfg, net.n)
-        M = np.sort(substream(cfg.seed, "svi-sample", 0).choice(net.n, size=m, replace=False))
-        tau = svi_e_step(net, params, state, 0, cfg)
-        untouched = np.setdiff1d(np.arange(net.n), M)
-        assert np.array_equal(tau[untouched], state.tau[untouched])
+        for t in range(3):
+            M = subsample_nodes(t, cfg, net.n)
+            tau = self.svi_step(net, params, state, t, cfg)
+            untouched = np.setdiff1d(np.arange(net.n), M)
+            assert untouched.size and np.array_equal(tau[untouched], state.tau[untouched])
+            assert not np.array_equal(tau[M], state.tau[M])
 
     def test_full_subsample_with_unit_weight_equals_full_e_step(self):
-        # t=0 gives delta=1; a >= n makes the subsample the whole graph, so
-        # one SVI step is exactly one (undamped, single-pass) full E-step.
+        # t=0 gives delta=1; the subsample as the whole graph makes one SVI
+        # step exactly one (undamped, single-pass) full E-step.
         net, state, params = self.setup_instance(seed=3)
-        cfg = SviConfig(a=net.n, seed=3)
-        tau_svi = svi_e_step(net, params, state, 0, cfg)
+        tau_svi = e_step(net, params, state, np.arange(net.n), damping=averaging_weight(0))
         tau_full = e_step(net, params, state, inner=1, damping=1.0)
         assert np.allclose(tau_svi, tau_full, atol=1e-12)
-
-    def test_subsample_too_small_rejected(self):
-        net, state, params = self.setup_instance(seed=4)
-        with pytest.raises(DataError, match="subsample too small"):
-            svi_e_step(net, params, state, 0, SviConfig(a=2, seed=0))
 
     def test_fit_rejects_base_size_below_q_before_init(self, monkeypatch):
         def no_init(*args):

@@ -25,10 +25,18 @@ from sbanm import (
     m_step_noise,
 )
 from sbanm.errors import DataError, NumericalError
-from sbanm.estep import block_gaps, signal_probs
 from sbanm.model import EPS_PROB, law_coefficients, noise_moments, pair_moments
-from sbanm.svi import SviConfig, svi_e_step
-from sbanm.vem import _MASS_FLOOR, TAU_DAMPING, TAU_INNER_MAX, TOL_ELBO, TOL_TAU, _m_step
+from sbanm.svi import SviConfig, averaging_weight, subsample_nodes
+from sbanm.vem import (
+    _MASS_FLOOR,
+    TAU_DAMPING,
+    TAU_INNER_MAX,
+    TOL_ELBO,
+    TOL_TAU,
+    _m_step,
+    block_gaps,
+    signal_probs,
+)
 from sbanm.rng import substream
 
 from conftest import offset_planted_network, planted_network
@@ -506,7 +514,8 @@ class TestEStepMaximisesElbo:
             tau = e_step(net, params, start, inner=k, damping=0.7, tol=1e-6)
         else:
             # SVI step k on a subsample of 15 + (k/(k+1))^2 * 40 nodes.
-            tau = svi_e_step(net, params, start, k, SviConfig(a=15, seed=seed))
+            nodes = subsample_nodes(k, SviConfig(a=15, seed=seed), net.n)
+            tau = e_step(net, params, start, nodes, damping=averaging_weight(k))
         moments = pair_moments(net, tau)
         P = signal_probs(block_gaps(law_coefficients(params, net.center), moments))
         best = elbo(net, params, VariationalState(tau=tau, P=P), moments)
@@ -764,10 +773,10 @@ class TestFit:
             return out
 
         count(sbanm.model.pair_moments, "pair_moments")
-        count(sbanm.estep._gap_squares, "gaps")
+        count(sbanm.vem._gap_squares, "gaps")
         count(sbanm.model.packed_matvec, "packed_matvec")
-        count(sbanm.estep.softmax_rows, "softmax_rows")
-        count(sbanm.estep.e_step, "e_step", products_and_passes)
+        count(sbanm.vem.softmax_rows, "softmax_rows")
+        count(sbanm.vem.e_step, "e_step", products_and_passes)
 
         # The tau test ends the default fit.  No tau change is below 1e-300,
         # so with that tolerance only the ELBO test can stop.
