@@ -28,12 +28,12 @@ matching = sbanm.optimal_matching(labels, result.hard_membership)
 report = sbanm.param_report(truth, result.params, matching)
 print("\nblock-mean estimates (fitted vs truth, after matching):")
 for q in range(4):
-    fitted_mu = result.params.blocks[matching[q]].mu
+    fitted_mu = result.params.blocks[report.matching[q]].mu
     tag = "noise " if q == truth.noise_block else "signal"
     print(f"  block {q} ({tag}): fitted {np.round(fitted_mu, 2)} "
           f"vs truth {truth.blocks[q].mu}")
 print("median |percentage error| on signal means:",
       f"{np.median(report.mu_ape[1:]) * 100:.2f}%")
 print("cross-layer correlations: fitted",
-      np.round([result.params.blocks[matching[q]].rho for q in range(4)], 3),
+      np.round([result.params.blocks[report.matching[q]].rho for q in range(4)], 3),
       "vs truth", [b.rho for b in truth.blocks])

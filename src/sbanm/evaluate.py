@@ -24,37 +24,38 @@ from .model import (
 )
 from .vem import FitResult
 
-_APE_DENOM_FLOOR = 0.01
-
 
 def _contingency(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Both partitions as label arrays, and their contingency table: a row
-    per distinct label of a, a column per distinct label of b."""
-    a, b = np.asarray(a, dtype=int), np.asarray(b, dtype=int)
+    """The distinct labels of each partition and their contingency table: a
+    row per distinct label of a, a column per distinct label of b."""
+    uniques = []
     for labels in (a, b):
-        if labels.ndim != 1 or labels.size < 1:
-            raise DataError("partition must be a nonempty 1-d label array")
-    if a.size != b.size:
+        labels = np.asarray(labels)
+        with np.errstate(invalid="ignore"):
+            ints = labels.astype(int)
+        if labels.ndim != 1 or labels.size < 1 or not np.array_equal(ints, labels):
+            raise DataError("partition must be a nonempty 1-d array of integer labels")
+        uniques.append(np.unique(ints, return_inverse=True))
+    (ua, ia), (ub, ib) = uniques
+    if ia.size != ib.size:
         raise DataError("partitions must have equal length")
-    ua, ia = np.unique(a, return_inverse=True)
-    ub, ib = np.unique(b, return_inverse=True)
     table = np.zeros((ua.size, ub.size), dtype=np.int64)
     np.add.at(table, (ia, ib), 1)
-    return a, b, table
+    return ua, ub, table
 
 
 def ari(a, b) -> float:
     """Adjusted Rand index via pair counting with the permutation-model
-    expectation."""
-    a, b, table = _contingency(a, b)
+    expectation.  Pair counts are Python integers, so it is exact at any n."""
+    table = _contingency(a, b)[2]
 
     def comb2(x):
-        return (x * (x - 1) // 2).sum()
+        return int((x * (x - 1) // 2).sum())
 
     index = comb2(table)
     sum_a = comb2(table.sum(axis=1))
     sum_b = comb2(table.sum(axis=0))
-    total = a.size * (a.size - 1) // 2
+    total = comb2(table.sum(keepdims=True))
     expected = sum_a * sum_b / total if total else 0.0
     max_index = 0.5 * (sum_a + sum_b)
     if max_index == expected:
@@ -68,31 +69,34 @@ def nmi(a, b) -> float:
     By convention 1 if both partitions are a single shared cluster and 0
     if exactly one has zero entropy while the partitions differ.
     """
-    a, b, table = _contingency(a, b)
-    n = a.size
-    table = table.astype(float)
+    table = _contingency(a, b)[2].astype(float)
+    n = table.sum()
+    # Every label occurs, so pa and pb are positive.
     pa = table.sum(axis=1) / n
     pb = table.sum(axis=0) / n
-    ha = -np.sum(pa * np.log(pa, where=pa > 0, out=np.zeros_like(pa)))
-    hb = -np.sum(pb * np.log(pb, where=pb > 0, out=np.zeros_like(pb)))
+    ha = -np.sum(pa * np.log(pa))
+    hb = -np.sum(pb * np.log(pb))
     if ha == 0.0 and hb == 0.0:
         return 1.0
     if ha == 0.0 or hb == 0.0:
         return 0.0
     pab = table / n
-    # Every label occurs, so pa and pb are positive; empty cells add 0.
+    # Empty cells add 0.
     ratio = pab / np.outer(pa, pb)
     mi = np.sum(pab * np.log(ratio, where=pab > 0, out=np.zeros_like(ratio)))
     return float(mi / math.sqrt(ha * hb))
 
 
 def _max_assignment(gain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, columns) of an assignment of maximal total gain, for a table
-    with no more rows than columns: Kuhn-Munkres by shortest augmenting
-    paths with row and column potentials (Jonker & Volgenant 1987).  Each
-    row in turn grows a Dijkstra tree over the reduced costs from the
-    virtual column m until it reaches a free column, then flips the path.
+    """(rows, columns) of an assignment of maximal total gain: Kuhn-Munkres
+    by shortest augmenting paths with row and column potentials (Jonker &
+    Volgenant 1987).  Each row in turn grows a Dijkstra tree over the
+    reduced costs from the virtual column m until it reaches a free column,
+    then flips the path.  A table with more rows than columns is solved as
+    its transpose.
     """
+    if gain.shape[0] > gain.shape[1]:
+        return _max_assignment(gain.T)[::-1]
     cost = -gain.astype(float)
     n, m = cost.shape
     u, v = np.zeros(n), np.zeros(m + 1)  # row and column potentials
@@ -127,13 +131,8 @@ def optimal_matching(truth, fitted) -> dict[int, int]:
     Solved as an assignment problem on the confusion matrix; unmatched
     labels (unequal cluster counts) are simply absent from the map.
     """
-    truth, fitted, table = _contingency(truth, fitted)
-    ut, uf = np.unique(truth), np.unique(fitted)
-    if ut.size <= uf.size:
-        rows, cols = _max_assignment(table)
-    else:
-        cols, rows = _max_assignment(table.T)
-    return {int(ut[r]): int(uf[c]) for r, c in sorted(zip(rows, cols))}
+    ut, uf, table = _contingency(truth, fitted)
+    return {int(ut[r]): int(uf[c]) for r, c in sorted(zip(*_max_assignment(table)))}
 
 
 def exact_recovery(truth, fitted) -> bool:
@@ -174,8 +173,8 @@ def icl(net: MultilayerNetwork, fit: FitResult) -> float:
 class ParamReport:
     """Signed errors and absolute percentage errors, truth-block order.
 
-    Percentage errors divide by max(|truth|, 0.01).  matching maps each
-    truth block index to its fitted counterpart.
+    Percentage errors divide by max(|truth|, 0.01).  matching pairs every
+    truth block index with the fitted block it is scored against.
     """
 
     matching: dict[int, int]
@@ -191,41 +190,32 @@ class ParamReport:
     noise_var_ape: np.ndarray
 
 
-def _errors(truth: np.ndarray, fitted: np.ndarray):
-    err = fitted - truth
-    ape = np.abs(err) / np.maximum(np.abs(truth), _APE_DENOM_FLOOR)
-    return err, ape
-
-
 def param_report(
     truth: ModelParams, fitted: ModelParams, matching: dict[int, int]
 ) -> ParamReport:
-    """Per-parameter errors after aligning fitted blocks to truth blocks."""
+    """Per-parameter errors after aligning fitted blocks to truth blocks.
+
+    The truth blocks that `matching` leaves out take the fitted blocks it
+    leaves out, in ascending order, so every block of each side is scored
+    once.
+    """
     if truth.Q != fitted.Q or truth.K != fitted.K:
         raise DataError("parameter sets disagree on Q or K")
-    Q, K = truth.Q, truth.K
-    mu_t = np.array([b.mu for b in truth.blocks])
-    var_t = np.array([b.var for b in truth.blocks])
-    rho_t = np.array([b.rho for b in truth.blocks])
-    perm = np.array([matching.get(q, q) for q in range(Q)])
-    mu_f = np.array([fitted.blocks[p].mu for p in perm])
-    var_f = np.array([fitted.blocks[p].var for p in perm])
-    rho_f = np.array([fitted.blocks[p].rho for p in perm])
-    mu_err, mu_ape = _errors(mu_t, mu_f)
-    var_err, var_ape = _errors(var_t, var_f)
-    rho_err, rho_ape = _errors(rho_t, rho_f)
-    nmu_err, nmu_ape = _errors(truth.noise.mu, fitted.noise.mu)
-    nvar_err, nvar_ape = _errors(truth.noise.var, fitted.noise.var)
-    return ParamReport(
-        matching=dict(matching),
-        mu_err=mu_err,
-        mu_ape=mu_ape,
-        var_err=var_err,
-        var_ape=var_ape,
-        rho_err=rho_err,
-        rho_ape=rho_ape,
-        noise_mu_err=nmu_err,
-        noise_mu_ape=nmu_ape,
-        noise_var_err=nvar_err,
-        noise_var_ape=nvar_ape,
-    )
+    Q = truth.Q
+    spare = iter(sorted(set(range(Q)) - set(matching.values())))
+    # -1 marks a truth block left without a spare fitted block.
+    pairing = {q: matching[q] if q in matching else next(spare, -1) for q in range(Q)}
+    if sorted(pairing.values()) != list(range(Q)):
+        raise DataError("matching must pair distinct truth and fitted blocks")
+    matched = [fitted.blocks[p] for p in pairing.values()]
+    errors = {}
+    for name, t, f in (
+        ("mu", [b.mu for b in truth.blocks], [b.mu for b in matched]),
+        ("var", [b.var for b in truth.blocks], [b.var for b in matched]),
+        ("rho", [b.rho for b in truth.blocks], [b.rho for b in matched]),
+        ("noise_mu", truth.noise.mu, fitted.noise.mu),
+        ("noise_var", truth.noise.var, fitted.noise.var),
+    ):
+        err = np.asarray(f) - np.asarray(t)
+        errors[f"{name}_err"], errors[f"{name}_ape"] = err, abs(err) / np.maximum(np.abs(t), 0.01)
+    return ParamReport(matching=pairing, **errors)

@@ -2,6 +2,8 @@ import dataclasses
 import itertools
 import math
 import warnings
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -63,6 +65,31 @@ class TestAri:
         with pytest.raises(DataError):
             ari([0, 1], [0, 1, 2])
 
+    @staticmethod
+    def fraction_ari(a, b):
+        """ARI in exact rational arithmetic from the contingency counts."""
+        def pairs(counts):
+            return sum(Fraction(c * (c - 1), 2) for c in counts.values())
+
+        index = pairs(Counter(zip(a, b)))
+        sum_a, sum_b = pairs(Counter(a)), pairs(Counter(b))
+        expected = sum_a * sum_b / pairs(Counter({0: len(a)}))
+        return (index - expected) / ((sum_a + sum_b) / 2 - expected)
+
+    def test_exact_at_n_100000(self):
+        # Past about 78,000 nodes a product of two int64 pair counts
+        # overflows.
+        n = 100_000
+        halves = np.repeat([0, 1], n // 2)
+        single = np.zeros(n, dtype=int)
+        assert self.fraction_ari(single.tolist(), halves.tolist()) == 0
+        assert ari(single, halves) == 0.0
+        rng = np.random.default_rng(5)
+        a = rng.integers(0, 3, size=n)
+        b = np.where(rng.random(n) < 0.8, a, rng.integers(0, 4, size=n))
+        want = self.fraction_ari(a.tolist(), b.tolist())
+        assert ari(a, b) == pytest.approx(float(want), rel=1e-12, abs=0)
+
 
 class TestNmi:
     def test_identical_nontrivial(self):
@@ -111,6 +138,25 @@ class TestNmi:
             relabel = rng.permutation(4)
             assert nmi(relabel[a], b) == pytest.approx(v, abs=1e-12)
             assert ari(relabel[a], b) == pytest.approx(ari(a, b), abs=1e-12)
+
+
+class TestLabels:
+    @pytest.mark.parametrize("metric", [ari, nmi, exact_recovery, optimal_matching])
+    def test_non_integral_labels_rejected(self, metric):
+        # Truncated to [0, 0, 2] these would be an exact recovery.
+        for truth, fitted in [([0.1, 0.9, 2.0], [0, 0, 1]), ([0.1, 0.9, 2.0], [0, 1, 2])]:
+            with pytest.raises(DataError):
+                metric(truth, fitted)
+            with pytest.raises(DataError):
+                metric(fitted, truth)
+        with pytest.raises(DataError):
+            metric([0, np.nan, 1], [0, 1, 1])
+
+    def test_integral_floats_and_bools_accepted(self):
+        assert exact_recovery([0.0, 1.0, 1.0, 2.0], [2, 0, 0, 1])
+        assert exact_recovery([True, False, False], [0, 1, 1])
+        assert optimal_matching([1.0, 0.0, 0.0], [False, True, True]) == {0: 1, 1: 0}
+        assert ari([0.0, 1.0, 1.0, 2.0], [2, 0, 0, 1]) == 1.0
 
 
 class TestExactRecovery:
@@ -192,6 +238,33 @@ class TestParamReport:
         )
         rep = param_report(truth, fitted, {q: q for q in range(4)})
         assert rep.rho_ape[0] == pytest.approx(0.005 / 0.01, abs=1e-12)
+
+    def test_unmatched_blocks_pair_in_ascending_order(self):
+        # Truth blocks 0 and 1 merged into label 1: the matching leaves out
+        # truth block 1 and the empty fitted block 0, so they pair.
+        truth, _ = sbanm.experiment2_spec()
+        z = np.repeat([0, 1, 2, 3], 5)
+        zhat = np.repeat([1, 2, 3], [10, 5, 5])
+        matching = optimal_matching(z, zhat)
+        assert matching == {0: 1, 2: 2, 3: 3}
+        fitted = sbanm.ModelParams(
+            blocks=truth.blocks[::-1], noise=truth.noise, alpha=truth.alpha[::-1]
+        )
+        rep = param_report(truth, fitted, matching)
+        assert rep.matching == {0: 1, 1: 0, 2: 2, 3: 3}
+        for q, p in rep.matching.items():
+            t, f = truth.blocks[q], fitted.blocks[p]
+            assert np.array_equal(rep.mu_err[q], f.mu - t.mu)
+            assert np.array_equal(rep.var_err[q], f.var - t.var)
+            assert rep.rho_err[q] == f.rho - t.rho
+        want = np.abs(fitted.blocks[0].mu - truth.blocks[1].mu) / truth.blocks[1].mu
+        assert np.array_equal(rep.mu_ape[1], want)
+
+    @pytest.mark.parametrize("matching", [{0: 1, 1: 1}, {0: 4}, {0: -1}, {5: 0, 6: 1, 7: 2, 8: 3}])
+    def test_matching_that_cannot_pair_the_blocks_rejected(self, matching):
+        truth, _ = sbanm.experiment2_spec()
+        with pytest.raises(DataError):
+            param_report(truth, truth, matching)
 
     def test_q_mismatch_rejected(self):
         truth, _ = sbanm.experiment2_spec()
