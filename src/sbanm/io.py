@@ -12,9 +12,10 @@ reader accepts exactly this grammar, with numbers in any spelling
 Python's int() and float() take: no blank line, no index written as a
 float (``1.0``), no missing or extra pair.  A file that breaks it raises
 DataError naming the offending line, before anything sized by the header
-is allocated.  The reader parses the pair lines with one streaming
-np.loadtxt call, checks them vectorised, and re-reads the file line by
-line only to report an error.
+is allocated.  The reader counts the pair lines in one binary pass, then
+fills the weights one pair tile at a time, each tile parsed with one
+np.loadtxt call and checked vectorised; it re-reads the file line by line
+only to report an error.
 
 The writer builds the text of one pair tile at a time with numpy and
 streams the tiles, as ASCII bytes, into the atomic temp file.  A weight
@@ -39,6 +40,7 @@ against every law's layer count and psi against (Q-1)/Q.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -131,22 +133,24 @@ def normalize_logit(net: MultilayerNetwork) -> MultilayerNetwork:
     """Strength-normalize nonnegative count weights and logit-transform.
 
     Each weight is divided by its layer's total weight, clamped into
-    (0, 1), and mapped through log(p/(1-p)).
+    (0, 1), and mapped through log(p/(1-p)), one pair tile at a time into
+    the one layer-major output.
     """
     w = net.weights
-    negative = np.flatnonzero((w < 0).any(axis=0))
-    if negative.size:
-        raise DataError(
-            f"strength normalization requires nonnegative weights; layer {negative[0]} "
-            "has a negative weight"
-        )
+    for k in range(net.K):
+        if (w[:, k] < 0).any():
+            raise DataError(
+                f"strength normalization requires nonnegative weights; layer {k} "
+                "has a negative weight"
+            )
     sums = w.sum(axis=0)
     if np.any(sums <= 0):
         raise DataError("layer has no trips")
-    p = np.clip(w / sums, _P_CLAMP, 1.0 - _P_CLAMP)
-    return MultilayerNetwork(
-        n=net.n, K=net.K, weights=np.log(p / (1.0 - p)), node_labels=net.node_labels
-    )
+    out = np.empty(w.shape, order="F")
+    for p0, p1, _, _ in pair_tiles(net.n):
+        p = np.clip(w[p0:p1] / sums, _P_CLAMP, 1.0 - _P_CLAMP)
+        np.log(p / (1.0 - p), out=out[p0:p1])
+    return MultilayerNetwork(n=net.n, K=net.K, weights=out, node_labels=net.node_labels)
 
 
 def _atomic_write(path: str, data: bytes | Iterable[bytes]) -> None:
@@ -200,7 +204,8 @@ def _network_chunks(net: MultilayerNetwork) -> Iterator[bytes]:
     width = len(str(net.n - 1))
     for p0, p1, r0, r1 in pair_tiles(net.n):
         I, J = tile_endpoints(net.n, r0, r1)
-        weight_text = float_text(net.weights[p0:p1].T)
+        # One layer at a time: the text kernel holds about 200 bytes per value.
+        weight_text = [float_text(net.weights[p0:p1, k][None])[0] for k in range(net.K)]
         yield table_text([int_text(I, width), int_text(J, width), *weight_text], "\t")
 
 
@@ -209,39 +214,66 @@ def write_network(net: MultilayerNetwork, path: str) -> None:
     _atomic_write(path, _network_chunks(net))
 
 
-def _body_lines(fh: TextIO, n_pairs: int) -> Iterator[str]:
-    """Yield the pair lines of a network file, raising ValueError unless
-    there are exactly n_pairs of them and none is blank (np.loadtxt would
-    skip a blank line silently)."""
-    count = 0
-    for line in fh:
-        if line == "\n" or count == n_pairs:
-            raise ValueError("not a canonical pair list")
-        count += 1
-        yield line
-    if count != n_pairs:
-        raise ValueError("not a canonical pair list")
+def _pair_lines_counted(path: str, n_pairs: int) -> bool:
+    """Whether the lines after the header of the network file at path
+    number exactly n_pairs and none is empty (np.loadtxt would skip an
+    empty line silently), counted in one binary pass in 64 KiB chunks as
+    the text-mode reader splits them.  Lines may end in \\n or \\r\\n; a
+    file with a lone \\r, which that reader also takes as a line end, is
+    left to the line parser."""
+    with open(path, "rb") as fh:
+        # A \r anywhere but in the header's closing \r\n would end it
+        # earlier in text mode.
+        if b"\r" in fh.readline()[:-2]:
+            return False
+        lines, after_end = 0, True
+        while chunk := fh.read(1 << 16):
+            if chunk.endswith(b"\r"):
+                chunk += fh.read(1)  # no \r\n is split between chunks
+            if b"\r" in chunk:
+                if chunk.count(b"\r") != chunk.count(b"\r\n"):
+                    return False
+                chunk = chunk.replace(b"\r\n", b"\n")
+            ends = np.frombuffer(chunk, dtype=np.uint8) == ord("\n")
+            # An empty line: a line end right after another.
+            if (ends[0] and after_end) or (ends[1:] & ends[:-1]).any():
+                return False
+            lines += np.count_nonzero(ends)
+            if lines > n_pairs:
+                return False
+            after_end = ends[-1]
+    # The last line may have no line end.
+    return lines + (not after_end) == n_pairs
 
 
-def _read_pairs(fh: TextIO, n: int, K: int) -> np.ndarray | None:
-    """Parse the pair lines with one streaming np.loadtxt call and check
-    them vectorised; the weights, layer-major, or None unless the file is
-    canonical."""
-    try:
-        dtype = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64, (K,))])
-        rows = np.loadtxt(
-            _body_lines(fh, num_pairs(n)), dtype=dtype, delimiter="\t",
-            comments=None, ndmin=1,
-        )
-    except ValueError:
+def _read_pairs(path: str, fh: TextIO, n: int, K: int) -> np.ndarray | None:
+    """The weights of a canonical file, layer-major, or None unless the
+    file is canonical.  The lines are counted before the weights are
+    allocated; then each pair tile's lines are parsed with one np.loadtxt
+    call and checked: their count, their endpoints and finite weights."""
+    n_pairs = num_pairs(n)
+    if not _pair_lines_counted(path, n_pairs):
         return None
-    if not np.isfinite(rows["w"]).all():
-        return None
+    weights = np.empty((n_pairs, K), order="F")
+    dtype = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64, (K,))])
     for p0, p1, r0, r1 in pair_tiles(n):
-        I, J = tile_endpoints(n, r0, r1)
-        if not (np.array_equal(rows["i"][p0:p1], I) and np.array_equal(rows["j"][p0:p1], J)):
+        try:
+            rows = np.loadtxt(
+                itertools.islice(fh, p1 - p0), dtype=dtype, delimiter="\t",
+                comments=None, ndmin=1,
+            )
+        except ValueError:
             return None
-    return np.asfortranarray(rows["w"])
+        I, J = tile_endpoints(n, r0, r1)
+        # array_equal is False unless the tile has all its p1 - p0 rows.
+        if not (
+            np.array_equal(rows["i"], I)
+            and np.array_equal(rows["j"], J)
+            and np.isfinite(rows["w"]).all()
+        ):
+            return None
+        weights[p0:p1] = rows["w"]
+    return weights
 
 
 def _read_pairs_by_line(path: str, fh: TextIO, n: int, K: int) -> np.ndarray:
@@ -294,7 +326,7 @@ def read_network(path: str) -> MultilayerNetwork:
         if n < 2 or K < 1:
             raise DataError(f"{path}:1: invalid dimensions n={n}, K={K}")
         body = fh.tell()
-        weights = _read_pairs(fh, n, K)
+        weights = _read_pairs(path, fh, n, K)
         if weights is None:
             fh.seek(body)
             weights = _read_pairs_by_line(path, fh, n, K)

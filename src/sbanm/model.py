@@ -38,10 +38,15 @@ LOG_2PI = math.log(2.0 * math.pi)
 # contiguous slice of every layer.  Fits ran as fast at 6144 as at 8192,
 # and slower at 4096 (README, notes on numerics).
 PAIR_TILE = 6144
-# Rows per block of the symmetric matrices of packed_pairs.  At n = 1200 a
-# block of one matrix is 1.2 MB, so the second of packed_matvec's two
-# passes over it reads it from a 2 MB L2 cache.
-PACKED_BLOCK_ROWS = 128
+# Rows per block of the symmetric matrices of packed_pairs.  The blocks
+# also store the zeros at and below the diagonal of their rows, about
+# m * PACKED_BLOCK_ROWS / 2 entries per matrix: 5.4% of the pairs at
+# m = 1200 with 64 rows, 10.5% with 128.  A block of one matrix stays in L2
+# cache for the second of packed_matvec's two passes over it.  A product
+# with Q = 4 matrices took 3.80-3.90 ms at 64 rows and 3.71-3.84 ms at 128
+# for m = 1200, 0.30-0.32 and 0.26-0.27 ms for m = 300 (medians of 200
+# alternated products, 2-vCPU x86-64 VM).
+PACKED_BLOCK_ROWS = 64
 
 
 def clip_prob(x):
@@ -249,7 +254,8 @@ class MultilayerNetwork:
                 f"weights shape {w.shape} does not match n={self.n}, K={self.K}"
             )
         w = np.asfortranarray(w)
-        if not np.all(np.isfinite(w)):
+        # One layer at a time: a whole-array mask would take 1/8 of the weights.
+        if not all(np.isfinite(w[:, k]).all() for k in range(self.K)):
             raise DataError("network weights must be finite")
         self.weights = w
         if self.node_labels is not None and len(self.node_labels) != self.n:

@@ -8,7 +8,7 @@ import sbanm
 from sbanm import model
 from sbanm.model import EPS_PROB, law_coefficients, pair_moments
 from sbanm.rng import substream
-from sbanm.vem import block_gaps, e_step, signal_probs, softmax_rows
+from sbanm.vem import _gap_squares, block_gaps, e_step, signal_probs, softmax_rows
 
 from conftest import planted_network
 from reference import log_density_batch, pairs_to_square
@@ -123,6 +123,17 @@ def test_e_step_peak_memory_below_dense_gap_squares():
     finally:
         tracemalloc.stop()
     assert peak < 4 * net.n**2 * 8
+
+
+def test_gap_matrices_pad_at_most_six_percent_at_n_1200():
+    # The packed row blocks also hold the zeros at and below the diagonal
+    # of their rows, about n PACKED_BLOCK_ROWS / 2 entries per matrix.
+    params, _ = sbanm.experiment2_spec()
+    n = 1200
+    weights = substream(5, "gap-padding").normal(size=(n * (n - 1) // 2, params.K))
+    gaps = _gap_squares(sbanm.MultilayerNetwork(n=n, K=params.K, weights=weights), params)
+    assert all(T.base is gaps[0][1].base for _, T in gaps)
+    assert sum(T.size for _, T in gaps) <= 1.06 * params.Q * n * (n - 1) / 2
 
 
 class TestNormalisersAgainstScipy:

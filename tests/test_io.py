@@ -186,6 +186,25 @@ class TestNormalizeLogit:
         with pytest.raises(DataError, match="layer 1 has a negative weight"):
             normalize_logit(net)
 
+    def test_tiles_match_the_whole_array_formula_in_bounded_memory(self):
+        # About 30 pair tiles; the whole-array formula allocates five arrays
+        # the size of the weights.
+        n, K = 600, 3
+        rng = np.random.default_rng(12)
+        counts = rng.poisson([0.5, 3.0, 4000.0], size=(model.num_pairs(n), K)).astype(float)
+        net = MultilayerNetwork(n=n, K=K, weights=counts)
+        tracemalloc.start()
+        try:
+            out = normalize_logit(net)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        clamp = sbanm_io._P_CLAMP
+        p = np.clip(net.weights / net.weights.sum(axis=0), clamp, 1.0 - clamp)
+        assert out.weights.tobytes() == np.log(p / (1.0 - p)).tobytes()
+        assert out.weights.flags.f_contiguous
+        assert peak <= 1.25 * out.weights.nbytes
+
 
 class TestNetworkFile:
     def test_canonical_small_file(self, tmp_path):
@@ -247,6 +266,29 @@ class TestNetworkFile:
         monkeypatch.setattr(sbanm_io, "MultilayerNetwork", network)
         net = read_network(str(path))
         assert net.weights is given[0] and net.weights.flags.f_contiguous
+
+    def test_read_peak_memory_is_below_one_and_a_quarter_weights(self, tmp_path):
+        path = tmp_path / "net.tsv"
+        write_network(random_network(600, 3, seed=6), str(path))
+        tracemalloc.start()
+        try:
+            net = read_network(str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * net.weights.nbytes
+
+    def test_write_peak_memory_is_below_3_mib(self, tmp_path):
+        # The text kernel's temporaries, about 200 bytes per value, live for
+        # one layer of one pair tile at a time.
+        net = random_network(300, 3, seed=7)
+        tracemalloc.start()
+        try:
+            write_network(net, str(tmp_path / "net.tsv"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
 
     def test_writer_ignores_the_memory_layout(self, tmp_path):
         net = random_network(40, 3, seed=3)
@@ -458,6 +500,64 @@ class TestNetworkFileErrors:
 
         monkeypatch.setattr(sbanm_io, "_read_pairs_by_line", fail)
         assert np.array_equal(read_network(str(path)).weights, net.weights)
+
+    def test_last_line_without_line_end_skips_line_parser(self, tmp_path, monkeypatch):
+        net = random_network(12, 2, seed=5)
+        path = tmp_path / "net.tsv"
+        write_network(net, str(path))
+        path.write_bytes(path.read_bytes()[:-1])
+
+        def fail(*args):
+            raise AssertionError("line parser ran on a canonical file")
+
+        monkeypatch.setattr(sbanm_io, "_read_pairs_by_line", fail)
+        assert np.array_equal(read_network(str(path)).weights, net.weights)
+
+    @pytest.mark.parametrize("end", [b"\r\n", b"\r"])
+    def test_carriage_return_line_ends_are_read(self, tmp_path, end, monkeypatch):
+        net = random_network(12, 2, seed=6)
+        path = tmp_path / "net.tsv"
+        write_network(net, str(path))
+        path.write_bytes(path.read_bytes().replace(b"\n", end))
+        line_parser, parsed = sbanm_io._read_pairs_by_line, []
+
+        def by_line(*args):
+            parsed.append(args[0])
+            return line_parser(*args)
+
+        monkeypatch.setattr(sbanm_io, "_read_pairs_by_line", by_line)
+        assert np.array_equal(read_network(str(path)).weights, net.weights)
+        # \r\n files take the tiled parser; a lone \r is left to the line parser.
+        assert bool(parsed) == (end == b"\r")
+
+    def test_line_count_across_chunks(self, tmp_path):
+        # 4096 lines of 16 bytes fill the first 64 KiB chunk exactly.
+        path = tmp_path / "net.tsv"
+        line = b"0123456789abcde\n"
+
+        def counted(body, n_pairs):
+            path.write_bytes(b"#sbanm-net v1 n=2 K=1\n" + body)
+            return sbanm_io._pair_lines_counted(str(path), n_pairs)
+
+        body = line * 4100
+        assert counted(body, 4100)
+        assert not counted(body, 4099) and not counted(body, 4101)
+        # The last line without its line end.
+        assert counted(body[:-1], 4100) and not counted(body[:-1], 4099)
+        # An empty line first in the body, first in the second chunk, last
+        # in the first chunk, last in the body.
+        assert not counted(b"\n" + body, 4101)
+        assert not counted(line * 4096 + b"\n" + line * 4, 4101)
+        assert not counted(line * 4095 + line[1:] + b"\n" + line * 4, 4101)
+        assert not counted(body + b"\n", 4101)
+        # \r\n line ends, one split over the two chunks.  A lone \r is left
+        # to the line parser; an empty \r\n line is an empty line.
+        crlf = body.replace(b"\n", b"\r\n")
+        assert counted(crlf, 4100) and counted(crlf[:-2], 4100)
+        assert counted(line * 4095 + line[:-1] + b"\r\n" + line * 4, 4100)
+        assert not counted(crlf[:-1], 4100) and not counted(body[:-1] + b"\r", 4100)
+        assert not counted(line * 9 + b"a\rb\n", 10)
+        assert not counted(b"\r\n" + crlf, 4101) and not counted(crlf + b"\r\n", 4101)
 
     def test_spelling_only_python_takes_is_still_read(self, tmp_path):
         path = tmp_path / "net.tsv"

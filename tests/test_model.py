@@ -464,6 +464,25 @@ class TestDomainTypes:
         with pytest.raises(DataError):
             MultilayerNetwork(n=3, K=1, weights=bad)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_weight_in_any_layer_rejected(self, bad):
+        for k in range(3):
+            w = np.zeros((3, 3))
+            w[2, k] = bad
+            with pytest.raises(DataError, match="network weights must be finite"):
+                MultilayerNetwork(n=3, K=3, weights=w)
+
+    def test_finite_check_takes_no_whole_array_mask(self):
+        # A (pairs, K) bool mask takes 1/8 of the weights; one layer's 1/32.
+        w = np.asfortranarray(substream(9, "finite").normal(size=(num_pairs(300), 4)))
+        tracemalloc.start()
+        try:
+            MultilayerNetwork(n=300, K=4, weights=w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < w.nbytes / 16
+
     def test_block_params_validate_rho(self):
         with pytest.raises(NumericalError):
             BlockParams(mu=[0.0, 0.0, 0.0], var=[1.0, 1.0, 1.0], rho=-0.6)
