@@ -320,7 +320,9 @@ class TestPackedPairs:
     """packed_pairs row blocks and packed_matvec against the dense symmetric
     matrix of the same per-pair values."""
 
-    @pytest.mark.parametrize("height", [model.PACKED_BLOCK_ROWS, 4])
+    # The module's block height, a taller one and a short one that puts
+    # many blocks in a small matrix.
+    @pytest.mark.parametrize("height", [model.PACKED_BLOCK_ROWS, 128, 4])
     @given(
         size=st.sampled_from(["2", "3", "h-1", "h", "h+1", "2h+5"]),
         lead=st.sampled_from([(), (3,)]),
