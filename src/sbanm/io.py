@@ -10,12 +10,14 @@ weight is printed as Python's format(w, ".17g") prints it, 17
 significant digits, so write(read(f)) reproduces f byte for byte.  The
 reader accepts exactly this grammar, with numbers in any spelling
 Python's int() and float() take: no blank line, no index written as a
-float (``1.0``), no missing or extra pair.  A file that breaks it raises
-DataError naming the offending line, before anything sized by the header
-is allocated.  The reader counts the pair lines in one binary pass, then
-fills the weights one pair tile at a time, each tile parsed with one
-np.loadtxt call and checked vectorised; it re-reads the file line by line
-only to report an error.
+float (``1.0``), no missing or extra pair.  Lines may end in \\n, \\r\\n or
+\\r.  A file that breaks the grammar raises DataError naming the offending
+line.  The reader makes one text pass: it fills the weights one pair tile
+at a time, each tile's lines streamed into one np.loadtxt call and
+checked vectorised.  Only a tile np.loadtxt rejects is read again, line
+by line, to fill it or to raise.  A file shorter than n(n-1)/2 pair lines
+of 2K + 4 bytes cannot hold the pairs; it goes to the line parser, which
+raises before anything sized by the header is allocated.
 
 The writer builds the text of one pair tile at a time with numpy and
 streams the tiles, as ASCII bytes, into the atomic temp file.  A weight
@@ -173,9 +175,11 @@ def _atomic_write(path: str, data: bytes | Iterable[bytes]) -> None:
 
 def _undecodable(path: str) -> DataError:
     """The DataError for a file that is not valid UTF-8, naming its first
-    line that does not decode."""
-    with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    line that does not decode.  Latin-1 maps each byte to one character,
+    so the lines split at \\n, \\r\\n and \\r as the text reader splits them."""
+    with open(path, encoding="latin-1") as fh:
+        for lineno, text in enumerate(fh, start=1):
+            line = text.encode("latin-1")
             try:
                 line.decode("utf-8")
             except UnicodeDecodeError as exc:
@@ -214,84 +218,32 @@ def write_network(net: MultilayerNetwork, path: str) -> None:
     _atomic_write(path, _network_chunks(net))
 
 
-def _pair_lines_counted(path: str, n_pairs: int) -> bool:
-    """Whether the lines after the header of the network file at path
-    number exactly n_pairs and none is empty (np.loadtxt would skip an
-    empty line silently), counted in one binary pass in 64 KiB chunks as
-    the text-mode reader splits them.  Lines may end in \\n or \\r\\n; a
-    file with a lone \\r, which that reader also takes as a line end, is
-    left to the line parser."""
-    with open(path, "rb") as fh:
-        # A \r anywhere but in the header's closing \r\n would end it
-        # earlier in text mode.
-        if b"\r" in fh.readline()[:-2]:
-            return False
-        lines, after_end = 0, True
-        while chunk := fh.read(1 << 16):
-            if chunk.endswith(b"\r"):
-                chunk += fh.read(1)  # no \r\n is split between chunks
-            if b"\r" in chunk:
-                if chunk.count(b"\r") != chunk.count(b"\r\n"):
-                    return False
-                chunk = chunk.replace(b"\r\n", b"\n")
-            ends = np.frombuffer(chunk, dtype=np.uint8) == ord("\n")
-            # An empty line: a line end right after another.
-            if (ends[0] and after_end) or (ends[1:] & ends[:-1]).any():
-                return False
-            lines += np.count_nonzero(ends)
-            if lines > n_pairs:
-                return False
-            after_end = ends[-1]
-    # The last line may have no line end.
-    return lines + (not after_end) == n_pairs
-
-
-def _read_pairs(path: str, fh: TextIO, n: int, K: int) -> np.ndarray | None:
-    """The weights of a canonical file, layer-major, or None unless the
-    file is canonical.  The lines are counted before the weights are
-    allocated; then each pair tile's lines are parsed with one np.loadtxt
-    call and checked: their count, their endpoints and finite weights."""
+def _parse_pair_lines(
+    path: str, lines: Iterator[str], n: int, K: int, p0: int, p1: int, r0: int,
+    out: np.ndarray | None = None,
+) -> None:
+    """Parse the lines of pairs p0 <= p < p1, the first of them pair
+    (r0, r0 + 1), one at a time into out[p] (out None: write nothing);
+    raises the DataError that names the first offending line, which may be
+    a line past the last pair."""
     n_pairs = num_pairs(n)
-    if not _pair_lines_counted(path, n_pairs):
-        return None
-    weights = np.empty((n_pairs, K), order="F")
-    dtype = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64, (K,))])
-    for p0, p1, r0, r1 in pair_tiles(n):
-        try:
-            rows = np.loadtxt(
-                itertools.islice(fh, p1 - p0), dtype=dtype, delimiter="\t",
-                comments=None, ndmin=1,
-            )
-        except ValueError:
-            return None
-        I, J = tile_endpoints(n, r0, r1)
-        # array_equal is False unless the tile has all its p1 - p0 rows.
-        if not (
-            np.array_equal(rows["i"], I)
-            and np.array_equal(rows["j"], J)
-            and np.isfinite(rows["w"]).all()
-        ):
-            return None
-        weights[p0:p1] = rows["w"]
-    return weights
-
-
-def _read_pairs_by_line(path: str, fh: TextIO, n: int, K: int) -> np.ndarray:
-    """Parse the pair lines one at a time; raises the DataError that names
-    the first offending line.  Runs only on files _read_pairs rejects."""
-    n_pairs = num_pairs(n)
-    rows = []
-    expect_i, expect_j = 0, 1
-    for lineno, raw in enumerate(fh, start=2):
-        line = raw.rstrip("\n")
+    expect_i, expect_j = r0, r0 + 1
+    for p in range(p0, p1):
+        lineno = p + 2
+        line = next(lines, None)
+        if line is None:
+            raise DataError(f"{path}: incomplete dense pair list ({p} of {n_pairs} pairs)")
+        line = line.rstrip("\n")
         if not line:
             raise DataError(f"{path}:{lineno}: unexpected blank line")
         parts = line.split("\t")
         if len(parts) != 2 + K:
             raise DataError(f"{path}:{lineno}: expected {2 + K} fields")
-        if len(rows) >= n_pairs:
+        if p >= n_pairs:
             raise DataError(f"{path}:{lineno}: more pairs than n(n-1)/2")
         try:
+            # Python's int() and float() take a few spellings np.loadtxt
+            # refuses, such as 1_5; such a line is still read.
             i, j = int(parts[0]), int(parts[1])
             vals = [float(v) for v in parts[2:]]
         except ValueError as exc:
@@ -303,16 +255,59 @@ def _read_pairs_by_line(path: str, fh: TextIO, n: int, K: int) -> np.ndarray:
             )
         if not all(math.isfinite(v) for v in vals):
             raise DataError(f"{path}:{lineno}: non-finite weight")
-        rows.append(vals)
+        if out is not None:
+            out[p] = vals
         expect_j += 1
         if expect_j == n:
             expect_i += 1
             expect_j = expect_i + 1
-    if len(rows) != n_pairs:
-        raise DataError(f"{path}: incomplete dense pair list ({len(rows)} of {n_pairs} pairs)")
-    # Python's int() and float() take a few spellings np.loadtxt refuses,
-    # such as 1_5; such a file is still read.
-    return np.array(rows, dtype=float, order="F")
+
+
+def _read_pairs(path: str, fh: TextIO, n: int, K: int) -> np.ndarray:
+    """The weights of the pair lines that follow fh's position, layer-major.
+    Each pair tile's lines are parsed with one np.loadtxt call and checked:
+    their count, their endpoints and finite weights.  A tile that fails is
+    read again by the line parser, which fills it or raises."""
+    n_pairs = num_pairs(n)
+    # readline, not next(fh): iterating fh itself disables fh.tell().
+    lines = iter(fh.readline, "")
+    # A pair line holds at least 2K + 3 characters and a line end, so a
+    # shorter file cannot hold the pairs: the line parser raises.
+    if os.fstat(fh.fileno()).st_size < n_pairs * (2 * K + 4):
+        _parse_pair_lines(path, lines, n, K, 0, n_pairs, 0)
+    weights = np.empty((n_pairs, K), order="F")
+    dtype = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64, (K,))])
+    for p0, p1, r0, r1 in pair_tiles(n):
+        start = fh.tell()
+        # np.loadtxt skips an empty line, and warns on a tile that yields
+        # no row; a tile that starts with one is left to the line parser.
+        first, rows = next(lines, ""), None
+        if first.rstrip("\n"):
+            try:
+                rows = np.loadtxt(
+                    itertools.chain([first], itertools.islice(lines, p1 - p0 - 1)),
+                    dtype=dtype, delimiter="\t", comments=None, ndmin=1,
+                )
+            except ValueError:
+                pass
+        I, J = tile_endpoints(n, r0, r1)
+        # array_equal is False unless the tile has all its p1 - p0 rows.
+        if (
+            rows is not None
+            and np.array_equal(rows["i"], I)
+            and np.array_equal(rows["j"], J)
+            and np.isfinite(rows["w"]).all()
+        ):
+            weights[p0:p1] = rows["w"]
+        else:
+            fh.seek(start)
+            # The old iterator stays exhausted once it has met the end.
+            lines = iter(fh.readline, "")
+            _parse_pair_lines(path, lines, n, K, p0, p1, r0, weights)
+    if extra := next(lines, ""):
+        # A line after the last pair: the line parser raises.
+        _parse_pair_lines(path, iter([extra]), n, K, n_pairs, n_pairs + 1, n - 1)
+    return weights
 
 
 def read_network(path: str) -> MultilayerNetwork:
@@ -325,11 +320,7 @@ def read_network(path: str) -> MultilayerNetwork:
         n, K = int(m.group(1)), int(m.group(2))
         if n < 2 or K < 1:
             raise DataError(f"{path}:1: invalid dimensions n={n}, K={K}")
-        body = fh.tell()
         weights = _read_pairs(path, fh, n, K)
-        if weights is None:
-            fh.seek(body)
-            weights = _read_pairs_by_line(path, fh, n, K)
     return MultilayerNetwork(n=n, K=K, weights=weights)
 
 

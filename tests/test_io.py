@@ -278,6 +278,33 @@ class TestNetworkFile:
             tracemalloc.stop()
         assert peak <= 1.25 * net.weights.nbytes
 
+    @pytest.mark.parametrize("edit", ["spelling", "cr"])
+    def test_noncanonical_read_peak_memory_is_below_one_and_a_quarter_weights(
+        self, tmp_path, edit
+    ):
+        # The line parser re-reads only a tile np.loadtxt rejects, here the
+        # last one, with a weight spelled as only Python's float() reads it;
+        # lone \r line ends are split by the text reader.
+        net = random_network(600, 3, seed=6)
+        path = tmp_path / "net.tsv"
+        write_network(net, str(path))
+        data = path.read_bytes()
+        if edit == "spelling":
+            # The last weight: 0.123... becomes 0.1_23..., the same float.
+            d = re.compile(rb"\d\d").search(data, data.rindex(b"\t")).start() + 1
+            data = data[:d] + b"_" + data[d:]
+        else:
+            data = data.replace(b"\n", b"\r")
+        path.write_bytes(data)
+        tracemalloc.start()
+        try:
+            back = read_network(str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.weights, net.weights)
+        assert peak <= 1.25 * back.weights.nbytes
+
     def test_write_peak_memory_is_below_3_mib(self, tmp_path):
         # The text kernel's temporaries, about 200 bytes per value, live for
         # one layer of one pair tile at a time.
@@ -382,11 +409,25 @@ class TestFloatText:
 
 
 def read_by_line(path):
-    """The line-by-line parser run on a whole network file."""
+    """The line parser run on every line of a network file: once writing
+    nothing, so that an error raises before anything sized by the header
+    is allocated, then into the weights."""
     with open(path, "r", encoding="utf-8") as fh:
         m = sbanm_io._NET_HEADER.match(fh.readline().rstrip("\n"))
         n, K = int(m.group(1)), int(m.group(2))
-        return sbanm_io._read_pairs_by_line(path, fh, n, K)
+        n_pairs, body = model.num_pairs(n), fh.tell()
+
+        def parse(out):
+            fh.seek(body)
+            lines = iter(fh.readline, "")
+            sbanm_io._parse_pair_lines(path, lines, n, K, 0, n_pairs, 0, out)
+            if extra := next(lines, ""):
+                sbanm_io._parse_pair_lines(path, iter([extra]), n, K, n_pairs, n_pairs + 1, n - 1)
+
+        parse(None)
+        weights = np.empty((n_pairs, K), order="F")
+        parse(weights)
+        return weights
 
 
 def outcome(read, path):
@@ -403,6 +444,11 @@ class TestNetworkFileErrors:
     @pytest.mark.parametrize(
         "text, message",
         [
+            pytest.param(
+                "#sbanm-net v1 n=3 K=1\n\n0\t1\t1\n0\t2\t2\n1\t2\t3\n",
+                ":2: unexpected blank line",
+                id="blank-first-line",
+            ),
             pytest.param(
                 "#sbanm-net v1 n=3 K=1\n0\t1\t1\n\n0\t2\t2\n1\t2\t3\n",
                 ":3: unexpected blank line",
@@ -498,7 +544,7 @@ class TestNetworkFileErrors:
         def fail(*args):
             raise AssertionError("line parser ran on a canonical file")
 
-        monkeypatch.setattr(sbanm_io, "_read_pairs_by_line", fail)
+        monkeypatch.setattr(sbanm_io, "_parse_pair_lines", fail)
         assert np.array_equal(read_network(str(path)).weights, net.weights)
 
     def test_last_line_without_line_end_skips_line_parser(self, tmp_path, monkeypatch):
@@ -510,7 +556,7 @@ class TestNetworkFileErrors:
         def fail(*args):
             raise AssertionError("line parser ran on a canonical file")
 
-        monkeypatch.setattr(sbanm_io, "_read_pairs_by_line", fail)
+        monkeypatch.setattr(sbanm_io, "_parse_pair_lines", fail)
         assert np.array_equal(read_network(str(path)).weights, net.weights)
 
     @pytest.mark.parametrize("end", [b"\r\n", b"\r"])
@@ -519,45 +565,28 @@ class TestNetworkFileErrors:
         path = tmp_path / "net.tsv"
         write_network(net, str(path))
         path.write_bytes(path.read_bytes().replace(b"\n", end))
-        line_parser, parsed = sbanm_io._read_pairs_by_line, []
 
-        def by_line(*args):
-            parsed.append(args[0])
-            return line_parser(*args)
+        def fail(*args):
+            raise AssertionError("line parser ran on a canonical file")
 
-        monkeypatch.setattr(sbanm_io, "_read_pairs_by_line", by_line)
+        # The text reader ends a line at \r\n and at a lone \r alike.
+        monkeypatch.setattr(sbanm_io, "_parse_pair_lines", fail)
         assert np.array_equal(read_network(str(path)).weights, net.weights)
-        # \r\n files take the tiled parser; a lone \r is left to the line parser.
-        assert bool(parsed) == (end == b"\r")
 
-    def test_line_count_across_chunks(self, tmp_path):
-        # 4096 lines of 16 bytes fill the first 64 KiB chunk exactly.
+    def test_shortest_canonical_files_are_read(self, tmp_path):
+        # Every pair line at its shortest, 2K + 3 characters: the file-size
+        # check must let each through to the tiled parser.
         path = tmp_path / "net.tsv"
-        line = b"0123456789abcde\n"
-
-        def counted(body, n_pairs):
-            path.write_bytes(b"#sbanm-net v1 n=2 K=1\n" + body)
-            return sbanm_io._pair_lines_counted(str(path), n_pairs)
-
-        body = line * 4100
-        assert counted(body, 4100)
-        assert not counted(body, 4099) and not counted(body, 4101)
-        # The last line without its line end.
-        assert counted(body[:-1], 4100) and not counted(body[:-1], 4099)
-        # An empty line first in the body, first in the second chunk, last
-        # in the first chunk, last in the body.
-        assert not counted(b"\n" + body, 4101)
-        assert not counted(line * 4096 + b"\n" + line * 4, 4101)
-        assert not counted(line * 4095 + line[1:] + b"\n" + line * 4, 4101)
-        assert not counted(body + b"\n", 4101)
-        # \r\n line ends, one split over the two chunks.  A lone \r is left
-        # to the line parser; an empty \r\n line is an empty line.
-        crlf = body.replace(b"\n", b"\r\n")
-        assert counted(crlf, 4100) and counted(crlf[:-2], 4100)
-        assert counted(line * 4095 + line[:-1] + b"\r\n" + line * 4, 4100)
-        assert not counted(crlf[:-1], 4100) and not counted(body[:-1] + b"\r", 4100)
-        assert not counted(line * 9 + b"a\rb\n", 10)
-        assert not counted(b"\r\n" + crlf, 4101) and not counted(crlf + b"\r\n", 4101)
+        for n in range(2, 11):
+            I, J = np.triu_indices(n, 1)
+            for K in (1, 2, 3):
+                pairs = "".join(f"{i}\t{j}" + "\t0" * K + "\n" for i, j in zip(I, J))
+                text = f"#sbanm-net v1 n={n} K={K}\n{pairs}"
+                for body in (text, text[:-1]):
+                    path.write_text(body)
+                    net = read_network(str(path))
+                    assert net.weights.shape == (n * (n - 1) // 2, K)
+                    assert not net.weights.any()
 
     def test_spelling_only_python_takes_is_still_read(self, tmp_path):
         path = tmp_path / "net.tsv"
@@ -578,6 +607,9 @@ def mutate(lines, rng, kind):
         lines[p], lines[q] = lines[q], lines[p]
     elif kind == "blank":
         lines.insert(int(rng.integers(len(lines) + 1)), "")
+    elif kind == "cr":
+        c = int(rng.integers(1, len(lines[p])))
+        lines[p] = lines[p][:c] + "\r" + lines[p][c:]
     elif kind == "drop-tab":
         fields = lines[p].split("\t")
         f = int(rng.integers(len(fields) - 1))
@@ -595,7 +627,7 @@ class TestNetworkFileFastPath:
         K=st.integers(1, 3),
         seed=st.integers(0, 2**32 - 1),
         kind=st.sampled_from(
-            ["drop", "duplicate", "swap", "blank", "drop-tab", "nan", "1.0", "1_5", "x"]
+            ["drop", "duplicate", "swap", "blank", "cr", "drop-tab", "nan", "1.0", "1_5", "x"]
         ),
     )
     @settings(max_examples=200, deadline=None)
@@ -706,9 +738,13 @@ class TestUndecodableInput:
         write_network(random_network(130, 2, seed=8), str(path))
         lines = path.read_bytes().split(b"\n")
         lines[4999] = lines[4999][:4] + b"\xff" + lines[4999][5:]
-        path.write_bytes(b"\n".join(lines))
-        with pytest.raises(DataError, match=r":5000: not valid UTF-8 \(byte 0xff at column 5\)"):
-            read_network(str(path))
+        # The lines are counted as the text reader splits them.
+        for end in (b"\n", b"\r\n", b"\r"):
+            path.write_bytes(end.join(lines))
+            with pytest.raises(
+                DataError, match=r":5000: not valid UTF-8 \(byte 0xff at column 5\)"
+            ):
+                read_network(str(path))
 
 
 class TestMembershipAndParamsFiles:
