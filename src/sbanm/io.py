@@ -209,8 +209,8 @@ def _network_chunks(net: MultilayerNetwork) -> Iterator[bytes]:
     for p0, p1, r0, r1 in pair_tiles(net.n):
         I, J = tile_endpoints(net.n, r0, r1)
         # One layer at a time: the text kernel holds about 200 bytes per value.
-        weight_text = [float_text(net.weights[p0:p1, k][None])[0] for k in range(net.K)]
-        yield table_text([int_text(I, width), int_text(J, width), *weight_text], "\t")
+        weight_text = [float_text(net.weights[p0:p1, k]) for k in range(net.K)]
+        yield table_text([int_text(I, width), int_text(J, width), *weight_text])
 
 
 def write_network(net: MultilayerNetwork, path: str) -> None:

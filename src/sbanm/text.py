@@ -4,8 +4,8 @@ many numbers at once, byte for byte what Python's formatting gives.
 Text is laid out column-major: a (text rows, values) uint8 array whose
 row t holds byte t of every value's text, and whose zero bytes are
 padding, anywhere in a column.  numpy's inner loops then run over values.
-table_text joins such columns into lines with one transpose and one
-boolean mask that drops the padding.
+table_text joins such columns into tab-separated lines with one
+transpose and one boolean mask that drops the padding.
 """
 
 from __future__ import annotations
@@ -50,10 +50,10 @@ def _scaled_significand(m: np.ndarray, E: np.ndarray, X: np.ndarray):
     return floor, floor + up
 
 
-def float_text(x: np.ndarray) -> np.ndarray:
-    """format(v, ".17g") of every v in the (C, P) array x, as a (C, 24, P)
-    uint8 array: column c, text row t, value p holds byte t of the text of
-    x[c, p] or a zero byte of padding, zeros anywhere in the column.
+def float_text(v: np.ndarray) -> np.ndarray:
+    """format(u, ".17g") of every u in the 1-D array v, as a (24, len(v))
+    uint8 array: text row t, value p holds byte t of the text of v[p] or a
+    zero byte of padding, zeros anywhere in the column.
 
     Values with 1e-4 <= |v| < 1e14 are exact in uint64 arithmetic and print
     in fixed notation.  Their decimal exponent X starts at floor(log10|v|)
@@ -62,9 +62,9 @@ def float_text(x: np.ndarray) -> np.ndarray:
     fraction zeros, the point with them when nothing follows it, and puts
     "0." plus -X-1 zeros before the digits when X < 0.  Any other value (0,
     -0.0, subnormals, the rest outside the range, non-finite) is formatted
-    by Python one at a time."""
-    C, P = x.shape
-    v = x.ravel()
+    by Python one at a time.  (Rounding to 17 digits never carries into an
+    18th: that needs a double within half a unit of the 17th digit below a
+    power of ten, and no double in the exact range is.)"""
     a = np.abs(v)
     exact = (a >= 1e-4) & (a < 1e14)
     a = np.where(exact, a, 1.0)
@@ -78,12 +78,7 @@ def float_text(x: np.ndarray) -> np.ndarray:
         if not off.any():
             break
         X += off
-    # Rounding 99999999999999999.5 or more up gives 10**17 = 10**16 * 10.
-    # No double in the range above does so (1e-14, below it, is the nearest
-    # that does); the step keeps N and X right without relying on that.
-    carry = N == _E17
-    N[carry] = _E16
-    X = (X + carry).astype(np.int8)
+    X = X.astype(np.int8)
 
     pairs = np.empty((8, v.size), dtype=np.intp)
     for k in range(7, -1, -1):
@@ -124,7 +119,7 @@ def float_text(x: np.ndarray) -> np.ndarray:
             format(u, ".17g").encode().ljust(_TEXT_ROWS, b"\0") for u in v[other].tolist()
         )
         text[:, other] = np.frombuffer(texts, dtype=np.uint8).reshape(-1, _TEXT_ROWS).T
-    return text.reshape(_TEXT_ROWS, C, P).transpose(1, 0, 2)
+    return text
 
 
 def int_text(v: np.ndarray, width: int) -> np.ndarray:
@@ -136,15 +131,15 @@ def int_text(v: np.ndarray, width: int) -> np.ndarray:
     return text
 
 
-def table_text(fields: list[np.ndarray], delimiter: str) -> bytes:
+def table_text(fields: list[np.ndarray]) -> bytes:
     """The text of a table given field by field: each field is a (rows of
     text, table rows) uint8 array whose zero bytes are padding.  Each table
-    row joins its fields with delimiter and ends in a newline."""
+    row joins its fields with tabs and ends in a newline."""
     grid = np.zeros((sum(len(f) + 1 for f in fields), fields[0].shape[1]), dtype=np.uint8)
     at = 0
     for f in fields:
         grid[at : at + len(f)] = f
-        grid[at + len(f)] = ord(delimiter)
+        grid[at + len(f)] = ord("\t")
         at += len(f) + 1
     grid[-1] = ord("\n")
     text = np.ascontiguousarray(grid.T)

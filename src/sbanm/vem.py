@@ -147,25 +147,24 @@ def e_step(
     params: ModelParams,
     state: VariationalState,
     nodes: np.ndarray | None = None,
-    inner: int = 1,
-    damping: float = 1.0,
-    tol: float = 0.0,
+    damping: float = TAU_DAMPING,
 ) -> np.ndarray:
-    """One tau update on the rows in `nodes` (sorted, distinct node indices;
-    all nodes when None); returns the new tau.
+    """One E-step of the fit; returns the new tau.  With `nodes` None it
+    makes damped passes over all nodes until the first whose max-abs
+    change is below TOL_TAU, at most TAU_INNER_MAX of them; given `nodes`
+    (sorted, distinct node indices) it makes one pass on those rows, SVI
+    step t with svi.subsample_nodes(t) and averaging_weight(t) as
+    `damping`.
 
-    Iterates log tau*_iq = log alpha_q + P_q sum_j tau_jq (f_sig - f_noise) - 1
-    over j in `nodes`, self term excluded, rows normalized by softmax_rows,
-    with tau <- damping*tau* + (1-damping)*tau renormalized, for at most
-    `inner` passes or until the max-abs change drops below `tol`.  (The
+    A pass sets log tau*_iq = log alpha_q + P_q sum_j tau_jq (f_sig - f_noise) - 1
+    over j in the rows, self term excluded, rows normalized by softmax_rows,
+    and tau <- damping*tau* + (1-damping)*tau renormalized.  (The
     mean-field likelihood term sum_j [tau_jq (P_q f_sig + (1-P_q) f_noise)
     + sum_{l != q} tau_jl f_noise] exceeds the gap term by sum_j f_noise,
     which is the same for every q and cancels in the normalization.)  Each
     pass makes one packed product over all Q blocks.  Rows outside `nodes`
-    are kept unchanged.  fit makes every call: a full-batch step damps its
-    passes; SVI step t is one pass on svi.subsample_nodes(t) with
-    averaging_weight(t) as `damping`.  P is not updated here: the fit takes
-    it at the new tau from the next moment pass,
+    are kept unchanged.  P is not updated here: the fit takes it at the
+    new tau from the next moment pass,
     signal_probs(block_gaps(law_coefficients(params, net.center),
     pair_moments(net, tau))).
     """
@@ -176,7 +175,7 @@ def e_step(
     # `rows` is the product with the subsample's own gap submatrix.
     x = np.zeros((params.Q, net.n))
     tau = state.tau.copy()
-    for it in range(inner):
+    for it in range(TAU_INNER_MAX if nodes is None else 1):
         previous = tau[rows]
         x[:, rows] = previous.T
         logits = state.P * packed_matvec(gaps, x)[:, rows].T + const
@@ -187,7 +186,7 @@ def e_step(
         # Taken before the write: with all nodes, `previous` is a view of tau.
         delta = np.max(np.abs(damped - previous))
         tau[rows] = damped
-        if delta < tol:
+        if delta < TOL_TAU:
             break
     return tau
 
@@ -323,10 +322,8 @@ def fit(
         # step t is outer iteration t; once it covers the graph, every step
         # is full batch.
         nodes = None if svi is None else subsample_nodes(it, svi, net.n)
-        if nodes is None:
-            tau = e_step(net, params, state, inner=TAU_INNER_MAX, damping=TAU_DAMPING, tol=TOL_TAU)
-        else:
-            tau = e_step(net, params, state, nodes, damping=averaging_weight(it))
+        damping = TAU_DAMPING if nodes is None else averaging_weight(it)
+        tau = e_step(net, params, state, nodes, damping)
         delta_tau = float(np.max(np.abs(tau - state.tau)))
         moments = pair_moments(net, tau)
         P = signal_probs(block_gaps(law_coefficients(params, net.center), moments))

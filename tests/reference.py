@@ -3,17 +3,20 @@ evaluated pair by pair and the dense symmetric matrix of per-pair values
 (for the moment and packed passes), the survey similarity weights from
 dense n x n agreement matrices (for the tile-walked builder), and the
 network and membership file texts built one value at a time with
-Python's format(v, ".17g") (for the vectorised writers).  The library
-computes none of them; its tests import them from here.  The numeric
-ones have their own tests in test_model.py.
+Python's format(v, ".17g") (for the vectorised writers), and the exact
+evidence of a small network (for the bound the ELBO is).  The library
+computes none of them; its tests import them from here.  The per-pair
+densities and their square have their own tests in test_model.py.
 """
 
 import csv
 import io
+import itertools
 import math
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.special import logsumexp
 
 from sbanm.errors import NumericalError
 
@@ -51,6 +54,30 @@ def pairs_to_square(n: int, values) -> np.ndarray:
     out[upper] = values
     out.swapaxes(0, 1)[upper] = values
     return out
+
+
+def law_log_densities(net, params) -> np.ndarray:
+    """Every pair's log-density under each law, as a (Q + 1, pairs) array:
+    row 0 the noise law, row q + 1 block q's law."""
+    laws = [params.noise, *params.blocks]
+    return np.array([log_density_batch(net.weights, b.mu, b.covariance()) for b in laws])
+
+
+def log_evidence(net, params) -> float:
+    """log p(Y; params) = log sum_c sum_z (1/Q) prod_i alpha_{z_i}
+    prod_{i<j} f(y_ij | z, c), summed term by term over the noise block c
+    and the memberships z (Q^(n+1) terms): pair (i, j) lies under block
+    q's law when z_i = z_j = q != c, else under the noise law."""
+    Q = params.Q
+    f = law_log_densities(net, params)
+    I, J = np.triu_indices(net.n, 1)
+    z = np.array(list(itertools.product(range(Q), repeat=net.n)))
+    zi, same = z[:, I], z[:, I] == z[:, J]
+    with np.errstate(divide="ignore"):  # alpha_q = 0 leaves its z out
+        prior = np.log(params.alpha)[z].sum(axis=1) - math.log(Q)
+    pairs = np.arange(I.size)
+    terms = [prior + f[np.where(same & (zi != c), zi + 1, 0), pairs].sum(axis=1) for c in range(Q)]
+    return float(logsumexp(terms))
 
 
 def similarity_weights(responses) -> np.ndarray:

@@ -165,16 +165,14 @@ class TestCriterion5PropertySuites:
         # tau rows stay stochastic after every update (checked to 1e-10).
         net60, labels60, params60 = planted_network(seed=50)
         state = sbanm.spectral_init(net60, 3, 50)
-        from sbanm.vem import TAU_DAMPING, TAU_INNER_MAX, TOL_TAU, _m_step
+        from sbanm.vem import _m_step
 
         boot = _m_step(net60, state, sbanm.pair_moments(net60, state.tau))
-        tau = sbanm.e_step(
-            net60, boot, state, inner=TAU_INNER_MAX, damping=TAU_DAMPING, tol=TOL_TAU
-        )
+        tau = sbanm.e_step(net60, boot, state)
         if np.max(np.abs(tau.sum(axis=1) - 1.0)) > 1e-10:
             failures.append("tau rows not stochastic after e_step")
         nodes = sbanm.subsample_nodes(0, sbanm.SviConfig(a=20, seed=50), net60.n)
-        tau_svi = sbanm.e_step(net60, boot, state, nodes, damping=sbanm.averaging_weight(0))
+        tau_svi = sbanm.e_step(net60, boot, state, nodes, sbanm.averaging_weight(0))
         if np.max(np.abs(tau_svi.sum(axis=1) - 1.0)) > 1e-10:
             failures.append("tau rows not stochastic after an SVI step")
 

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import logsumexp, softmax
 
 import sbanm
-from sbanm import model
+from sbanm import model, vem
 from sbanm.model import EPS_PROB, law_coefficients, pair_moments
 from sbanm.rng import substream
 from sbanm.vem import _gap_squares, block_gaps, e_step, signal_probs, softmax_rows
@@ -66,22 +66,32 @@ def soft_state(n, Q, seed):
 
 
 CASES = [
+    # Five full-batch passes: no tolerance stops them early.
     pytest.param(None, 5, 0.7, id="full-batch"),
     # An SVI step: one pass on a subsample, damped by its averaging weight.
     pytest.param(80, 1, 0.6, id="svi-subset"),
 ]
 
 
+def full_batch_passes(monkeypatch, inner, tol=0.0):
+    """Make each full-batch e_step run `inner` passes, fewer only when a
+    pass changes tau by less than `tol`."""
+    monkeypatch.setattr(vem, "TAU_INNER_MAX", inner)
+    monkeypatch.setattr(vem, "TOL_TAU", tol)
+
+
 class TestPackedGapsAgainstDenseReference:
     @staticmethod
-    def check_against_dense_e_step(seed, subset, inner, damping):
+    def check_against_dense_e_step(seed, subset, inner, damping, monkeypatch):
         net, _, params = planted_network(sizes=(40, 35, 30), seed=seed)
         params = shrunk_params(params, 0.01)
         state = soft_state(net.n, 3, seed)
         nodes = None
         if subset is not None:
             nodes = np.sort(substream(seed, "nodes").choice(net.n, size=subset, replace=False))
-        tau = e_step(net, params, state, nodes, inner=inner, damping=damping)
+        else:
+            full_batch_passes(monkeypatch, inner)
+        tau = e_step(net, params, state, nodes, damping)
         P = p_update(net, params, tau)
         tau_ref, P_ref = dense_e_step(net, params, state, nodes, inner, damping)
         assert np.max(np.abs(tau - tau_ref)) <= 1e-12
@@ -93,7 +103,7 @@ class TestPackedGapsAgainstDenseReference:
     @pytest.mark.parametrize("subset, inner, damping", CASES)
     def test_matches_dense_e_step(self, seed, subset, inner, damping, monkeypatch):
         monkeypatch.setattr(model, "PAIR_TILE", 4096)
-        self.check_against_dense_e_step(seed, subset, inner, damping)
+        self.check_against_dense_e_step(seed, subset, inner, damping, monkeypatch)
 
     # Tiles shorter than the longest rows (104 pairs) hold one row each
     # until the rows get shorter than the tile.
@@ -104,10 +114,10 @@ class TestPackedGapsAgainstDenseReference:
         self, seed, subset, inner, damping, tile, monkeypatch
     ):
         monkeypatch.setattr(model, "PAIR_TILE", tile)
-        self.check_against_dense_e_step(seed, subset, inner, damping)
+        self.check_against_dense_e_step(seed, subset, inner, damping, monkeypatch)
 
 
-def test_e_step_peak_memory_below_dense_gap_squares():
+def test_e_step_peak_memory_below_dense_gap_squares(monkeypatch):
     # Q dense n x n gap matrices take Q n^2 8 bytes; the row blocks of the
     # upper triangles plus one tile of pair features take about half of that.
     params, _ = sbanm.experiment2_spec()
@@ -116,9 +126,10 @@ def test_e_step_peak_memory_below_dense_gap_squares():
     tau[np.arange(net.n), labels] = 0.95
     state = sbanm.VariationalState(tau=tau, P=np.full(4, 0.75))
     net.center  # cached on first use; not part of the E-step's memory
+    full_batch_passes(monkeypatch, 2)
     tracemalloc.start()
     try:
-        e_step(net, params, state, inner=2, damping=0.7)
+        e_step(net, params, state)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -177,17 +188,18 @@ class TestNormalisersAgainstScipy:
         assert np.max(np.abs(P - scipy_P)) <= 1e-15
 
 
-def test_tol_stops_after_the_first_pass_that_changes_tau_less():
-    # The passes of one e_step call are the calls with one more pass each;
-    # with `tol` the call stops after the first pass whose max-abs change
-    # is below it, however many passes `inner` allows.
+def test_tol_stops_after_the_first_pass_that_changes_tau_less(monkeypatch):
+    # The passes of one full-batch e_step are the calls with one more pass
+    # each; at TOL_TAU the call stops after the first pass whose max-abs
+    # change is below it, however many passes TAU_INNER_MAX allows.
     net, _, params = planted_network(sizes=(40, 35, 30), seed=5)
     params = shrunk_params(params, 0.01)
     state = soft_state(net.n, 3, 5)
     tol = 1e-2
     passes = [state.tau]
     while len(passes) < 2 or np.max(np.abs(passes[-1] - passes[-2])) >= tol:
-        passes.append(e_step(net, params, state, inner=len(passes), damping=0.7))
+        full_batch_passes(monkeypatch, len(passes))
+        passes.append(e_step(net, params, state))
     assert len(passes) > 3
-    stopped = e_step(net, params, state, inner=50, damping=0.7, tol=tol)
-    assert np.array_equal(stopped, passes[-1])
+    full_batch_passes(monkeypatch, 50, tol)
+    assert np.array_equal(e_step(net, params, state), passes[-1])

@@ -338,9 +338,8 @@ class TestNetworkFile:
 
 
 def float_texts(values):
-    """The text the network and membership writers give each value."""
-    x = np.asarray(values, dtype=float).reshape(1, -1)
-    return table_text(list(float_text(x)), ",").decode("ascii").splitlines()
+    """The text the network writer gives each value."""
+    return table_text([float_text(np.asarray(values, dtype=float))]).decode("ascii").splitlines()
 
 
 def dyadic_ties(rng, size):

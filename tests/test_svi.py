@@ -11,8 +11,9 @@ from sbanm import (
     subsample_size,
 )
 from sbanm.errors import DataError
-from sbanm.rng import substream
-from sbanm.vem import _m_step
+from sbanm.model import law_coefficients
+from sbanm.rng import derive_seed, substream
+from sbanm.vem import _m_step, block_gaps, signal_probs
 
 from conftest import planted_network
 
@@ -126,12 +127,13 @@ class TestSviEStep:
             assert untouched.size and np.array_equal(tau[untouched], state.tau[untouched])
             assert not np.array_equal(tau[M], state.tau[M])
 
-    def test_full_subsample_with_unit_weight_equals_full_e_step(self):
+    def test_full_subsample_with_unit_weight_equals_full_e_step(self, monkeypatch):
         # t=0 gives delta=1; the subsample as the whole graph makes one SVI
         # step exactly one (undamped, single-pass) full E-step.
         net, state, params = self.setup_instance(seed=3)
-        tau_svi = e_step(net, params, state, np.arange(net.n), damping=averaging_weight(0))
-        tau_full = e_step(net, params, state, inner=1, damping=1.0)
+        tau_svi = e_step(net, params, state, np.arange(net.n), averaging_weight(0))
+        monkeypatch.setattr(sbanm.vem, "TAU_INNER_MAX", 1)
+        tau_full = e_step(net, params, state, damping=1.0)
         assert np.allclose(tau_svi, tau_full, atol=1e-12)
 
     def test_fit_rejects_base_size_below_q_before_init(self, monkeypatch):
@@ -142,6 +144,31 @@ class TestSviEStep:
         net, _, _ = planted_network(sizes=(10, 10, 10), seed=4)
         with pytest.raises(DataError, match="subsample too small for Q blocks"):
             sbanm.fit(net, FitConfig(Q=3, seed=0), svi=SviConfig(a=2, seed=0))
+
+    def test_svi_fit_replays_from_the_two_e_step_forms(self):
+        # On 60 nodes with a = 20, steps 0..4 are SVI steps and step 5 on
+        # is full batch; the fit converges at step 6, within max_outer.
+        net, _, _ = planted_network(sizes=(24, 20, 16), seed=6)
+        cfg, svi = FitConfig(Q=3, max_outer=8, seed=6), SviConfig(a=20, seed=6)
+        result = sbanm.fit(net, cfg, svi)
+        state = sbanm.spectral_init(net, 3, derive_seed(cfg.seed, "init"))
+        params = _m_step(net, state, sbanm.pair_moments(net, state.tau))
+        trace = []
+        for t in range(len(result.elbo_trace)):
+            nodes = subsample_nodes(t, svi, net.n)
+            if nodes is None:
+                tau = e_step(net, params, state)
+            else:
+                tau = e_step(net, params, state, nodes, averaging_weight(t))
+            moments = sbanm.pair_moments(net, tau)
+            P = signal_probs(block_gaps(law_coefficients(params, net.center), moments))
+            state = sbanm.VariationalState(tau=tau, P=P)
+            params = _m_step(net, state, moments)
+            trace.append(sbanm.elbo(net, params, state, moments))
+        assert subsample_nodes(0, svi, net.n) is not None and nodes is None
+        assert result.elbo_trace.tolist() == trace
+        assert np.array_equal(result.state.tau, state.tau)
+        assert np.array_equal(result.state.P, state.P)
 
     def test_svi_fit_reaches_full_batch_partition(self):
         params, sizes = sbanm.experiment2_spec()

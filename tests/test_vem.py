@@ -25,12 +25,11 @@ from sbanm import (
     m_step_noise,
 )
 from sbanm.errors import DataError, NumericalError
-from sbanm.model import EPS_PROB, law_coefficients, noise_moments, pair_moments
+from sbanm.model import EPS_PROB, clip_prob, law_coefficients, noise_moments, pair_moments
 from sbanm.svi import SviConfig, averaging_weight, subsample_nodes
 from sbanm.vem import (
     _MASS_FLOOR,
     TAU_DAMPING,
-    TAU_INNER_MAX,
     TOL_ELBO,
     TOL_TAU,
     _m_step,
@@ -40,7 +39,13 @@ from sbanm.vem import (
 from sbanm.rng import substream
 
 from conftest import offset_planted_network, planted_network
-from reference import log_density, log_density_batch, pairs_to_square
+from reference import (
+    law_log_densities,
+    log_density,
+    log_density_batch,
+    log_evidence,
+    pairs_to_square,
+)
 
 
 def constant_network(n, K, value):
@@ -75,11 +80,6 @@ def overflow_instance():
     return net, params, state
 
 
-def fit_e_step(net, params, state):
-    """Memberships from the fit's full-batch E-step."""
-    return e_step(net, params, state, inner=TAU_INNER_MAX, damping=TAU_DAMPING, tol=TOL_TAU)
-
-
 def p_update(net, params, tau):
     """The fit's P update at memberships tau: the block gaps read off the
     moment pass at tau."""
@@ -94,32 +94,32 @@ class TestEstimateTau:
         state = soft_state(net.n, 3, seed=1)
         params = _m_step(net, state, pair_moments(net, state.tau))
         result = sbanm.fit(net, FitConfig(Q=3, max_outer=1), init_state=state)
-        assert np.array_equal(result.state.tau, fit_e_step(net, params, state))
+        assert np.array_equal(result.state.tau, e_step(net, params, state))
 
     def test_q1_all_ones(self):
         net = constant_network(5, 1, 0.3)
         params = twin_block_params(Q=1)
         state = VariationalState(tau=np.ones((5, 1)), P=[0.5])
-        tau = fit_e_step(net, params, state)
+        tau = e_step(net, params, state)
         assert np.array_equal(tau, np.ones((5, 1)))
 
     def test_symmetric_instance_keeps_uniform_tau(self):
         net = constant_network(6, 1, 0.7)
         params = twin_block_params(Q=2, mu=0.7)
         state = VariationalState(tau=np.full((6, 2), 0.5), P=[0.5, 0.5])
-        tau = fit_e_step(net, params, state)
+        tau = e_step(net, params, state)
         assert np.max(np.abs(tau - 0.5)) < 1e-12
 
     def test_rows_stay_stochastic(self, planted60):
         net, _, params = planted60
         state = soft_state(net.n, 3, seed=1, P=[0.6, 0.7, 0.8])
-        tau = fit_e_step(net, params, state)
+        tau = e_step(net, params, state)
         assert np.max(np.abs(tau.sum(axis=1) - 1.0)) < 1e-10
 
     def test_divergence_reported(self):
         net, params, state = overflow_instance()
         with pytest.raises(NumericalError, match="tau update diverged"):
-            fit_e_step(net, params, state)
+            e_step(net, params, state)
 
     def test_brute_force_complete_likelihood_maximizer(self):
         # 12 nodes, noise block + one well-separated signal block.
@@ -496,26 +496,24 @@ class TestEStepMaximisesElbo:
     # too, whose P is taken over all pairs at the blended tau.
     @given(
         st.integers(0, 2**32 - 1),
-        st.sampled_from(
-            [("full", 0), ("full", 1), ("full", TAU_INNER_MAX)] + [("svi", t) for t in range(3)]
-        ),
+        # None is the full-batch step, t an SVI step.
+        st.sampled_from([None, 0, 1, 2]),
         st.permutations(range(3)),
         st.sampled_from([1e-4, 1e-2, 0.5, 1.0]),
     )
     @settings(max_examples=100, deadline=None)
     def test_no_simplex_nudge_of_the_noise_posterior_raises_the_elbo(
-        self, seed, step, order, share
+        self, seed, t, order, share
     ):
         net, _, _ = planted_network(sizes=(14, 13, 13), seed=seed)
         start = soft_state(net.n, 3, seed=seed)
         params = _m_step(net, start, pair_moments(net, start.tau))
-        kind, k = step
-        if kind == "full":
-            tau = e_step(net, params, start, inner=k, damping=0.7, tol=1e-6)
+        if t is None:
+            tau = e_step(net, params, start)
         else:
-            # SVI step k on a subsample of 15 + (k/(k+1))^2 * 40 nodes.
-            nodes = subsample_nodes(k, SviConfig(a=15, seed=seed), net.n)
-            tau = e_step(net, params, start, nodes, damping=averaging_weight(k))
+            # SVI step t on a subsample of 15 + (t/(t+1))^2 * 40 nodes.
+            nodes = subsample_nodes(t, SviConfig(a=15, seed=seed), net.n)
+            tau = e_step(net, params, start, nodes, averaging_weight(t))
         moments = pair_moments(net, tau)
         P = signal_probs(block_gaps(law_coefficients(params, net.center), moments))
         best = elbo(net, params, VariationalState(tau=tau, P=P), moments)
@@ -606,6 +604,64 @@ class TestElbo:
         expected = math.fsum(np.concatenate(parts)) + rest
         got = elbo(net, params, state, pair_moments(net, state.tau))
         assert got == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+def random_laws(rng, K, Q):
+    """Q random block laws, a random noise law and random proportions."""
+    def law(rho):
+        return BlockParams(mu=rng.normal(0, 1, K), var=rng.uniform(0.3, 2.0, K), rho=rho)
+
+    blocks = [law(rng.uniform(-0.4, 0.8)) for _ in range(Q)]
+    return ModelParams(blocks=blocks, noise=law(0.0), alpha=rng.dirichlet(np.ones(Q)))
+
+
+def clamp_allowance(net, params, state):
+    """How far the ELBO may exceed the evidence because P is clamped into
+    [EPS_PROB, 1 - EPS_PROB]: N = 1 - P then leaves the simplex by at most
+    EPS_PROB in each clamped entry, which moves block q's likelihood term
+    P_q gap_q by at most EPS_PROB sum_{i<j} tau_iq tau_jq |f_q - f_noise|
+    and its noise entropy by at most EPS_PROB log(1/EPS_PROB)."""
+    f = law_log_densities(net, params)
+    I, J = np.triu_indices(net.n, 1)
+    tau, P = state.tau, state.P
+    per_block = np.einsum("pq,qp->q", tau[I] * tau[J], np.abs(f[1:] - f[0]))
+    clamped = (P == EPS_PROB) | (P == 1 - EPS_PROB)
+    return EPS_PROB * float((per_block + math.log(1 / EPS_PROB))[clamped].sum())
+
+
+class TestElboBoundsEvidence:
+    """The ELBO against the exact evidence log p(Y; theta), summed over
+    every noise block and membership vector at n <= 6."""
+
+    @staticmethod
+    def check(net, params, state, value, two_sided=False):
+        evidence = log_evidence(net, params)
+        # 1e-12 of the evidence covers rounding.
+        tol = clamp_allowance(net, params, state) + 1e-12 * abs(evidence)
+        assert value <= evidence + tol
+        if two_sided:
+            assert value >= evidence - tol
+
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 6), st.integers(1, 2), st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_elbo_at_random_laws_and_state(self, seed, n, K, Q):
+        rng = substream(seed, "evidence")
+        params = random_laws(rng, K, Q)
+        net = MultilayerNetwork(n=n, K=K, weights=rng.normal(0, 1.5, (n * (n - 1) // 2, K)))
+        tau = rng.dirichlet(np.ones(Q), size=n)
+        state = VariationalState(tau=tau, P=clip_prob(1.0 - rng.dirichlet(np.ones(Q))))
+        value = elbo(net, params, state, pair_moments(net, tau))
+        # At Q = 1 the one membership vector is certain and N = 1 exact but
+        # for the clamp, so the bound is tight up to the clamp term.
+        self.check(net, params, state, value, two_sided=Q == 1)
+
+    def test_fitted_elbo(self):
+        for seed in range(10):
+            rng = substream(seed, "evidence-fit")
+            Q, K = 2 + seed % 2, 1 + seed % 3
+            net, _ = sbanm.gen_network(random_laws(rng, K, Q), np.full(Q, 6 // Q), rng)
+            result = fit(net, FitConfig(Q=Q, seed=seed))
+            self.check(net, result.params, result.state, result.elbo)
 
 
 class TestFit:
