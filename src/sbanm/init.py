@@ -34,16 +34,15 @@ LANCZOS_TOL = 1e-12
 _BREAKDOWN = 1e-12
 
 
-def _orthogonalize(w: np.ndarray, blocks: list) -> np.ndarray:
-    """Coefficients h of w on the orthonormal rows of the arrays in blocks,
-    with w <- w - h @ V in place for V those rows stacked; two passes over
-    all of them, so w ends orthogonal to every row to working precision."""
+def _orthogonalize(w: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Coefficients h of w on the orthonormal rows of V, with w <- w - h @ V
+    in place; two passes, so w ends orthogonal to every row of V to working
+    precision."""
     h = 0.0
     for _ in range(2):
-        c = [B @ w for B in blocks]
-        for B, c_B in zip(blocks, c):
-            w -= c_B @ B
-        h = h + np.concatenate(c)
+        c = V @ w
+        w -= c @ V
+        h = h + c
     return h
 
 
@@ -71,28 +70,24 @@ def top_eigenpairs(matvec, v0: np.ndarray, Q: int) -> np.ndarray:
     n = v0.size
     ncv = min(n, max(2 * Q + 1, 20))
     seeds = itertools.count()
-    # The basis is the rows of `blocks`, ncv to a block, so it grows without
-    # copying.  Row j of H holds the coefficients of the product with basis
+    # The basis is the first `size` rows of V, which grows by ncv rows when
+    # full.  Row j of H holds the coefficients of the product with basis
     # vector j on the basis: after p products H[:p, :p] (lower triangle) is
     # the projection on the expanded vectors and H[:p, p:size] couples them
     # to the others.
-    blocks, H, size = [], np.zeros((0, 0)), 0
-
-    def basis(m):
-        """The first m basis vectors, as row blocks."""
-        return [B[: m - k * ncv] for k, B in enumerate(blocks) if k * ncv < m]
+    V, H, size = np.empty((0, n)), np.zeros((0, 0)), 0
 
     def append(vector=None):
         """Append vector, or a seeded random unit vector orthogonal to the basis."""
-        nonlocal H, size
+        nonlocal V, H, size
         if vector is None:
             vector = substream(0, "lanczos-fresh", next(seeds)).uniform(-1.0, 1.0, n)
-            _orthogonalize(vector, basis(size))
+            _orthogonalize(vector, V[:size])
             vector /= np.linalg.norm(vector)
-        if size % ncv == 0:
-            blocks.append(np.empty((min(ncv, n - size), n)))
-            H = np.pad(H, (0, len(blocks[-1])))
-        blocks[-1][size % ncv] = vector
+        if size == len(V):
+            V = np.concatenate([V, np.empty((min(ncv, n - size), n))])
+            H = np.pad(H, (0, len(V) - size))
+        V[size] = vector
         size += 1
 
     append(v0 / np.linalg.norm(v0))
@@ -100,9 +95,9 @@ def top_eigenpairs(matvec, v0: np.ndarray, Q: int) -> np.ndarray:
     # count at which the check ends.
     accepted = kept = check_end = None
     for p in range(1, n + 1):
-        w = matvec(blocks[(p - 1) // ncv][(p - 1) % ncv])
+        w = matvec(V[p - 1])
         scale = np.linalg.norm(w)
-        H[p - 1, :size] = _orthogonalize(w, basis(size))
+        H[p - 1, :size] = _orthogonalize(w, V[:size])
         beta = np.linalg.norm(w)
         if not np.isfinite(beta):
             raise NumericalError("spectral initialization: non-finite Lanczos vector")
@@ -122,7 +117,7 @@ def top_eigenpairs(matvec, v0: np.ndarray, Q: int) -> np.ndarray:
         # none is left once the products have expanded all of R^n.
         residuals = np.linalg.norm(S[:, -Q:].T @ H[:p, p:size], axis=1)
         if np.all(residuals <= tol):
-            Y = sum(S[k * ncv : (k + 1) * ncv, -Q:].T @ B for k, B in enumerate(basis(p)))
+            Y = S[:, -Q:].T @ V[:p]
             accepted, kept, check_end = theta[-Q:], Y[::-1].T, p + (ncv - Q) // 2
             # Once the basis spans R^n, its unexpanded vectors run the check.
             if size < n:
