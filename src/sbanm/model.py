@@ -26,7 +26,9 @@ from .errors import DataError, NumericalError
 
 # Probability clamp applied before any log.
 EPS_PROB = 1e-9
-# Smallest admissible variance; keeps degenerate blocks invertible.
+# Smallest admissible variance, as a share of the layer's variance over all
+# pairs (the variance itself for a constant layer); keeps degenerate blocks
+# invertible at any scale of the weights.
 VAR_FLOOR = 1e-8
 # Distance kept from the positive-definiteness boundary at rho = 1.
 RHO_MARGIN = 1e-6
@@ -190,24 +192,30 @@ def pair_moments(net: "MultilayerNetwork", tau: np.ndarray) -> np.ndarray:
     is taken once as the sum over all pairs minus the Q within-block rows.
     Every Gaussian log-density sum the fit needs is a dot product of such a
     row with gaussian_coefficients(..., net.center).
+
+    Raises NumericalError when a sum is not finite: squared centred weights
+    past about 1e154 overflow float64.
     """
     n = net.n
     # Memberships block by block: each block's row of tau_t is contiguous.
     tau_t = np.ascontiguousarray(np.asarray(tau, dtype=float).T)
     Q = tau_t.shape[0]
     out = np.zeros((Q + 1, feature_dim(net.K)))
-    for p0, p1, r0, r1 in pair_tiles(n):
-        # Column p - p0 of w weights pair p: row i of the tile pairs node i
-        # with each of the nodes i+1.., a contiguous slice of tau_t.
-        w = np.empty((Q + 1, p1 - p0))
-        np.multiply(
-            np.repeat(tau_t[:, r0:r1], n - 1 - np.arange(r0, r1), axis=1),
-            np.concatenate([tau_t[:, i + 1 :] for i in range(r0, r1)], axis=1),
-            out=w[:Q],
-        )
-        w[Q] = 1.0
-        out += w @ pair_features(net.weights[p0:p1], net.center).T
-    out[Q] -= out[:Q].sum(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # caught by the finite check
+        for p0, p1, r0, r1 in pair_tiles(n):
+            # Column p - p0 of w weights pair p: row i of the tile pairs node
+            # i with each of the nodes i+1.., a contiguous slice of tau_t.
+            w = np.empty((Q + 1, p1 - p0))
+            np.multiply(
+                np.repeat(tau_t[:, r0:r1], n - 1 - np.arange(r0, r1), axis=1),
+                np.concatenate([tau_t[:, i + 1 :] for i in range(r0, r1)], axis=1),
+                out=w[:Q],
+            )
+            w[Q] = 1.0
+            out += w @ pair_features(net.weights[p0:p1], net.center).T
+        out[Q] -= out[:Q].sum(axis=0)
+    if not np.all(np.isfinite(out)):
+        raise NumericalError("non-finite pair moments")
     return out
 
 

@@ -196,6 +196,15 @@ def m_step_alpha(state: VariationalState) -> np.ndarray:
     return state.tau.mean(axis=0)
 
 
+def _var_floor(net: MultilayerNetwork, moments: np.ndarray) -> np.ndarray:
+    """Per-layer variance floor: VAR_FLOOR times the layer's variance over
+    all pairs (the sum of the pair_moments rows), or VAR_FLOOR for a
+    constant layer.  Scaling the weights by c scales it by c^2."""
+    _, cov = moment_stats(moments.sum(axis=0), net.center)
+    var = np.diag(cov)
+    return np.where(var > 0, VAR_FLOOR * var, VAR_FLOOR)
+
+
 def m_step_block(
     net: MultilayerNetwork,
     q: int,
@@ -216,11 +225,12 @@ def m_step_block(
         logger.info("block %d degenerate (mass %.3g); reset to noise parameters", q, mass)
         return noise
     mu, cov = moment_stats(moments[q], net.center)
-    var = np.maximum(np.diag(cov), VAR_FLOOR)
+    var = np.maximum(np.diag(cov), _var_floor(net, moments))
     rho = 0.0
     if net.K > 1:
         off = ~np.eye(net.K, dtype=bool)
-        rho = clamp_rho(float(np.max(cov[off] / np.sqrt(np.outer(var, var)[off]))))
+        sd = np.sqrt(var)
+        rho = clamp_rho(float(np.max(cov[off] / np.outer(sd, sd)[off])))
     return BlockParams(mu=mu, var=var, rho=rho)
 
 
@@ -240,7 +250,8 @@ def m_step_noise(
     if row[0] < _MASS_FLOOR:
         raise NumericalError("noise estimate undefined")
     mean, cov = moment_stats(row, net.center)
-    return BlockParams(mu=mean, var=np.maximum(np.diag(cov), VAR_FLOOR), rho=0.0)
+    var = np.maximum(np.diag(cov), _var_floor(net, moments))
+    return BlockParams(mu=mean, var=var, rho=0.0)
 
 
 def elbo(

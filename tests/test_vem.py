@@ -3,6 +3,7 @@ import itertools
 import math
 import runpy
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -876,6 +877,35 @@ class TestFit:
 
         for result in results[1:]:
             assert values(result).tobytes() == values(results[0]).tobytes()
+
+    @pytest.fixture(scope="class")
+    def exp2_fit(self):
+        net, _ = sbanm.gen_network(*sbanm.experiment2_spec(), substream(1, "n"))
+        return net, fit(net, FitConfig(Q=4, seed=2))
+
+    def scaled(self, net, c):
+        return MultilayerNetwork(n=net.n, K=net.K, weights=net.weights * c)
+
+    @pytest.mark.parametrize("c", [1e-6, 1e-3, 1e3, 1e100])
+    def test_fit_is_scale_equivariant(self, exp2_fit, c):
+        # The variance floor follows each layer's own variance, so scaling
+        # every weight by c scales each mean by c and each variance by c^2
+        # and leaves the partition and the correlations as they are.
+        net, ref = exp2_fit
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fit(self.scaled(net, c), FitConfig(Q=4, seed=2))
+        assert np.array_equal(got.hard_membership, ref.hard_membership)
+        laws = list(zip(got.params.blocks, ref.params.blocks))
+        for law, want in laws + [(got.params.noise, ref.params.noise)]:
+            np.testing.assert_allclose(law.mu / c, want.mu, rtol=1e-9)
+            np.testing.assert_allclose(law.var / c**2, want.var, rtol=1e-9)
+            assert law.rho == pytest.approx(want.rho, abs=1e-9)
+
+    def test_overflowing_moments_reported(self, exp2_fit):
+        net, _ = exp2_fit
+        with pytest.raises(NumericalError, match="non-finite pair moments"):
+            fit(self.scaled(net, 1e160), FitConfig(Q=4, seed=2))
 
     def test_hard_membership_is_row_argmax(self, planted60):
         net, _, _ = planted60
