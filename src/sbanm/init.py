@@ -146,12 +146,12 @@ def spectral_embedding(net: MultilayerNetwork, Q: int) -> np.ndarray:
     for layer in net.weights.T[1:]:
         flat += layer
     flat -= flat.min()
-    A = packed_pairs(net.n, lambda p0, p1, r0, r1: flat[p0:p1])
+    A = packed_pairs(net.n, lambda p0, p1: flat[None, p0:p1], 1)
     # Free the pair vector before the Lanczos basis is allocated.
     del flat
-    dinv = 1.0 / np.sqrt(np.maximum(packed_matvec(A, np.ones(net.n)), _DEGREE_FLOOR))
+    dinv = 1.0 / np.sqrt(np.maximum(packed_matvec(A, np.ones((1, net.n)))[0], _DEGREE_FLOOR))
     v0 = substream(0, "spectral-start").uniform(-1.0, 1.0, net.n)
-    vecs = top_eigenpairs(lambda x: dinv * packed_matvec(A, dinv * x), v0, Q)
+    vecs = top_eigenpairs(lambda x: dinv * packed_matvec(A, (dinv * x)[None])[0], v0, Q)
     norms = np.maximum(np.linalg.norm(vecs, axis=1), _DEGREE_FLOOR)
     return vecs / norms[:, None]
 

@@ -110,31 +110,33 @@ def tile_endpoints(m: int, r0: int, r1: int) -> tuple[np.ndarray, np.ndarray]:
     return I, J
 
 
-def packed_pairs(m: int, tile_values, lead: tuple = ()) -> list[tuple[int, np.ndarray]]:
-    """Symmetric zero-diagonal m x m matrices (one per index of `lead`) as
-    row blocks: a list of (r0, T), T of shape lead + (r1 - r0, m - r0)
-    holding rows r0 <= i < r1 from column r0 on.  Blocks are
-    PACKED_BLOCK_ROWS rows high (the last one may be lower), cover rows
-    0..m-2 and are views of one buffer.  The entries of the pairs
-    p0 <= p < p1 of each pair_tiles(m) tile (p0, p1, r0, r1) are
-    tile_values(p0, p1, r0, r1); each of its rows goes to its block as one
-    slice, after the row's zeros at and below the diagonal."""
+def packed_pairs(m: int, tile_values, L: int) -> list[tuple[int, np.ndarray]]:
+    """L symmetric zero-diagonal m x m matrices as row blocks: a list of
+    (r0, T), T of shape (L, r1 - r0, m - r0) holding rows r0 <= i < r1 from
+    column r0 on.  Blocks are PACKED_BLOCK_ROWS rows high (the last one may
+    be lower), cover rows 0..m-2 and are views of one buffer.  The entries
+    of the pairs p0 <= p < p1 of each pair_tiles(m) tile are
+    tile_values(p0, p1), shape (L, p1 - p0); each of its rows goes to its
+    block as one slice."""
     starts = range(0, m - 1, PACKED_BLOCK_ROWS)
-    shapes = [lead + (min(PACKED_BLOCK_ROWS, m - 1 - r0), m - r0) for r0 in starts]
-    # Every entry is written once below, so the buffer is not zeroed first;
-    # zeroing it added 4-5 ms to each ~14 ms E-step gap build at n = 1200.
+    shapes = [(L, min(PACKED_BLOCK_ROWS, m - 1 - r0), m - r0) for r0 in starts]
+    # The buffer is not zeroed as a whole: that added 4-5 ms to each ~14 ms
+    # E-step gap build at n = 1200.  Each block's leading rows x rows
+    # square, which holds its entries at and below the diagonal, is zeroed
+    # once when the block is cut; the row slices write every other entry.
     buffer = np.empty(sum(math.prod(shape) for shape in shapes))
     blocks, offset = [], 0
-    for r0, shape in zip(starts, shapes):
-        blocks.append((r0, buffer[offset : offset + math.prod(shape)].reshape(shape)))
-        offset += math.prod(shape)
+    for r0, (_, rows, cols) in zip(starts, shapes):
+        T = buffer[offset : offset + L * rows * cols].reshape(L, rows, cols)
+        T[:, :, :rows] = 0.0
+        blocks.append((r0, T))
+        offset += T.size
     for p0, p1, r0, r1 in pair_tiles(m):
-        values = tile_values(p0, p1, r0, r1)
+        values = tile_values(p0, p1)
         p = p0
         for i in range(r0, r1):
             b0, T = blocks[i // PACKED_BLOCK_ROWS]
-            T[..., i - b0, : i + 1 - b0] = 0.0
-            T[..., i - b0, i + 1 - b0 :] = values[..., p - p0 : p - p0 + m - 1 - i]
+            T[:, i - b0, i + 1 - b0 :] = values[:, p - p0 : p - p0 + m - 1 - i]
             p += m - 1 - i
         # Free this tile's values before the next tile's are built.
         del values
@@ -142,19 +144,18 @@ def packed_pairs(m: int, tile_values, lead: tuple = ()) -> list[tuple[int, np.nd
 
 
 def packed_matvec(A: list[tuple[int, np.ndarray]], x: np.ndarray) -> np.ndarray:
-    """Products of the symmetric matrices A (packed_pairs row blocks with
-    lead axes L) with the vectors x, shape L + (m,): entry l is matrix l
-    times vector l, the same whether taken alone or in a stack."""
+    """Products of the L symmetric matrices A (packed_pairs row blocks) with
+    the vectors x, shape (L, m): row l is matrix l times row l of x, the
+    same whether taken alone or in a stack."""
     # A strided x (a column of tau) would slow every block's product.
     x = np.ascontiguousarray(x)
     y = np.zeros(x.shape)
-    vectors = list(zip(x.reshape(-1, x.shape[-1]), y.reshape(-1, y.shape[-1])))
     for r0, T in A:
-        r1 = r0 + T.shape[-2]
+        r1 = r0 + T.shape[1]
         # One matrix at a time, so the mirror pass finds its block in cache:
         # a matmul stacked over L passes over all L blocks twice, which at
-        # n = 1200, L = (4,) overflows L2 and made each product 20% slower.
-        for T_l, (x_l, y_l) in zip(T.reshape((-1,) + T.shape[-2:]), vectors):
+        # n = 1200, L = 4 overflows L2 and made each product 20% slower.
+        for T_l, x_l, y_l in zip(T, x, y):
             # The stored upper part, then its mirror image below the diagonal.
             y_l[r0:r1] += T_l @ x_l[r0:]
             y_l[r0:] += x_l[r0:r1] @ T_l

@@ -109,9 +109,7 @@ def _gap_squares(net: MultilayerNetwork, params: ModelParams) -> list:
     with np.errstate(over="ignore", invalid="ignore"):
         coef = blocks - noise
         return packed_pairs(
-            net.n,
-            lambda p0, p1, r0, r1: coef @ pair_features(net.weights[p0:p1], net.center),
-            (params.Q,),
+            net.n, lambda p0, p1: coef @ pair_features(net.weights[p0:p1], net.center), params.Q
         )
 
 

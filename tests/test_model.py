@@ -316,49 +316,61 @@ class TestPairPasses:
         assert np.array_equal(pairs_to_square(6, values), want)
 
 
+def nan_empty(*args, _empty=np.empty, **kwargs):
+    """np.empty whose entries are all NaN, so an entry left unwritten shows."""
+    out = _empty(*args, **kwargs)
+    out.fill(np.nan)
+    return out
+
+
 class TestPackedPairs:
     """packed_pairs row blocks and packed_matvec against the dense symmetric
-    matrix of the same per-pair values."""
+    matrices of the same per-pair values."""
 
     # The module's block height, a taller one and a short one that puts
     # many blocks in a small matrix.
     @pytest.mark.parametrize("height", [model.PACKED_BLOCK_ROWS, 128, 4])
     @given(
         size=st.sampled_from(["2", "3", "h-1", "h", "h+1", "2h+5"]),
-        lead=st.sampled_from([(), (3,)]),
+        L=st.sampled_from([1, 3]),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=30, deadline=None)
-    def test_matvec_matches_dense_matrix(self, height, size, lead, seed):
+    def test_matvec_matches_dense_matrix(self, height, size, L, seed):
         # Block rows end one short of, at, just past and well past a block
         # height; 2h+5 also crosses pair-tile boundaries inside a block.
         m = {"2": 2, "3": 3, "h-1": height - 1, "h": height, "h+1": height + 1,
              "2h+5": 2 * height + 5}[size]
         rng = np.random.default_rng(seed)
-        values = rng.normal(size=lead + (m * (m - 1) // 2,))
-        x = rng.normal(size=m)
-        with mock.patch.object(model, "PACKED_BLOCK_ROWS", height):
-            A = packed_pairs(m, lambda p0, p1, r0, r1: values[..., p0:p1], lead)
-        # Shape lead + (m, m).
-        dense = np.moveaxis(pairs_to_square(m, np.moveaxis(values, -1, 0)), (0, 1), (-2, -1))
+        values = rng.normal(size=(L, m * (m - 1) // 2))
+        # Fresh zeroed pages would hide an entry the blocks never write.
+        with mock.patch.object(model, "PACKED_BLOCK_ROWS", height), \
+                mock.patch.object(model.np, "empty", nan_empty):
+            A = packed_pairs(m, lambda p0, p1: values[:, p0:p1], L)
+        # Shape (L, m, m).
+        dense = np.moveaxis(pairs_to_square(m, values.T), -1, 0)
         starts = [r0 for r0, _ in A]
         assert starts == list(range(0, m - 1, height))
         for r0, T in A:
             r1 = min(r0 + height, m - 1)
-            assert T.shape == lead + (r1 - r0, m - r0)
+            assert T.shape == (L, r1 - r0, m - r0)
             assert T.base is A[0][1].base
             # Rows r0..r1-1 from column r0: the upper part, zero elsewhere.
-            assert np.array_equal(T, np.triu(dense[..., r0:r1, r0:], 1))
-        for q in np.ndindex(lead):
-            want = dense[q] @ x
-            got = packed_matvec([(r0, T[q]) for r0, T in A], x)
-            assert np.allclose(got, want, rtol=0, atol=1e-12 * (np.abs(dense[q]) @ np.abs(x)).max())
+            assert np.array_equal(T, np.triu(dense[:, r0:r1, r0:], 1))
+
+        def alone(l, x):
+            return packed_matvec([(r0, T[l : l + 1]) for r0, T in A], x[None])[0]
+
+        x = rng.normal(size=m)
+        for l in range(L):
+            want = dense[l] @ x
+            assert np.allclose(alone(l, x), want, rtol=0, atol=1e-12 * (np.abs(dense[l]) @ np.abs(x)).max())
         # One call on the stacked matrices, one vector each, gives every
         # matrix's own product bit for bit.
-        xs = rng.normal(size=lead + (m,))
+        xs = rng.normal(size=(L, m))
         stacked = packed_matvec(A, xs)
-        for q in np.ndindex(lead):
-            assert np.array_equal(stacked[q], packed_matvec([(r0, T[q]) for r0, T in A], xs[q]))
+        for l in range(L):
+            assert np.array_equal(stacked[l], alone(l, xs[l]))
 
 
 class TestCenter:
