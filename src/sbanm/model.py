@@ -126,9 +126,9 @@ def packed_pairs(m: int, tile_values, L: int) -> list[tuple[int, np.ndarray]]:
     # once when the block is cut; the row slices write every other entry.
     buffer = np.empty(sum(math.prod(shape) for shape in shapes))
     blocks, offset = [], 0
-    for r0, (_, rows, cols) in zip(starts, shapes):
-        T = buffer[offset : offset + L * rows * cols].reshape(L, rows, cols)
-        T[:, :, :rows] = 0.0
+    for r0, shape in zip(starts, shapes):
+        T = buffer[offset : offset + math.prod(shape)].reshape(shape)
+        T[:, :, : shape[1]] = 0.0
         blocks.append((r0, T))
         offset += T.size
     for p0, p1, r0, r1 in pair_tiles(m):

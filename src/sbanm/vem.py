@@ -197,10 +197,36 @@ def m_step_alpha(state: VariationalState) -> np.ndarray:
 def _var_floor(net: MultilayerNetwork, moments: np.ndarray) -> np.ndarray:
     """Per-layer variance floor: VAR_FLOOR times the layer's variance over
     all pairs (the sum of the pair_moments rows), or VAR_FLOOR for a
-    constant layer.  Scaling the weights by c scales it by c^2."""
+    constant layer.  Scaling the weights by c scales it by c^2.
+
+    Raises NumericalError when a layer's variance is 0 but its weights are
+    not all equal: their squared deviations underflowed float64.
+    """
     _, cov = moment_stats(moments.sum(axis=0), net.center)
     var = np.diag(cov)
+    for k in np.flatnonzero(var <= 0):
+        if np.ptp(net.weights[:, k]) > 0:
+            raise NumericalError(
+                f"layer {k}: squared weight deviations underflow float64; scale the weights up"
+            )
     return np.where(var > 0, VAR_FLOOR * var, VAR_FLOOR)
+
+
+def _fitted_var(
+    net: MultilayerNetwork, cov: np.ndarray, moments: np.ndarray, law: str
+) -> np.ndarray:
+    """Per-layer variances of `law` from its fitted covariance cov, floored
+    by _var_floor.  Raises NumericalError when one is below the smallest
+    normal float64: the weights are too small for float64 to square."""
+    var = np.maximum(np.diag(cov), _var_floor(net, moments))
+    small = np.flatnonzero(var < np.finfo(float).tiny)
+    if small.size:
+        k = small[0]
+        raise NumericalError(
+            f"{law} variance of layer {k} underflows float64 ({var[k]:.3g}); "
+            "scale the weights up"
+        )
+    return var
 
 
 def m_step_block(
@@ -214,7 +240,7 @@ def m_step_block(
     correlation their largest normalized cross-layer covariance (mutual
     coherence) limited to [0, 1).  P_q scales block q's whole likelihood
     term, so it does not enter.  A block without mass is reset to the
-    noise law.
+    noise law.  Raises NumericalError when a variance underflows float64.
 
     `moments` is pair_moments(net, tau).
     """
@@ -223,7 +249,7 @@ def m_step_block(
         logger.info("block %d degenerate (mass %.3g); reset to noise parameters", q, mass)
         return noise
     mu, cov = moment_stats(moments[q], net.center)
-    var = np.maximum(np.diag(cov), _var_floor(net, moments))
+    var = _fitted_var(net, cov, moments, f"block {q}")
     rho = 0.0
     if net.K > 1:
         off = ~np.eye(net.K, dtype=bool)
@@ -240,7 +266,7 @@ def m_step_noise(
     """Ambient-noise law maximising the ELBO at fixed (tau, P): the mean and
     per-layer variances of the weights under each pair's noise weight, its
     cross-block mass plus the (1 - P_q) share of its block-q mass, and
-    rho 0.
+    rho 0.  Raises NumericalError when a variance underflows float64.
 
     `moments` is pair_moments(net, state.tau).
     """
@@ -248,7 +274,7 @@ def m_step_noise(
     if row[0] < _MASS_FLOOR:
         raise NumericalError("noise estimate undefined")
     mean, cov = moment_stats(row, net.center)
-    var = np.maximum(np.diag(cov), _var_floor(net, moments))
+    var = _fitted_var(net, cov, moments, "noise")
     return BlockParams(mu=mean, var=var, rho=0.0)
 
 

@@ -886,7 +886,9 @@ class TestFit:
     def scaled(self, net, c):
         return MultilayerNetwork(n=net.n, K=net.K, weights=net.weights * c)
 
-    @pytest.mark.parametrize("c", [1e-6, 1e-3, 1e3, 1e100])
+    # 1e-153 is near the low end: its smallest fitted variance, 6.1e-308,
+    # is just above the smallest normal float64.
+    @pytest.mark.parametrize("c", [1e-153, 1e-150, 1e-6, 1e-3, 1e3, 1e100])
     def test_fit_is_scale_equivariant(self, exp2_fit, c):
         # The variance floor follows each layer's own variance, so scaling
         # every weight by c scales each mean by c and each variance by c^2
@@ -901,6 +903,16 @@ class TestFit:
             np.testing.assert_allclose(law.mu / c, want.mu, rtol=1e-9)
             np.testing.assert_allclose(law.var / c**2, want.var, rtol=1e-9)
             assert law.rho == pytest.approx(want.rho, abs=1e-9)
+
+    # Weights this small give a fitted variance below the smallest normal
+    # float64 (1e-154, 1e-155), or squared deviations that are all 0
+    # (1e-170), which once floored every layer as a constant one and put
+    # every node in one block without an error.
+    @pytest.mark.parametrize("c", [1e-154, 1e-155, 1e-170])
+    def test_underflowing_weights_reported(self, exp2_fit, c):
+        net, _ = exp2_fit
+        with pytest.raises(NumericalError, match="underflow"):
+            fit(self.scaled(net, c), FitConfig(Q=4, seed=2))
 
     def test_overflowing_moments_reported(self, exp2_fit):
         net, _ = exp2_fit
